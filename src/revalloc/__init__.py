@@ -7,7 +7,6 @@ per-DMU shares with optimistic/pessimistic brackets, and split a fixed
 revenue proportionally.
 """
 
-from ._kernels import NUMBA_AVAILABLE, selected_backend
 from .allocation import (
     AllocationError,
     AllocationPlan,
@@ -66,7 +65,6 @@ __all__ = [
     "INFEASIBLE",
     "LinearProgram",
     "LpSolution",
-    "NUMBA_AVAILABLE",
     "OPTIMAL",
     "ParseError",
     "ShapleyTriple",
@@ -89,7 +87,6 @@ __all__ = [
     "optimistic_allocation",
     "pessimistic_allocation",
     "secondary_goal_weights",
-    "selected_backend",
     "shapley_bounds",
     "shapley_triples",
     "solve",

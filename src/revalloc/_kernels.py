@@ -1,411 +1,109 @@
-"""Hot kernels: coalition-bound tables and Shapley accumulation over 2^n masks.
+"""The coalition kernel: member-bound sums and Shapley sums over 2^n masks.
 
-Every kernel exists twice: a numba ``@njit`` version and a vectorized
-numpy version.  ``REVALLOC_BACKEND`` selects between them (``auto``,
-``numba``, ``numpy``); auto prefers numba when importable.  Both paths
-produce the same values up to summation rounding, and both iterate
-coalitions in ascending mask order so results are reproducible.
+One numpy path serves every n.  It builds no index array and no n x 2^n
+table, so its memory is O(2^n).
 
-Table layout, for an n x n appraisal matrix E (row = evaluator):
+For an n x n appraisal matrix E (row = evaluator) and a target column j,
+the *column tables* hold the max and the min of ``E[d, j]`` over every
+subset of the other n - 1 players.  A subset is indexed by its mask with
+bit j squeezed out, so index order is ascending mask order.  The tables
+are filled by doubling: the k-th other player d maps entries [0, 2^k)
+onto [2^k, 2^(k+1)) through ``max(t, E[d, j])``.  The empty set holds
+-inf / +inf and is never read as a member bound.
 
-* ``bmax[mask, j]`` / ``bmin[mask, j]`` -- max / min of ``E[d, j]`` over
-  evaluators ``d`` in ``mask``.  A member j's in-coalition bound is read
-  at ``mask ^ (1 << j)``; the empty mask row stays 0 and is never a
-  member lookup.
-* ``sum_upper[mask]`` / ``sum_lower[mask]`` -- per-coalition totals of the
-  member bounds, with singletons pinned to 1 by convention.
+Over a length-2^n array ``a``, the ``[:, 1, :]`` view of
+``a.reshape(-1, 2, 2**j)`` lists the masks that contain bit j and the
+``[:, 0, :]`` view the masks without it, both in squeezed order.  So a
+column table adds straight into the coalition totals, and player j reads
+S and S | {j} side by side, without any gather.
+
+``sum_upper[mask]`` / ``sum_lower[mask]`` are the per-coalition totals of
+the member bounds, with singletons pinned to 1 by convention.  Every sum
+runs over coalitions in ascending mask order, so results are reproducible.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
+def _column_tables(E: np.ndarray, j: int, tmax: np.ndarray, tmin: np.ndarray) -> None:
+    """Fill tmax/tmin (length 2^(n-1)) with column j's bounds over other-player subsets."""
+    tmax[0] = -np.inf
+    tmin[0] = np.inf
+    h = 1
+    for d in range(E.shape[0]):
+        if d != j:
+            np.maximum(tmax[:h], E[d, j], out=tmax[h:2 * h])
+            np.minimum(tmin[:h], E[d, j], out=tmin[h:2 * h])
+            h *= 2
 
-ENV_VAR = "REVALLOC_BACKEND"
-
-
-def selected_backend(override: str | None = None) -> str:
-    """Resolve the kernel backend from an override or the environment."""
-    choice = (override or os.environ.get(ENV_VAR, "auto")).strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if choice == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError(f"{ENV_VAR}=numba requested but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise RuntimeError(f"unknown {ENV_VAR} value {choice!r} (use auto, numba, or numpy)")
-
-
-def build_tables(E: np.ndarray, backend: str | None = None):
-    """Member-bound tables plus aggregates: (bmax, bmin, sum_upper, sum_lower)."""
-    if selected_backend(backend) == "numba":
-        return _build_tables_nb(E)
-    return _build_tables_np(E)
-
-
-def build_sums(E: np.ndarray, backend: str | None = None):
-    """Aggregates only, O(2^n) memory: (sum_upper, sum_lower)."""
-    if selected_backend(backend) == "numba":
-        return _build_sums_nb(E)
-    return _build_sums_np(E)
-
-
-def shapley_dense(bmax, bmin, sum_upper, sum_lower, weights, include_empty, tol,
-                  backend: str | None = None):
-    """Shapley sums using stored member bounds.
-
-    Returns (phi, phi_upper, phi_lower, bad_player, bad_mask); bad_player is
-    -1 unless some term denominator fell to ``tol`` or below, in which case
-    the first offender (lowest player, then lowest mask) is reported.
-    """
-    if selected_backend(backend) == "numba":
-        return _shapley_dense_nb(bmax, bmin, sum_upper, sum_lower, weights,
-                                 include_empty, tol)
-    return _shapley_dense_np(bmax, bmin, sum_upper, sum_lower, weights,
-                             include_empty, tol)
-
-
-def shapley_slim(E, sum_upper, sum_lower, weights, include_empty, tol,
-                 backend: str | None = None):
-    """Shapley sums recomputing member bounds on the fly (large-n mode)."""
-    if selected_backend(backend) == "numba":
-        return _shapley_slim_nb(E, sum_upper, sum_lower, weights, include_empty, tol)
-    return _shapley_slim_np(E, sum_upper, sum_lower, weights, include_empty, tol)
-
-
-# ---------------------------------------------------------------- numpy path
 
 def _popcounts(size: int) -> np.ndarray:
-    masks = np.arange(size, dtype=np.uint32)
-    bytes_ = masks.view(np.uint8).reshape(size, 4)
-    return np.unpackbits(bytes_, axis=1).sum(axis=1).astype(np.int64)
+    """Popcount of every index in [0, size), size a power of two."""
+    pc = np.zeros(size, dtype=np.int8)
+    h = 1
+    while h < size:
+        np.add(pc[:h], 1, out=pc[h:2 * h])
+        h *= 2
+    return pc
 
 
-def _build_tables_np(E: np.ndarray):
+def coalition_sums(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coalition totals of member bounds: (sum_upper, sum_lower), length 2^n."""
     n = E.shape[0]
-    size = 1 << n
-    bmax = np.zeros((size, n))
-    bmin = np.zeros((size, n))
-    # Fill grouped by lowest set bit, descending, so the remainder mask
-    # (strictly higher bits) is always already filled.
-    for d in range(n - 1, -1, -1):
-        bit = 1 << d
-        bmax[bit] = E[d]
-        bmin[bit] = E[d]
-        high = np.arange(1, 1 << (n - d - 1), dtype=np.int64) << (d + 1)
-        if high.size:
-            full = high | bit
-            bmax[full] = np.maximum(bmax[high], E[d])
-            bmin[full] = np.minimum(bmin[high], E[d])
-    sum_upper, sum_lower = _sums_from_tables_np(bmax, bmin)
-    return bmax, bmin, sum_upper, sum_lower
-
-
-def _member_masks(n: int, j: int) -> np.ndarray:
-    """All masks that contain bit j, ascending."""
-    k = np.arange(1 << (n - 1), dtype=np.int64)
-    bit = 1 << j
-    return ((k >> j) << (j + 1)) | (k & (bit - 1)) | bit
-
-
-def _sums_from_tables_np(bmax, bmin):
-    size, n = bmax.shape
-    sum_upper = np.zeros(size)
-    sum_lower = np.zeros(size)
+    sum_upper = np.zeros(1 << n)
+    sum_lower = np.zeros(1 << n)
+    tmax = np.empty(1 << (n - 1))
+    tmin = np.empty(1 << (n - 1))
     for j in range(n):
-        masks = _member_masks(n, j)
-        rests = masks ^ (1 << j)
-        sum_upper[masks] += bmax[rests, j]
-        sum_lower[masks] += bmin[rests, j]
-    singles = np.int64(1) << np.arange(n, dtype=np.int64)
+        _column_tables(E, j, tmax, tmin)
+        step = 1 << j
+        sum_upper.reshape(-1, 2, step)[:, 1, :] += tmax.reshape(-1, step)
+        sum_lower.reshape(-1, 2, step)[:, 1, :] += tmin.reshape(-1, step)
+    singles = 1 << np.arange(n)
     sum_upper[singles] = 1.0  # lone member appraises itself at 1 by convention
     sum_lower[singles] = 1.0
     return sum_upper, sum_lower
 
 
-def _column_tables_np(E: np.ndarray, j: int):
-    """bmax/bmin restricted to target column j; O(2^n) transient memory."""
+def shapley_sums(E, sum_upper, sum_lower, weights, tol):
+    """Per-player share sums over every nonempty coalition S the player can join.
+
+    Returns (phi, phi_upper, phi_lower, bad_player, bad_mask); bad_player is
+    -1 unless some term denominator fell to ``tol`` or below, in which case
+    the first offender (lowest player, then lowest mask) is reported.  The
+    empty coalition contributes nothing here.
+    """
     n = E.shape[0]
-    size = 1 << n
-    cmax = np.zeros(size)
-    cmin = np.zeros(size)
-    for d in range(n - 1, -1, -1):
-        bit = 1 << d
-        cmax[bit] = E[d, j]
-        cmin[bit] = E[d, j]
-        high = np.arange(1, 1 << (n - d - 1), dtype=np.int64) << (d + 1)
-        if high.size:
-            full = high | bit
-            cmax[full] = np.maximum(cmax[high], E[d, j])
-            cmin[full] = np.minimum(cmin[high], E[d, j])
-    return cmax, cmin
-
-
-def _build_sums_np(E: np.ndarray):
-    n = E.shape[0]
-    size = 1 << n
-    sum_upper = np.zeros(size)
-    sum_lower = np.zeros(size)
-    for j in range(n):
-        cmax, cmin = _column_tables_np(E, j)
-        masks = _member_masks(n, j)
-        rests = masks ^ (1 << j)
-        sum_upper[masks] += cmax[rests]
-        sum_lower[masks] += cmin[rests]
-    singles = np.int64(1) << np.arange(n, dtype=np.int64)
-    sum_upper[singles] = 1.0
-    sum_lower[singles] = 1.0
-    return sum_upper, sum_lower
-
-
-def _shapley_terms_np(i, S, eU, eL, sum_upper, sum_lower, weights, pc, tol):
-    """Vectorized term evaluation for one player over all its coalitions."""
-    T = S | (1 << i)
-    s = pc[S].astype(float)
-    den_mid = s + (sum_upper[T] - eU) - sum_upper[S]
-    den_up = s + (sum_lower[T] - eL) - sum_upper[S]
-    den_lo = s + (sum_upper[T] - eU) - sum_lower[S]
-    bad = (den_mid <= tol) | (den_up <= tol) | (den_lo <= tol)
-    if bad.any():
-        return None, None, None, int(S[np.argmax(bad)])
-    w = weights[pc[S]]
-    return (
-        float(np.sum(w * eU / den_mid)),
-        float(np.sum(w * eU / den_up)),
-        float(np.sum(w * eL / den_lo)),
-        -1,
-    )
-
-
-def _player_masks(n: int, i: int) -> np.ndarray:
-    """All nonempty masks that avoid bit i, ascending."""
-    k = np.arange(1, 1 << (n - 1), dtype=np.int64)
-    bit = 1 << i
-    return ((k >> i) << (i + 1)) | (k & (bit - 1))
-
-
-def _shapley_dense_np(bmax, bmin, sum_upper, sum_lower, weights, include_empty, tol):
-    size, n = bmax.shape
-    pc = _popcounts(size)
-    base = weights[0] if include_empty else 0.0
-    phi = np.full(n, base)
-    phi_up = np.full(n, base)
-    phi_lo = np.full(n, base)
+    half = 1 << (n - 1)
+    pc = _popcounts(half)       # |S|, the same in every player's squeezed order
+    w = weights[pc]
+    tmax, tmin = np.empty(half), np.empty(half)
+    den_mid, den_up, den_lo = np.empty(half), np.empty(half), np.empty(half)
+    phi, phi_up, phi_lo = np.zeros(n), np.zeros(n), np.zeros(n)
     for i in range(n):
-        S = _player_masks(n, i)
-        mid, up, lo, bad = _shapley_terms_np(
-            i, S, bmax[S, i], bmin[S, i], sum_upper, sum_lower, weights, pc, tol
-        )
-        if bad >= 0:
-            return phi, phi_up, phi_lo, i, bad
-        phi[i] += mid
-        phi_up[i] += up
-        phi_lo[i] += lo
+        _column_tables(E, i, tmax, tmin)
+        step = 1 << i
+        upper = sum_upper.reshape(-1, 2, step)
+        lower = sum_lower.reshape(-1, 2, step)
+        mid, up, lo = den_mid.reshape(-1, step), den_up.reshape(-1, step), den_lo.reshape(-1, step)
+        # den_mid = |S| + (sum_upper[T] - eU) - sum_upper[S]; den_up and
+        # den_lo take the lower totals of T and of S in its place
+        np.subtract(upper[:, 1, :], tmax.reshape(-1, step), out=mid)
+        den_mid += pc
+        np.subtract(mid, lower[:, 0, :], out=lo)
+        mid -= upper[:, 0, :]
+        np.subtract(lower[:, 1, :], tmin.reshape(-1, step), out=up)
+        den_up += pc
+        up -= upper[:, 0, :]
+        dm, du, dl = den_mid[1:], den_up[1:], den_lo[1:]
+        if min(dm.min(), du.min(), dl.min()) <= tol:
+            k = int(np.argmax((dm <= tol) | (du <= tol) | (dl <= tol))) + 1
+            return phi, phi_up, phi_lo, i, ((k >> i) << (i + 1)) | (k & (step - 1))
+        w_e = w[1:] * tmax[1:]
+        phi[i] = np.divide(w_e, dm, out=dm).sum()
+        phi_up[i] = np.divide(w_e, du, out=du).sum()
+        np.multiply(w[1:], tmin[1:], out=w_e)
+        phi_lo[i] = np.divide(w_e, dl, out=dl).sum()
     return phi, phi_up, phi_lo, -1, -1
-
-
-def _shapley_slim_np(E, sum_upper, sum_lower, weights, include_empty, tol):
-    n = E.shape[0]
-    pc = _popcounts(1 << n)
-    base = weights[0] if include_empty else 0.0
-    phi = np.full(n, base)
-    phi_up = np.full(n, base)
-    phi_lo = np.full(n, base)
-    for i in range(n):
-        cmax, cmin = _column_tables_np(E, i)
-        S = _player_masks(n, i)
-        mid, up, lo, bad = _shapley_terms_np(
-            i, S, cmax[S], cmin[S], sum_upper, sum_lower, weights, pc, tol
-        )
-        if bad >= 0:
-            return phi, phi_up, phi_lo, i, bad
-        phi[i] += mid
-        phi_up[i] += up
-        phi_lo[i] += lo
-    return phi, phi_up, phi_lo, -1, -1
-
-
-# ---------------------------------------------------------------- numba path
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _build_tables_nb(E):
-        n = E.shape[0]
-        size = 1 << n
-        bmax = np.zeros((size, n))
-        bmin = np.zeros((size, n))
-        for mask in range(1, size):
-            low = mask & (-mask)
-            d = 0
-            while (low >> d) & 1 == 0:
-                d += 1
-            rest = mask ^ low
-            for j in range(n):
-                e = E[d, j]
-                if rest == 0:
-                    bmax[mask, j] = e
-                    bmin[mask, j] = e
-                else:
-                    a = bmax[rest, j]
-                    b = bmin[rest, j]
-                    bmax[mask, j] = e if e > a else a
-                    bmin[mask, j] = e if e < b else b
-        sum_upper = np.zeros(size)
-        sum_lower = np.zeros(size)
-        for mask in range(1, size):
-            if mask & (mask - 1) == 0:
-                sum_upper[mask] = 1.0
-                sum_lower[mask] = 1.0
-            else:
-                su = 0.0
-                sl = 0.0
-                for j in range(n):
-                    if (mask >> j) & 1:
-                        su += bmax[mask ^ (1 << j), j]
-                        sl += bmin[mask ^ (1 << j), j]
-                sum_upper[mask] = su
-                sum_lower[mask] = sl
-        return bmax, bmin, sum_upper, sum_lower
-
-    @njit(cache=True)
-    def _build_sums_nb(E):
-        n = E.shape[0]
-        size = 1 << n
-        sum_upper = np.zeros(size)
-        sum_lower = np.zeros(size)
-        for mask in range(1, size):
-            if mask & (mask - 1) == 0:
-                sum_upper[mask] = 1.0
-                sum_lower[mask] = 1.0
-                continue
-            su = 0.0
-            sl = 0.0
-            for j in range(n):
-                if (mask >> j) & 1 == 0:
-                    continue
-                hi = -1.0
-                lo = 2.0
-                for d in range(n):
-                    if d != j and (mask >> d) & 1:
-                        e = E[d, j]
-                        if e > hi:
-                            hi = e
-                        if e < lo:
-                            lo = e
-                su += hi
-                sl += lo
-            sum_upper[mask] = su
-            sum_lower[mask] = sl
-        return sum_upper, sum_lower
-
-    @njit(cache=True)
-    def _shapley_dense_nb(bmax, bmin, sum_upper, sum_lower, weights, include_empty, tol):
-        n = bmax.shape[1]
-        size = sum_upper.shape[0]
-        base = weights[0] if include_empty else 0.0
-        phi = np.full(n, base)
-        phi_up = np.full(n, base)
-        phi_lo = np.full(n, base)
-        for i in range(n):
-            bit = 1 << i
-            acc = 0.0
-            acc_up = 0.0
-            acc_lo = 0.0
-            for S in range(1, size):
-                if S & bit:
-                    continue
-                s = 0
-                t = S
-                while t:
-                    t &= t - 1
-                    s += 1
-                T = S | bit
-                eU = bmax[S, i]
-                eL = bmin[S, i]
-                den_mid = s + (sum_upper[T] - eU) - sum_upper[S]
-                den_up = s + (sum_lower[T] - eL) - sum_upper[S]
-                den_lo = s + (sum_upper[T] - eU) - sum_lower[S]
-                if den_mid <= tol or den_up <= tol or den_lo <= tol:
-                    return phi, phi_up, phi_lo, i, S
-                w = weights[s]
-                acc += w * eU / den_mid
-                acc_up += w * eU / den_up
-                acc_lo += w * eL / den_lo
-            phi[i] += acc
-            phi_up[i] += acc_up
-            phi_lo[i] += acc_lo
-        return phi, phi_up, phi_lo, -1, -1
-
-    @njit(cache=True)
-    def _shapley_slim_nb(E, sum_upper, sum_lower, weights, include_empty, tol):
-        n = E.shape[0]
-        size = sum_upper.shape[0]
-        base = weights[0] if include_empty else 0.0
-        phi = np.full(n, base)
-        phi_up = np.full(n, base)
-        phi_lo = np.full(n, base)
-        for i in range(n):
-            bit = 1 << i
-            acc = 0.0
-            acc_up = 0.0
-            acc_lo = 0.0
-            for S in range(1, size):
-                if S & bit:
-                    continue
-                s = 0
-                eU = -1.0
-                eL = 2.0
-                t = S
-                while t:
-                    low = t & (-t)
-                    d = 0
-                    while (low >> d) & 1 == 0:
-                        d += 1
-                    e = E[d, i]
-                    if e > eU:
-                        eU = e
-                    if e < eL:
-                        eL = e
-                    s += 1
-                    t ^= low
-                T = S | bit
-                den_mid = s + (sum_upper[T] - eU) - sum_upper[S]
-                den_up = s + (sum_lower[T] - eL) - sum_upper[S]
-                den_lo = s + (sum_upper[T] - eU) - sum_lower[S]
-                if den_mid <= tol or den_up <= tol or den_lo <= tol:
-                    return phi, phi_up, phi_lo, i, S
-                w = weights[s]
-                acc += w * eU / den_mid
-                acc_up += w * eU / den_up
-                acc_lo += w * eL / den_lo
-            phi[i] += acc
-            phi_up[i] += acc_up
-            phi_lo[i] += acc_lo
-        return phi, phi_up, phi_lo, -1, -1
-
-else:  # pragma: no cover - exercised only without numba
-    _build_tables_nb = _build_tables_np
-    _build_sums_nb = _build_sums_np
-    _shapley_dense_nb = _shapley_dense_np
-    _shapley_slim_nb = _shapley_slim_np
-
-
-def warmup() -> None:
-    """Trigger JIT compilation on a tiny instance so timings stay honest."""
-    E = np.array([[1.0, 0.5], [0.25, 1.0]])
-    w = np.array([0.5, 0.5])
-    bmax, bmin, su, sl = build_tables(E)
-    shapley_dense(bmax, bmin, su, sl, w, False, 1e-9)
-    su, sl = build_sums(E)
-    shapley_slim(E, su, sl, w, False, 1e-9)

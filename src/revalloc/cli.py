@@ -227,17 +227,24 @@ def _obtain_matrix(args):
 
 
 def _compute_triples(args, matrix: CrossEfficiencyMatrix):
-    """Apply the empty-coalition flag, calibrating against a reference if asked."""
-    if args.empty_coalition != "calibrate":
-        return game.shapley_triples(matrix, args.empty_coalition), args.empty_coalition, []
-    if not args.reference:
-        raise _UsageError("--empty-coalition calibrate requires --reference")
-    reference = _load_reference(args.reference, matrix.names)
-    fits = {}
-    triples = {}
-    for convention in game.EMPTY_CONVENTIONS:
-        triples[convention] = game.shapley_triples(matrix, convention)
-        fits[convention] = float(np.abs(triples[convention].phi - reference).max())
+    """Apply the empty-coalition flag, calibrating against a reference if asked.
+
+    Calibration runs the game once: the ``unit`` triple is the ``exclude``
+    triple plus the empty-coalition term.
+    """
+    calibrate = args.empty_coalition == "calibrate"
+    if calibrate:
+        if not args.reference:
+            raise _UsageError("--empty-coalition calibrate requires --reference")
+        reference = _load_reference(args.reference, matrix.names)
+    try:
+        triple = game.shapley_triples(matrix, "exclude" if calibrate else args.empty_coalition)
+    except game.DegenerateDenominatorError as err:
+        raise game.DegenerateDenominatorError(err.player, err.mask, matrix.names) from None
+    if not calibrate:
+        return triple, args.empty_coalition, []
+    triples = {"exclude": triple, "unit": game.include_empty_coalition(triple)}
+    fits = {c: float(np.abs(triples[c].phi - reference).max()) for c in game.EMPTY_CONVENTIONS}
     winner = min(game.EMPTY_CONVENTIONS, key=lambda c: fits[c])
     note = (
         "empty-coalition calibration: "

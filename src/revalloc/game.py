@@ -26,7 +26,6 @@ from . import _kernels
 from .dataset import CrossEfficiencyMatrix
 
 MAX_DMUS = 24            # 2^n table; hard cap
-MEMBER_TABLE_MAX = 20    # above this, keep aggregates only and recompute bounds
 DENOM_TOL = 1e-9
 EMPTY_CONVENTIONS = ("exclude", "unit")
 DEFAULT_EMPTY_COALITION = "exclude"
@@ -35,13 +34,19 @@ DEFAULT_EMPTY_COALITION = "exclude"
 class DegenerateDenominatorError(ArithmeticError):
     """A Shapley term denominator fell below tolerance; names (player, coalition)."""
 
-    def __init__(self, player: int, mask: int):
+    def __init__(self, player: int, mask: int, names: list[str] | None = None):
         self.player = player
         self.mask = mask
-        members = sorted(mask_members(mask))
+        members = mask_members(mask)
+        if names is None:
+            who = f"DMU index {player}"
+            coalition = ", ".join(map(str, members))
+        else:
+            who = f"DMU {names[player]} (index {player})"
+            coalition = ", ".join(names[m] for m in members)
         super().__init__(
-            f"term denominator <= {DENOM_TOL} for DMU index {player} "
-            f"joining coalition {{{', '.join(map(str, members))}}} (mask {mask})"
+            f"term denominator <= {DENOM_TOL} for {who} "
+            f"joining coalition {{{coalition}}} (mask {mask})"
         )
 
 
@@ -60,13 +65,11 @@ class ShapleyTriple:
 
 @dataclass(eq=False)
 class CoalitionTable:
-    """Precomputed per-coalition aggregates (and member bounds when stored)."""
+    """Precomputed per-coalition totals of the member bounds."""
 
     E: np.ndarray
     sum_upper: np.ndarray            # worth v(mask) = sum of member upper bounds
     sum_lower: np.ndarray
-    bound_max: np.ndarray | None     # [mask, j]: max E[d, j] over d in mask
-    bound_min: np.ndarray | None
 
     @property
     def n(self) -> int:
@@ -79,8 +82,6 @@ class CoalitionTable:
         rest = mask ^ (1 << j)
         if rest == 0:
             return 1.0, 1.0
-        if self.bound_max is not None:
-            return float(self.bound_max[rest, j]), float(self.bound_min[rest, j])
         col = self.E[mask_members(rest), j]
         return float(col.max()), float(col.min())
 
@@ -135,24 +136,30 @@ def coalition_weights(n: int) -> np.ndarray:
     return np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)])
 
 
-def build_coalition_table(E, store_member_bounds: bool | None = None,
-                          backend: str | None = None) -> CoalitionTable:
-    """Build per-coalition aggregates by subset DP; O(2^n * n) with bounds stored."""
+def build_coalition_table(E) -> CoalitionTable:
+    """Build the per-coalition sums with the column kernel; O(2^n) memory."""
     values = matrix_values(E)
     n = values.shape[0]
     if n > MAX_DMUS:
         raise ValueError(f"{n} DMUs exceeds the coalition cap of {MAX_DMUS}")
-    if store_member_bounds is None:
-        store_member_bounds = n <= MEMBER_TABLE_MAX
-    if store_member_bounds:
-        bmax, bmin, sum_upper, sum_lower = _kernels.build_tables(values, backend)
-        return CoalitionTable(values, sum_upper, sum_lower, bmax, bmin)
-    sum_upper, sum_lower = _kernels.build_sums(values, backend)
-    return CoalitionTable(values, sum_upper, sum_lower, None, None)
+    sum_upper, sum_lower = _kernels.coalition_sums(values)
+    return CoalitionTable(values, sum_upper, sum_lower)
 
 
-def _shapley_all(E, empty_coalition: str, table: CoalitionTable | None,
-                 backend: str | None) -> ShapleyTriple:
+def include_empty_coalition(triple: ShapleyTriple) -> ShapleyTriple:
+    """The ``unit`` triple from an ``exclude`` one.
+
+    The empty-coalition term adds w[0] = 1/n to every share; a lone DMU's
+    share is 1 under either convention.
+    """
+    if triple.n == 1:
+        return triple
+    w0 = coalition_weights(triple.n)[0]
+    return ShapleyTriple(phi_lower=triple.phi_lower + w0, phi=triple.phi + w0,
+                         phi_upper=triple.phi_upper + w0)
+
+
+def _shapley_all(E, empty_coalition: str, table: CoalitionTable | None) -> ShapleyTriple:
     values = matrix_values(E)
     n = values.shape[0]
     if empty_coalition not in EMPTY_CONVENTIONS:
@@ -162,41 +169,30 @@ def _shapley_all(E, empty_coalition: str, table: CoalitionTable | None,
         one = np.ones(1)
         return ShapleyTriple(phi_lower=one.copy(), phi=one.copy(), phi_upper=one.copy())
     if table is None:
-        table = build_coalition_table(values, backend=backend)
-    weights = coalition_weights(n)
-    include_empty = empty_coalition == "unit"
-    if table.bound_max is not None:
-        phi, up, lo, bad_i, bad_mask = _kernels.shapley_dense(
-            table.bound_max, table.bound_min, table.sum_upper, table.sum_lower,
-            weights, include_empty, DENOM_TOL, backend,
-        )
-    else:
-        phi, up, lo, bad_i, bad_mask = _kernels.shapley_slim(
-            values, table.sum_upper, table.sum_lower,
-            weights, include_empty, DENOM_TOL, backend,
-        )
+        table = build_coalition_table(values)
+    phi, up, lo, bad_i, bad_mask = _kernels.shapley_sums(
+        values, table.sum_upper, table.sum_lower, coalition_weights(n), DENOM_TOL,
+    )
     if bad_i >= 0:
         raise DegenerateDenominatorError(int(bad_i), int(bad_mask))
-    return ShapleyTriple(phi_lower=lo, phi=phi, phi_upper=up)
+    triple = ShapleyTriple(phi_lower=lo, phi=phi, phi_upper=up)
+    return include_empty_coalition(triple) if empty_coalition == "unit" else triple
 
 
 def modified_shapley(E, empty_coalition: str = DEFAULT_EMPTY_COALITION,
-                     table: CoalitionTable | None = None,
-                     backend: str | None = None) -> np.ndarray:
+                     table: CoalitionTable | None = None) -> np.ndarray:
     """Central per-DMU share vector."""
-    return _shapley_all(E, empty_coalition, table, backend).phi
+    return _shapley_all(E, empty_coalition, table).phi
 
 
 def shapley_bounds(E, empty_coalition: str = DEFAULT_EMPTY_COALITION,
-                   table: CoalitionTable | None = None,
-                   backend: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   table: CoalitionTable | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(upper, lower) per-DMU share bound vectors."""
-    triple = _shapley_all(E, empty_coalition, table, backend)
+    triple = _shapley_all(E, empty_coalition, table)
     return triple.phi_upper, triple.phi_lower
 
 
 def shapley_triples(E, empty_coalition: str = DEFAULT_EMPTY_COALITION,
-                    table: CoalitionTable | None = None,
-                    backend: str | None = None) -> ShapleyTriple:
+                    table: CoalitionTable | None = None) -> ShapleyTriple:
     """Lower/central/upper shares in one pass over the coalition table."""
-    return _shapley_all(E, empty_coalition, table, backend)
+    return _shapley_all(E, empty_coalition, table)

@@ -72,10 +72,3 @@ def toy_matrix():
 def bank_matrix():
     return revalloc.load_matrix(BANK_MATRIX)
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    """JIT-compile the hot kernels once so timed tests measure compute."""
-    from revalloc import _kernels
-
-    _kernels.warmup()

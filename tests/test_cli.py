@@ -140,6 +140,31 @@ def test_calibrate_selects_exclude_on_toy_reference(capsys):
     assert "shapley_meta,empty_coalition,exclude" in out
 
 
+def test_calibrate_equals_one_run_per_convention(capsys, tmp_path):
+    def shapley(*flags):
+        code, out, _ = run(capsys, "shapley", "--matrix", TOY_MATRIX, "--format", "json",
+                           "--no-timestamp", *flags)
+        assert code == 0
+        payload = json.loads(out)
+        return payload["results"]["shapley"], payload["discrepancy_ledger"]
+
+    single = {c: shapley("--empty-coalition", c)[0] for c in ("exclude", "unit")}
+    # one reference that each convention fits exactly, so each is selected once
+    for winner in ("exclude", "unit"):
+        reference = tmp_path / f"{winner}.csv"
+        reference.write_text("dmu,phi\n" + "".join(
+            f"{name},{phi!r}\n" for name, phi in zip(single[winner]["names"],
+                                                     single[winner]["phi"])))
+        shares, notes = shapley("--empty-coalition", "calibrate", "--reference", reference)
+        assert shares == single[winner]
+        fits = {c: max(abs(a - b) for a, b in zip(single[c]["phi"], single[winner]["phi"]))
+                for c in ("exclude", "unit")}
+        assert notes == [
+            f"empty-coalition calibration: exclude max-abs-dev {fits['exclude']:.4f}, "
+            f"unit max-abs-dev {fits['unit']:.4f}; selected {winner}"
+        ]
+
+
 def test_allocate_rejects_bad_revenue(capsys):
     code, _, err = run(capsys, "allocate", "--matrix", TOY_MATRIX, "--revenue", -5)
     assert code == 3
@@ -168,6 +193,7 @@ def test_degenerate_matrix_exits_four(capsys, tmp_path):
     code, _, err = run(capsys, "shapley", "--matrix", path)
     assert code == 4
     assert "coalition" in err
+    assert "DMU C (index 2) joining coalition {A}" in err
 
 
 def test_pipeline_json_validates_against_schema(capsys):

@@ -83,17 +83,19 @@ def test_table_matches_naive_on_random_bank_masks(bank_matrix):
 
 
 def test_slim_table_agrees_with_dense():
+    # the table stores only the two sums; a dense per-member table built from
+    # member_bounds must add up to them, and member_bounds must agree with
+    # the stand-alone coalition_bounds
     rng = np.random.default_rng(1)
     E = random_matrix(rng, 6)
-    dense = build_coalition_table(E, store_member_bounds=True)
-    slim = build_coalition_table(E, store_member_bounds=False)
-    assert slim.bound_max is None
-    assert_allclose(slim.sum_upper, dense.sum_upper, rtol=0, atol=1e-12)
-    assert_allclose(slim.sum_lower, dense.sum_lower, rtol=0, atol=1e-12)
-    for mask in (0b101, 0b111, 0b110110):
-        for j in range(6):
-            if mask >> j & 1:
-                assert slim.member_bounds(mask, j) == dense.member_bounds(mask, j)
+    table = build_coalition_table(E)
+    assert not hasattr(table, "bound_max")
+    for mask in range(1, 1 << 6):
+        members = [j for j in range(6) if mask >> j & 1]
+        dense = [table.member_bounds(mask, j) for j in members]
+        assert dense == [coalition_bounds(E, mask, j) for j in members]
+        assert abs(table.sum_upper[mask] - sum(u for u, _ in dense)) <= 1e-12
+        assert abs(table.sum_lower[mask] - sum(lo for _, lo in dense)) <= 1e-12
 
 
 def test_table_cap():
@@ -167,10 +169,12 @@ def test_two_player_bounds_collapse():
 def test_matches_naive_enumeration(include_empty):
     rng = np.random.default_rng(17)
     convention = "unit" if include_empty else "exclude"
-    for n in (3, 4, 5, 6):
+    for n in range(1, 10):
         E = random_matrix(rng, n)
         triple = shapley_triples(E, empty_coalition=convention)
-        lo, mid, up = naive_oracles.shapley_triple(E, include_empty=include_empty)
+        # a lone DMU's share is 1 under either convention; the oracle's
+        # exclude sum over coalitions is empty there
+        lo, mid, up = naive_oracles.shapley_triple(E, include_empty=include_empty or n == 1)
         assert_allclose(triple.phi, mid, rtol=0, atol=1e-12)
         assert_allclose(triple.phi_upper, up, rtol=0, atol=1e-12)
         assert_allclose(triple.phi_lower, lo, rtol=0, atol=1e-12)
@@ -281,21 +285,6 @@ def test_degenerate_denominator_raises_with_location():
     assert err.mask >= 1
     assert str(err.player) in str(err)
     assert "coalition" in str(err)
-
-
-def test_degenerate_error_is_backend_independent():
-    E = np.array([
-        [1.0, 1.0, 1.0],
-        [1.0, 1.0, 1.0],
-        [1e-10, 1e-10, 1.0],
-    ])
-    found = {}
-    for backend in ("numpy", None):
-        try:
-            shapley_triples(E, backend=backend)
-        except DegenerateDenominatorError as err:
-            found[backend] = (err.player, err.mask)
-    assert found["numpy"] == found[None]
 
 
 def test_shapley_shares_sum_near_relative_worth(bank_matrix):

@@ -1,102 +1,100 @@
-"""Backend selection and numba/numpy kernel equivalence."""
+"""The coalition kernel against brute-force scans of the coalition game."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
+import naive_oracles
 from revalloc import _kernels
-from revalloc.game import coalition_weights
-
-needs_numba = pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-
-
-def random_matrix(rng, n):
-    E = rng.uniform(0.05, 1.0, (n, n))
-    np.fill_diagonal(E, 1.0)
-    return E
+from revalloc.game import (
+    DENOM_TOL,
+    DegenerateDenominatorError,
+    build_coalition_table,
+    shapley_triples,
+)
 
 
-def test_selected_backend_defaults():
-    expected = "numba" if _kernels.NUMBA_AVAILABLE else "numpy"
-    assert _kernels.selected_backend("auto") == expected
-    assert _kernels.selected_backend("numpy") == "numpy"
-
-
-def test_selected_backend_env(monkeypatch):
-    monkeypatch.setenv(_kernels.ENV_VAR, "numpy")
-    assert _kernels.selected_backend() == "numpy"
-    monkeypatch.setenv(_kernels.ENV_VAR, "auto")
-    assert _kernels.selected_backend() in ("numba", "numpy")
-    monkeypatch.setenv(_kernels.ENV_VAR, "nonsense")
-    with pytest.raises(RuntimeError, match="unknown"):
-        _kernels.selected_backend()
-
-
-def test_numba_request_fails_cleanly_when_missing(monkeypatch):
-    monkeypatch.setattr(_kernels, "NUMBA_AVAILABLE", False)
-    with pytest.raises(RuntimeError, match="not importable"):
-        _kernels.selected_backend("numba")
-    assert _kernels.selected_backend("auto") == "numpy"
+def first_degenerate_term(E):
+    """(player, mask) of the first term denominator <= DENOM_TOL, scanning
+    players and then masks in ascending order; None when there is none."""
+    n = len(E)
+    for i in range(n):
+        for mask in range(1, 1 << n):
+            if mask >> i & 1:
+                continue
+            S = {d for d in range(n) if mask >> d & 1}
+            T = S | {i}
+            up_T = sum(naive_oracles.bounds_in_coalition(E, T, j)[0] for j in S)
+            lo_T = sum(naive_oracles.bounds_in_coalition(E, T, j)[1] for j in S)
+            up_S = naive_oracles.coalition_worth(E, S)
+            lo_S = naive_oracles.coalition_lower_total(E, S)
+            s = len(S)
+            if min(s + up_T - up_S, s + lo_T - up_S, s + up_T - lo_S) <= DENOM_TOL:
+                return i, mask
+    return None
 
 
 def test_numpy_tables_match_slim_sums():
+    # dense n x 2^n member tables, summed member by member in ascending
+    # order, give the same bits as the strided column kernel
     rng = np.random.default_rng(2)
     for n in (2, 4, 7):
-        E = random_matrix(rng, n)
-        _, _, su, sl = _kernels._build_tables_np(E)
-        su2, sl2 = _kernels._build_sums_np(E)
+        E = rng.uniform(0.05, 1.0, (n, n))
+        np.fill_diagonal(E, 1.0)
+        bound_max = np.zeros((n, 1 << n))
+        bound_min = np.zeros((n, 1 << n))
+        for mask in range(1, 1 << n):
+            members = [d for d in range(n) if mask >> d & 1]
+            for j in members:
+                others = [d for d in members if d != j]
+                if others:
+                    bound_max[j, mask] = E[others, j].max()
+                    bound_min[j, mask] = E[others, j].min()
+        su, sl = np.zeros(1 << n), np.zeros(1 << n)
+        for j in range(n):
+            su += bound_max[j]
+            sl += bound_min[j]
+        su[1 << np.arange(n)] = 1.0
+        sl[1 << np.arange(n)] = 1.0
+        su2, sl2 = _kernels.coalition_sums(E)
         assert (su == su2).all()
         assert (sl == sl2).all()
 
 
-@needs_numba
-def test_tables_identical_across_backends():
-    rng = np.random.default_rng(4)
-    for n in (2, 5, 9):
-        E = random_matrix(rng, n)
-        a = _kernels.build_tables(E, backend="numba")
-        b = _kernels.build_tables(E, backend="numpy")
-        for x, y in zip(a, b):
-            assert (x == y).all()
+@pytest.mark.parametrize("convention", ["exclude", "unit"])
+def test_degenerate_location_is_first_offender(convention):
+    # entries from a small set, so no denominator lands near the tolerance:
+    # zeros and 1e-10 make |S| = 1 terms vanish, and entries above 1 drive
+    # |S| >= 2 terms negative
+    rng = np.random.default_rng(52)
+    levels = np.array([0.0, 1e-10, 0.25, 0.5, 1.0, 3.0])
+    raised = 0
+    for _ in range(150):
+        n = int(rng.integers(2, 8))
+        E = rng.choice(levels, size=(n, n), p=[0.03, 0.03, 0.3, 0.3, 0.24, 0.1])
+        np.fill_diagonal(E, 1.0)
+        expected = first_degenerate_term(E)
+        try:
+            shapley_triples(E, empty_coalition=convention)
+        except DegenerateDenominatorError as err:
+            raised += 1
+            assert (err.player, err.mask) == expected
+        else:
+            assert expected is None
+    assert 50 < raised < 130  # both outcomes are exercised
 
 
-@needs_numba
-def test_shapley_equivalent_across_backends():
-    rng = np.random.default_rng(6)
-    for n in (3, 6, 10):
-        E = random_matrix(rng, n)
-        w = coalition_weights(n)
-        out = {}
-        for backend in ("numba", "numpy"):
-            bmax, bmin, su, sl = _kernels.build_tables(E, backend=backend)
-            out[backend] = _kernels.shapley_dense(bmax, bmin, su, sl, w, False, 1e-9, backend)
-        for x, y in zip(out["numba"][:3], out["numpy"][:3]):
-            assert_allclose(x, y, rtol=1e-12, atol=1e-13)
-        assert out["numba"][3] == out["numpy"][3] == -1
+def test_table_holds_only_the_two_sums():
+    n = 16
+    rng = np.random.default_rng(61)
+    E = rng.uniform(0.05, 1.0, (n, n))
+    np.fill_diagonal(E, 1.0)
+    table = build_coalition_table(E)
+    arrays = {k: v for k, v in vars(table).items() if isinstance(v, np.ndarray)}
+    assert sorted(arrays) == ["E", "sum_lower", "sum_upper"]
+    assert table.sum_upper.shape == table.sum_lower.shape == (1 << n,)
+    for mask in [0, 1 << 7, (1 << n) - 1, *map(int, rng.integers(1, 1 << n, 50))]:
+        coalition = {j for j in range(n) if mask >> j & 1}
+        assert abs(table.sum_upper[mask] - naive_oracles.coalition_worth(E, coalition)) < 1e-12
+        assert abs(table.sum_lower[mask]
+                   - naive_oracles.coalition_lower_total(E, coalition)) < 1e-12
 
-
-@needs_numba
-def test_slim_shapley_equivalent_across_backends():
-    rng = np.random.default_rng(9)
-    E = random_matrix(rng, 7)
-    w = coalition_weights(7)
-    su, sl = _kernels.build_sums(E, backend="numba")
-    a = _kernels.shapley_slim(E, su, sl, w, True, 1e-9, "numba")
-    b = _kernels.shapley_slim(E, su, sl, w, True, 1e-9, "numpy")
-    for x, y in zip(a[:3], b[:3]):
-        assert_allclose(x, y, rtol=1e-12, atol=1e-13)
-
-
-def test_slim_equals_dense_within_numpy():
-    rng = np.random.default_rng(13)
-    E = random_matrix(rng, 6)
-    w = coalition_weights(6)
-    bmax, bmin, su, sl = _kernels._build_tables_np(E)
-    dense = _kernels._shapley_dense_np(bmax, bmin, su, sl, w, False, 1e-9)
-    slim = _kernels._shapley_slim_np(E, su, sl, w, False, 1e-9)
-    for x, y in zip(dense[:3], slim[:3]):
-        assert_allclose(x, y, rtol=1e-13, atol=1e-14)
-
-
-def test_warmup_runs():
-    _kernels.warmup()
