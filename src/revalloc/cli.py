@@ -68,7 +68,6 @@ def build_parser() -> _Parser:
         p.add_argument("--reference", help="per-DMU reference shares CSV for calibrate")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--precision", type=int, default=2, help="display decimals in CSV reports")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for per-evaluator solves")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte-identical reruns")
         p.add_argument("--out", help="artifact path (matrix for crosseff, report otherwise)")
@@ -121,7 +120,7 @@ def cmd_ccr(args) -> report.Report:
     if not args.input:
         raise _UsageError("ccr requires --input")
     data = load_dataset(args.input)
-    theta = dea.ccr_all(data, threads=args.threads).theta
+    theta = dea.ccr_all(data).theta
     discrepancies = []
     if args.matrix:
         fixture = load_matrix(args.matrix)
@@ -141,8 +140,8 @@ def cmd_crosseff(args) -> report.Report:
         raise _UsageError("crosseff requires --input")
     data = load_dataset(args.input)
     groups = _resolve_groups(args, data)
-    theta = dea.ccr_all(data, threads=args.threads).theta
-    matrix = dea.cross_efficiency_matrix(data, groups, threads=args.threads)
+    matrix = dea.cross_efficiency_matrix(data, groups)
+    theta = matrix.diagonal()  # the self-scores, solved once inside the matrix build
     discrepancies = []
     if args.matrix:
         fixture = load_matrix(args.matrix)
@@ -190,8 +189,8 @@ def cmd_pipeline(args) -> report.Report:
         raise _UsageError("pipeline requires --revenue")
     data = load_dataset(args.input)
     groups = _resolve_groups(args, data)
-    theta = dea.ccr_all(data, threads=args.threads).theta
-    matrix = dea.cross_efficiency_matrix(data, groups, threads=args.threads)
+    matrix = dea.cross_efficiency_matrix(data, groups)
+    theta = matrix.diagonal()  # the self-scores, solved once inside the matrix build
     triple, convention, notes = _compute_triples(args, matrix)
     plan = allocation.allocate(triple, args.revenue, names=matrix.names)
     results = {
@@ -221,7 +220,7 @@ def _obtain_matrix(args):
         return load_matrix(args.matrix), {}, []
     data = load_dataset(args.input)
     groups = _resolve_groups(args, data)
-    matrix = dea.cross_efficiency_matrix(data, groups, threads=args.threads)
+    matrix = dea.cross_efficiency_matrix(data, groups)
     results = {"matrix": {"names": matrix.names, "values": matrix.values.tolist()}}
     return matrix, results, []
 
@@ -306,7 +305,6 @@ def _report(args, results, discrepancies) -> report.Report:
         "reference": args.reference,
         "format": args.format,
         "precision": args.precision,
-        "threads": args.threads,
         "out": args.out,
     }
     provenance = report.build_provenance(

@@ -9,7 +9,6 @@ added there because the raw formulation is scale-unbounded.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +51,9 @@ def ccr_efficiency(data: Dataset, d: int):
     return float(sol.objective), (u, v)
 
 
-def ccr_all(data: Dataset, threads: int = 1) -> CcrResult:
-    """Self-efficiencies for every DMU; independent solves, stable order."""
-    results = _map_indexed(lambda d: ccr_efficiency(data, d), data.n, threads)
+def ccr_all(data: Dataset) -> CcrResult:
+    """Self-efficiencies for every DMU, in DMU order."""
+    results = [ccr_efficiency(data, d) for d in range(data.n)]
     theta = np.array([r[0] for r in results])
     u = np.vstack([r[1][0] for r in results])
     v = np.vstack([r[1][1] for r in results])
@@ -65,32 +64,21 @@ def secondary_goal_weights(data: Dataset, d: int, groups: GroupAssignment, theta
     """Weights for evaluator d that favor allies and penalize adversaries.
 
     Minimizes sum of ally slacks minus sum of adversary slacks subject to
-    the evaluator keeping its own optimal score; returns (u, v).
+    the evaluator keeping its own optimal score; returns (u, v).  The slack
+    of DMU j, X_j v - Y_j u, is no variable of the LP: each other DMU gets
+    the row Y_j u - X_j v <= 0 and the objective is written in (u, v).
     """
     X, Y = data.norm_inputs, data.norm_outputs
-    n, m, s = data.n, data.m, data.s
-    others = [j for j in range(n) if j != d]
-    allies = groups.allies(d)
-    # variables: u (s), v (m), one slack per other DMU
-    nvar = s + m + len(others)
-    obj = np.zeros(nvar)
-    for k, j in enumerate(others):
-        obj[s + m + k] = 1.0 if allies[j] else -1.0
+    others = np.arange(data.n) != d
+    sign = np.where(groups.allies(d), 1.0, -1.0)[others, None]
+    # variables: u (s), v (m)
+    obj = np.concatenate([-(sign * Y[others]).sum(axis=0), (sign * X[others]).sum(axis=0)])
     lp = simplex.LinearProgram(objective=obj, sense="min")
-    for k, j in enumerate(others):
-        row = np.zeros(nvar)
-        row[:s] = Y[j]
-        row[s:s + m] = -X[j]
-        row[s + m + k] = 1.0
-        lp.add_constraint(row, "=", 0.0)
-    row = np.zeros(nvar)
-    row[:s] = Y[d]
-    row[s:s + m] = -theta_d * X[d]
-    lp.add_constraint(row, "=", 0.0)
+    for j in np.flatnonzero(others):
+        lp.add_constraint(np.concatenate([Y[j], -X[j]]), "<=", 0.0)
+    lp.add_constraint(np.concatenate([Y[d], -theta_d * X[d]]), "=", 0.0)
     # scale anchor: without it the objective is unbounded whenever negative
-    row = np.zeros(nvar)
-    row[s:s + m] = X[d]
-    lp.add_constraint(row, "=", 1.0)
+    lp.add_constraint(np.concatenate([np.zeros(data.s), X[d]]), "=", 1.0)
 
     sol = simplex.solve(lp)
     if sol.status != simplex.OPTIMAL:
@@ -98,7 +86,7 @@ def secondary_goal_weights(data: Dataset, d: int, groups: GroupAssignment, theta
             f"tie-break LP for evaluator {data.names[d]!r} came back {sol.status} "
             f"(theta={theta_d!r}); check for zero input cells or an inconsistent theta"
         )
-    return sol.x[:s], sol.x[s:s + m]
+    return sol.x[:data.s], sol.x[data.s:]
 
 
 def cross_efficiency_row(data: Dataset, d: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -116,7 +104,6 @@ def cross_efficiency_row(data: Dataset, d: int, u: np.ndarray, v: np.ndarray) ->
 def cross_efficiency_matrix(
     data: Dataset,
     groups: GroupAssignment | None = None,
-    threads: int = 1,
 ) -> CrossEfficiencyMatrix:
     """Full peer-appraisal matrix; diagonal entries are the CCR scores."""
     if groups is None:
@@ -124,16 +111,15 @@ def cross_efficiency_matrix(
     if groups.groups.size != data.n:
         raise ValidationError("group assignment does not match dataset size")
 
-    def one_row(d: int) -> tuple[float, np.ndarray]:
+    rows = []
+    for d in range(data.n):
         theta, _ = ccr_efficiency(data, d)
         u, v = secondary_goal_weights(data, d, groups, theta)
         row = cross_efficiency_row(data, d, u, v)
         row[d] = theta  # exact by the fixed-score constraint; avoids drift
-        return theta, row
-
-    rows = _map_indexed(one_row, data.n, threads)
-    E = np.vstack([row for _, row in rows])
-    # the slack variables force every appraisal <= 1; clip float dust only
+        rows.append(row)
+    E = np.vstack(rows)
+    # the <= rows force every appraisal <= 1; clip float dust only
     E[(E > 1.0) & (E <= 1.0 + 1e-12)] = 1.0
     return CrossEfficiencyMatrix(names=list(data.names), values=E)
 
@@ -185,10 +171,3 @@ def cluster_groups(data: Dataset, H: int) -> GroupAssignment:
             labels[i] = gid
     return GroupAssignment(groups=labels, H=len(members))
 
-
-def _map_indexed(fn, n: int, threads: int):
-    """Apply fn to 0..n-1, optionally on a thread pool, preserving order."""
-    if threads <= 1 or n <= 1:
-        return [fn(d) for d in range(n)]
-    with ThreadPoolExecutor(max_workers=min(threads, n)) as pool:
-        return list(pool.map(fn, range(n)))

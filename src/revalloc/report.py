@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 
 TOOL_NAME = "revalloc"
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(eq=False)

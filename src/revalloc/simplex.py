@@ -137,22 +137,27 @@ def _two_phase(c: np.ndarray, rows: list[tuple], n: int):
     T[:m, :n] = A
     T[:m, -1] = b
     basis = np.empty(m, dtype=int)
+    unit_row = np.full(art0, -1)  # the one row of each slack/surplus column
     si = ti = ai = 0
     for i, rel in enumerate(rels):
         if rel == "<=":
             T[i, slack0 + si] = 1.0
             basis[i] = slack0 + si
+            unit_row[slack0 + si] = i
             si += 1
         elif rel == ">=":
             T[i, surp0 + ti] = -1.0
             T[i, art0 + ai] = 1.0
             basis[i] = art0 + ai
+            unit_row[surp0 + ti] = i
             ti += 1
             ai += 1
         else:
             T[i, art0 + ai] = 1.0
             basis[i] = art0 + ai
             ai += 1
+    A_std = T[:m, :art0].copy()  # rows in standard form, before any pivot
+    kept = np.ones(m, dtype=bool)
 
     # Phase 1: minimize the sum of artificials.
     if n_art:
@@ -166,7 +171,7 @@ def _two_phase(c: np.ndarray, rows: list[tuple], n: int):
             return INFEASIBLE, None  # phase-1 objective is bounded below by 0
         if -T[-1, -1] > 1e-8:
             return INFEASIBLE, None
-        T, basis, m = _purge_artificials(T, basis, art0)
+        T, basis, m, kept = _purge_artificials(T, basis, art0)
 
     # Phase 2: original objective over structural + slack/surplus columns.
     T[:, art0:art0 + n_art] = 0.0
@@ -179,36 +184,68 @@ def _two_phase(c: np.ndarray, rows: list[tuple], n: int):
     if _iterate(T, basis, forbid_from=art0) == UNBOUNDED:
         return UNBOUNDED, None
 
+    # The tableau's right-hand side carries the rounding of every pivot, so
+    # the final basis is solved once against the original rows.  A basic
+    # value below zero there means the rows are consistent only up to
+    # rounding (an equality pinned to a computed optimum, say) and the basis
+    # put all of it on one row, scaled by the basis's conditioning.  That
+    # value is held at zero and the others fit every row in least squares,
+    # which spreads the rounding instead.
+    kept_row = np.where(kept, np.cumsum(kept) - 1, -1)
+    unit_row = np.where(unit_row >= 0, kept_row[unit_row], -1)
+    A_B, b_B = A_std[kept], b[kept]
+    x_B = _basic_values(A_B, b_B, basis, unit_row, np.zeros(m, dtype=bool))
+    low = x_B < 0
+    if low.any():
+        x_B = _basic_values(A_B, b_B, basis, unit_row, low)
     x = np.zeros(total)
-    for i in range(m):
-        x[basis[i]] = T[i, -1]
+    x[basis] = x_B
     return OPTIMAL, x
+
+
+def _basic_values(A, b, basis, unit_row, fixed):
+    """Basic values of A x = b with the ``fixed`` ones held at zero.
+
+    A slack or surplus column is +-1 in its own row only (``unit_row``), so
+    each free one absorbs that row; the rows left over fix the other basic
+    values, in least squares when held values leave more rows than unknowns.
+    """
+    rows = unit_row[basis]
+    unit = (rows >= 0) & ~fixed
+    dense = (rows < 0) & ~fixed
+    rest = np.ones(b.size, dtype=bool)
+    rest[rows[unit]] = False
+    x = np.zeros(basis.size)
+    if dense.any():
+        block = A[np.ix_(rest, basis[dense])]
+        if block.shape[0] == block.shape[1]:
+            x[dense] = np.linalg.solve(block, b[rest])
+        else:
+            x[dense] = np.linalg.lstsq(block, b[rest], rcond=None)[0]
+    covered = rows[unit]
+    x[unit] = (b[covered] - A[covered][:, basis[dense]] @ x[dense]) / A[covered, basis[unit]]
+    return x
 
 
 def _iterate(T: np.ndarray, basis: np.ndarray, forbid_from: int | None = None) -> str:
     """Run Bland-rule pivots on tableau T until optimal or unbounded."""
-    m = T.shape[0] - 1
     limit = T.shape[1] - 1 if forbid_from is None else forbid_from
     for _ in range(_MAX_PIVOTS):
-        enter = -1
-        for j in range(limit):
-            if T[-1, j] < -TOL:
-                enter = j
-                break
-        if enter < 0:
+        candidates = np.flatnonzero(T[-1, :limit] < -TOL)
+        if candidates.size == 0:
             return OPTIMAL
+        enter = int(candidates[0])
         leave = -1
         best = np.inf
-        for i in range(m):
-            a = T[i, enter]
-            if a > PIVOT_TOL:
-                ratio = T[i, -1] / a
-                # Bland: strict improvement, ties broken by smallest basis index
-                if ratio < best - PIVOT_TOL or (
-                    abs(ratio - best) <= PIVOT_TOL and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+        rows = np.flatnonzero(T[:-1, enter] > PIVOT_TOL)
+        ratios = T[rows, -1] / T[rows, enter]
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            # Bland: strict improvement, ties broken by smallest basis index
+            if ratio < best - PIVOT_TOL or (
+                -PIVOT_TOL <= ratio - best <= PIVOT_TOL and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best = ratio
+                leave = i
         if leave < 0:
             return UNBOUNDED
         _pivot(T, leave, enter)
@@ -217,15 +254,20 @@ def _iterate(T: np.ndarray, basis: np.ndarray, forbid_from: int | None = None) -
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    """Scale the pivot row, then eliminate col from every row whose entry exceeds PIVOT_TOL."""
     T[row] /= T[row, col]
-    piv = T[row]
-    for i in range(T.shape[0]):
-        if i != row and abs(T[i, col]) > PIVOT_TOL:
-            T[i] -= T[i, col] * piv
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    rows = np.abs(factors) > PIVOT_TOL
+    T[rows] -= factors[rows, None] * T[row]
 
 
 def _purge_artificials(T: np.ndarray, basis: np.ndarray, art0: int):
-    """Drive zero-level artificials out of the basis; drop redundant rows."""
+    """Drive zero-level artificials out of the basis; drop redundant rows.
+
+    Returns the tableau, the basis, the row count and the mask of the
+    original rows that were kept.
+    """
     m = T.shape[0] - 1
     keep = np.ones(m + 1, dtype=bool)
     for i in range(m):
@@ -238,7 +280,7 @@ def _purge_artificials(T: np.ndarray, basis: np.ndarray, art0: int):
             else:
                 keep[i] = False  # all-zero row: the constraint was redundant
     if keep.all():
-        return T, basis, m
+        return T, basis, m, keep[:-1]
     T = T[keep]
     basis = basis[keep[:-1]]
-    return T, basis, int(basis.size)
+    return T, basis, int(basis.size), keep[:-1]

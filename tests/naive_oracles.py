@@ -2,13 +2,18 @@
 
 Everything here is written set-wise and formula-by-formula, with no
 bitmask dynamic programming, no tableau, and no shared code with the
-package internals.
+package internals.  Two references are the exception on purpose: the
+slack-variable tie-break LP is solved with the package's simplex, so a
+comparison checks how the LP is stated rather than how it is solved, and
+the row-loop pivot is the loop form of the simplex's vectorised pivot.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from revalloc import simplex
 
 
 # ----------------------------------------------------------- coalition game
@@ -106,6 +111,49 @@ def vertex_enumeration_solve(objective, sense, constraints, upper_box):
     values = points[feasible] @ objective
     best = values.max() if sense == "max" else values.min()
     return "optimal", float(best)
+
+
+def row_loop_pivot(T, row, col):
+    """Gauss-Jordan pivot on T[row, col], one row at a time (modifies T)."""
+    T[row] /= T[row, col]
+    piv = T[row]
+    for i in range(T.shape[0]):
+        if i != row and abs(T[i, col]) > simplex.PIVOT_TOL:
+            T[i] -= T[i, col] * piv
+
+
+def slack_tie_break(X, Y, d, allies, theta_d):
+    """Evaluator d's tie-break LP with one slack variable per other DMU.
+
+    Variables are u (s), v (m) and s_j = X_j v - Y_j u for every j != d,
+    each held by an equality row; the objective sums the allies' slacks
+    minus the adversaries'.  The self-score and scale rows pin Y_d u to
+    theta_d X_d v and X_d v to 1.  Returns (objective, u, v).
+    """
+    n, m = X.shape
+    s = Y.shape[1]
+    others = [j for j in range(n) if j != d]
+    nvar = s + m + len(others)
+    obj = np.zeros(nvar)
+    for k, j in enumerate(others):
+        obj[s + m + k] = 1.0 if allies[j] else -1.0
+    lp = simplex.LinearProgram(objective=obj, sense="min")
+    for k, j in enumerate(others):
+        row = np.zeros(nvar)
+        row[:s] = Y[j]
+        row[s:s + m] = -X[j]
+        row[s + m + k] = 1.0
+        lp.add_constraint(row, "=", 0.0)
+    row = np.zeros(nvar)
+    row[:s] = Y[d]
+    row[s:s + m] = -theta_d * X[d]
+    lp.add_constraint(row, "=", 0.0)
+    row = np.zeros(nvar)
+    row[s:s + m] = X[d]
+    lp.add_constraint(row, "=", 1.0)
+    sol = simplex.solve(lp)
+    assert sol.status == simplex.OPTIMAL, sol.status
+    return sol.objective, sol.x[:s], sol.x[s:s + m]
 
 
 # ------------------------------------------------------------------ clustering

@@ -223,15 +223,6 @@ def test_reports_are_byte_identical(capsys):
     assert first == second
 
 
-def test_threads_flag_does_not_change_output(capsys):
-    # the config echo records the flag itself; every computed number must match
-    base = ["pipeline", "--input", BANK_DATA, "--revenue", 2900, "--no-timestamp",
-            "--format", "json"]
-    _, one, _ = run(capsys, *base, "--threads", 1)
-    _, four, _ = run(capsys, *base, "--threads", 4)
-    assert json.loads(one)["results"] == json.loads(four)["results"]
-
-
 def test_composability_matrix_file_reproduces_pipeline(capsys, tmp_path):
     mpath = tmp_path / "m.csv"
     run(capsys, "crosseff", "--input", TOY_DATA, "--clusters", 2, "--out", mpath,

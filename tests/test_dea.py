@@ -10,11 +10,33 @@ import revalloc
 from revalloc import dea
 from revalloc.dataset import GroupAssignment, ValidationError, load_dataset
 
-from naive_oracles import average_linkage_labels
+from naive_oracles import average_linkage_labels, slack_tie_break
+
+# one fixed technology for the seeded production data below
+ELASTICITY = np.array([[0.45, 0.30, 0.20], [0.20, 0.25, 0.50]])
+OUTPUT_SCALE = np.array([12.0, 7.0])
 
 
 def two_dmu_dataset():
     return load_dataset(io.StringIO("dmu,x:a,y:b\nA,1,1\nB,1,2\n"))
+
+
+def production_dataset(seed, n=80):
+    """Seeded DMUs in three size classes: log-normal inputs, Cobb-Douglas
+    outputs times a half-normal inefficiency (the benchmark's appraisal data)."""
+    rng = np.random.default_rng(seed)
+    size = np.array([20.0, 60.0, 180.0])[rng.permutation(np.arange(n) % 3)]
+    X = size[:, None] * np.exp(rng.normal(0.0, 0.3, (n, 3)))
+    frontier = np.exp(np.log(X) @ ELASTICITY.T) * OUTPUT_SCALE
+    efficiency = np.exp(-np.abs(rng.normal(0.0, 0.3, (n, 1))))
+    mix = np.exp(rng.normal(0.0, 0.15, (n, 2)))
+    return revalloc.Dataset(
+        names=[f"D{i + 1:02d}" for i in range(n)],
+        input_names=["in1", "in2", "in3"],
+        output_names=["out1", "out2"],
+        raw_inputs=X,
+        raw_outputs=frontier * efficiency * mix,
+    )
 
 
 def test_toy_theta_matches_independent_solver(toy_dataset):
@@ -133,10 +155,44 @@ def test_units_invariance_under_column_scaling(toy_dataset, tmp_path):
     assert_allclose(M1.values, M0.values, rtol=0, atol=1e-7)
 
 
-def test_threads_do_not_change_results(bank_dataset):
-    M1 = dea.cross_efficiency_matrix(bank_dataset, threads=1)
-    M4 = dea.cross_efficiency_matrix(bank_dataset, threads=4)
-    assert (M1.values == M4.values).all()
+@pytest.mark.parametrize("seed", [[66792959, 2], [406, 0]])
+def test_seeded_matrix_stays_in_range_with_nonnegative_weights(seed):
+    # the simplex's rounding once put entry (37, 7) of the first dataset
+    # 6.8e-9 above 1, and a tie-break weight of the second at -1.2e-7
+    ds = production_dataset(seed)
+    groups = dea.cluster_groups(ds, 3)
+    M = dea.cross_efficiency_matrix(ds, groups)
+    assert M.values.max() <= 1.0 + 1e-12
+    for d in range(ds.n):
+        theta, _ = dea.ccr_efficiency(ds, d)
+        u, v = dea.secondary_goal_weights(ds, d, groups, theta)
+        assert min(u.min(), v.min()) >= -1e-9, d
+
+
+def test_tie_break_matches_slack_variable_oracle(toy_dataset, bank_dataset):
+    # same feasible set and objective as the slack form, so the same optimum;
+    # on the case studies the same weights too, to 1e-12 in the matrix
+    cases = [(toy_dataset, H, True) for H in (1, 2, 3)]
+    cases += [(bank_dataset, H, True) for H in (1, 2, 3)]
+    cases += [(production_dataset([seed, 0], n=24), 3, False) for seed in range(10)]
+    for ds, H, same_matrix in cases:
+        X, Y = ds.norm_inputs, ds.norm_outputs
+        groups = dea.cluster_groups(ds, H)
+        rows = []
+        for d in range(ds.n):
+            theta, _ = dea.ccr_efficiency(ds, d)
+            u, v = dea.secondary_goal_weights(ds, d, groups, theta)
+            ref, ref_u, ref_v = slack_tie_break(X, Y, d, groups.allies(d), theta)
+            sign = np.where(groups.allies(d), 1.0, -1.0)
+            sign[d] = 0.0
+            ours = float(sign @ (X @ v - Y @ u))
+            assert abs(ours - ref) <= 1e-9 * abs(ref), (ds.n, H, d, ours, ref)
+            row = dea.cross_efficiency_row(ds, d, ref_u, ref_v)
+            row[d] = theta
+            rows.append(row)
+        if same_matrix:
+            M = dea.cross_efficiency_matrix(ds, groups)
+            assert_allclose(M.values, np.vstack(rows), rtol=0, atol=1e-12)
 
 
 def test_group_assignment_size_checked(toy_dataset):

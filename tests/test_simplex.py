@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from revalloc import simplex
 from revalloc.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve
 
-from naive_oracles import vertex_enumeration_solve
+from naive_oracles import row_loop_pivot, vertex_enumeration_solve
 
 
 def lp(c, sense, rows, **kw):
@@ -166,3 +167,42 @@ def test_determinism_bit_for_bit():
     if a.status == OPTIMAL:
         assert a.objective == b.objective
         assert (a.x == b.x).all()
+
+
+def test_pivot_matches_row_loop_bit_for_bit():
+    rng = np.random.default_rng(11)
+    tol = simplex.PIVOT_TOL
+    near_tol = [tol, -tol, tol * (1 - 1e-6), tol * (1 + 1e-6), -tol * (1 + 1e-6), 0.0]
+    for _ in range(200):
+        rows, cols = int(rng.integers(2, 12)), int(rng.integers(2, 15))
+        T = rng.normal(size=(rows, cols))
+        T[rng.random((rows, cols)) < 0.3] = 0.0
+        row, col = int(rng.integers(rows)), int(rng.integers(cols))
+        T[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        # factors just under, at and just over the elimination threshold
+        for i in rng.choice(rows, size=min(rows, 3), replace=False):
+            if i != row:
+                T[i, col] = rng.choice(near_tol)
+        ours, ref = T.copy(), T.copy()
+        simplex._pivot(ours, row, col)
+        row_loop_pivot(ref, row, col)
+        assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("basis, leaves", [([3, 2], 1), ([2, 3], 0)])
+@pytest.mark.parametrize("gap", [0.0, 5e-11])
+def test_ratio_tie_leaves_smaller_basis_index(basis, leaves, gap):
+    # column 0 enters; both rows allow it up to 1, the row with the larger
+    # basis index up to `gap` less, which is still within the tie tolerance
+    T = np.array([
+        [2.0, 1.0, 0.0, 0.0, 2.0],
+        [1.0, 1.0, 0.0, 0.0, 1.0],
+        [-1.0, 1.0, 0.0, 0.0, 0.0],
+    ])
+    for i, var in enumerate(basis):
+        T[i, var] = 1.0
+    T[basis.index(3), -1] -= gap * T[basis.index(3), 0]
+    basis = np.array(basis)
+    assert simplex._iterate(T, basis) == OPTIMAL
+    assert basis[leaves] == 0
+    assert basis[1 - leaves] == 3
