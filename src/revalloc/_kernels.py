@@ -1,7 +1,8 @@
 """The coalition kernel: member-bound sums and Shapley sums over 2^n masks.
 
 One numpy path serves every n.  It builds no index array and no n x 2^n
-table, so its memory is O(2^n).
+table, so its memory is the two length-2^n sums plus buffers of at most
+2^(n-1) entries for the table and of 2^_BLOCK_BITS entries for the shares.
 
 For an n x n appraisal matrix E (row = evaluator) and a target column j,
 the *column tables* hold the max and the min of ``E[d, j]`` over every
@@ -20,6 +21,26 @@ S and S | {j} side by side, without any gather.
 ``sum_upper[mask]`` / ``sum_lower[mask]`` are the per-coalition totals of
 the member bounds, with singletons pinned to 1 by convention.  Every sum
 runs over coalitions in ascending mask order, so results are reproducible.
+
+The shares walk each player's squeezed index in blocks of
+2^b = 2^_BLOCK_BITS entries (one block when n - 1 <= b), so the ten or
+so working buffers stay in L2 instead of streaming 2^(n-1)-entry arrays
+through it a dozen times.  The low b bits of a squeezed index are the
+first b other players and the block number holds the rest:
+
+* a block's column table is the *low* table (built once per player over
+  the first b other players) maxed / minned with one scalar, the bound of
+  the block's high members;
+* |S| is the low popcount plus the block's high popcount, so |S| and
+  ``w[|S|]`` are rows of small tables indexed by the high count;
+* S and S | {i} are contiguous slices of the sums when i >= b, and the
+  ``reshape(-1, 2, 2**i)`` views of one 2 * 2^b slice when i < b.
+
+Per-block partial sums are added per player in ascending block order, so
+the shares are deterministic and the first degenerate term found is still
+the lowest player's lowest mask.  The table is not blocked: a blocked
+``coalition_sums`` measured no faster, and the unblocked one keeps its
+sums bit for bit.
 """
 
 from __future__ import annotations
@@ -27,16 +48,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def _column_tables(E: np.ndarray, j: int, tmax: np.ndarray, tmin: np.ndarray) -> None:
-    """Fill tmax/tmin (length 2^(n-1)) with column j's bounds over other-player subsets."""
+_BLOCK_BITS = 14   # share blocks of 2^14 entries: 128 KiB per float64 buffer
+
+
+def _subset_bounds(values: np.ndarray, tmax: np.ndarray, tmin: np.ndarray) -> None:
+    """Fill tmax/tmin (length 2^len(values)) with the max/min of every subset of values."""
     tmax[0] = -np.inf
     tmin[0] = np.inf
     h = 1
-    for d in range(E.shape[0]):
-        if d != j:
-            np.maximum(tmax[:h], E[d, j], out=tmax[h:2 * h])
-            np.minimum(tmin[:h], E[d, j], out=tmin[h:2 * h])
-            h *= 2
+    for x in values:
+        np.maximum(tmax[:h], x, out=tmax[h:2 * h])
+        np.minimum(tmin[:h], x, out=tmin[h:2 * h])
+        h *= 2
 
 
 def _popcounts(size: int) -> np.ndarray:
@@ -57,7 +80,7 @@ def coalition_sums(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tmax = np.empty(1 << (n - 1))
     tmin = np.empty(1 << (n - 1))
     for j in range(n):
-        _column_tables(E, j, tmax, tmin)
+        _subset_bounds(np.delete(E[:, j], j), tmax, tmin)
         step = 1 << j
         sum_upper.reshape(-1, 2, step)[:, 1, :] += tmax.reshape(-1, step)
         sum_lower.reshape(-1, 2, step)[:, 1, :] += tmin.reshape(-1, step)
@@ -65,6 +88,21 @@ def coalition_sums(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sum_upper[singles] = 1.0  # lone member appraises itself at 1 by convention
     sum_lower[singles] = 1.0
     return sum_upper, sum_lower
+
+
+def _unsqueeze(k: int, i: int) -> int:
+    """The mask at index k of player i's squeezed order (bit i left out)."""
+    return ((k >> i) << (i + 1)) | (k & ((1 << i) - 1))
+
+
+def _halves(a: np.ndarray, i: int, k0: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of ``a`` at S and at S | {i} for the squeezed indices [k0, k0 + size)."""
+    step = 1 << i
+    m0 = _unsqueeze(k0, i)
+    if step < size:
+        pair = a[m0:m0 + 2 * size].reshape(-1, 2, step)
+        return pair[:, 0, :], pair[:, 1, :]
+    return a[m0:m0 + size], a[m0 + step:m0 + step + size]
 
 
 def shapley_sums(E, sum_upper, sum_lower, weights, tol):
@@ -76,34 +114,56 @@ def shapley_sums(E, sum_upper, sum_lower, weights, tol):
     empty coalition contributes nothing here.
     """
     n = E.shape[0]
-    half = 1 << (n - 1)
-    pc = _popcounts(half)       # |S|, the same in every player's squeezed order
-    w = weights[pc]
-    tmax, tmin = np.empty(half), np.empty(half)
-    den_mid, den_up, den_lo = np.empty(half), np.empty(half), np.empty(half)
+    bits = min(_BLOCK_BITS, n - 1)
+    size = 1 << bits
+    nblocks = 1 << (n - 1 - bits)
+    pc_low = _popcounts(size)
+    pc_high = _popcounts(nblocks)
+    # |S| and w[|S|] within a block, one row per count of high members
+    counts = np.add.outer(np.arange(n - bits, dtype=np.int8), pc_low)
+    s_rows = counts.astype(float)
+    w_rows = weights[counts]
+    low_max, low_min = np.empty(size), np.empty(size)
+    high_max, high_min = np.empty(nblocks), np.empty(nblocks)
+    tmax, tmin, w_e = np.empty(size), np.empty(size), np.empty(size)
+    den_mid, den_up, den_lo = np.empty(size), np.empty(size), np.empty(size)
     phi, phi_up, phi_lo = np.zeros(n), np.zeros(n), np.zeros(n)
     for i in range(n):
-        _column_tables(E, i, tmax, tmin)
-        step = 1 << i
-        upper = sum_upper.reshape(-1, 2, step)
-        lower = sum_lower.reshape(-1, 2, step)
-        mid, up, lo = den_mid.reshape(-1, step), den_up.reshape(-1, step), den_lo.reshape(-1, step)
-        # den_mid = |S| + (sum_upper[T] - eU) - sum_upper[S]; den_up and
-        # den_lo take the lower totals of T and of S in its place
-        np.subtract(upper[:, 1, :], tmax.reshape(-1, step), out=mid)
-        den_mid += pc
-        np.subtract(mid, lower[:, 0, :], out=lo)
-        mid -= upper[:, 0, :]
-        np.subtract(lower[:, 1, :], tmin.reshape(-1, step), out=up)
-        den_up += pc
-        up -= upper[:, 0, :]
-        dm, du, dl = den_mid[1:], den_up[1:], den_lo[1:]
-        if min(dm.min(), du.min(), dl.min()) <= tol:
-            k = int(np.argmax((dm <= tol) | (du <= tol) | (dl <= tol))) + 1
-            return phi, phi_up, phi_lo, i, ((k >> i) << (i + 1)) | (k & (step - 1))
-        w_e = w[1:] * tmax[1:]
-        phi[i] = np.divide(w_e, dm, out=dm).sum()
-        phi_up[i] = np.divide(w_e, du, out=du).sum()
-        np.multiply(w[1:], tmin[1:], out=w_e)
-        phi_lo[i] = np.divide(w_e, dl, out=dl).sum()
+        others = np.delete(E[:, i], i)
+        _subset_bounds(others[:bits], low_max, low_min)
+        _subset_bounds(others[bits:], high_max, high_min)
+        shape = (-1, 1 << i) if i < bits else (size,)
+        tmax_v, tmin_v = tmax.reshape(shape), tmin.reshape(shape)
+        mid, up, lo = den_mid.reshape(shape), den_up.reshape(shape), den_lo.reshape(shape)
+        mid_acc = up_acc = lo_acc = 0.0
+        for h in range(nblocks):
+            k0 = h * size
+            upper_s, upper_t = _halves(sum_upper, i, k0, size)
+            lower_s, lower_t = _halves(sum_lower, i, k0, size)
+            s, w = s_rows[pc_high[h]], w_rows[pc_high[h]]
+            np.maximum(low_max, high_max[h], out=tmax)
+            np.minimum(low_min, high_min[h], out=tmin)
+            # den_mid = |S| + (sum_upper[T] - eU) - sum_upper[S]; den_up and
+            # den_lo take the lower totals of T and of S in its place
+            np.subtract(upper_t, tmax_v, out=mid)
+            den_mid += s
+            np.subtract(mid, lower_s, out=lo)
+            mid -= upper_s
+            np.subtract(lower_t, tmin_v, out=up)
+            den_up += s
+            up -= upper_s
+            first = 1 if h == 0 else 0   # skip the empty coalition, index 0
+            dm, du, dl = den_mid[first:], den_up[first:], den_lo[first:]
+            # den_lo >= den_mid exactly: the same minuend less sum_lower[S] <=
+            # sum_upper[S], and rounding is monotone, so den_lo needs no scan
+            if min(dm.min(), du.min()) <= tol:
+                k = k0 + first + int(np.argmax((dm <= tol) | (du <= tol)))
+                return phi, phi_up, phi_lo, i, _unsqueeze(k, i)
+            w, e = w[first:], w_e[first:]
+            np.multiply(w, tmax[first:], out=e)
+            mid_acc += np.divide(e, dm, out=dm).sum()
+            up_acc += np.divide(e, du, out=du).sum()
+            np.multiply(w, tmin[first:], out=e)
+            lo_acc += np.divide(e, dl, out=dl).sum()
+        phi[i], phi_up[i], phi_lo[i] = mid_acc, up_acc, lo_acc
     return phi, phi_up, phi_lo, -1, -1

@@ -196,6 +196,22 @@ def test_degenerate_matrix_exits_four(capsys, tmp_path):
     assert "DMU C (index 2) joining coalition {A}" in err
 
 
+def test_zero_input_cell_tie_break_exits_four(capsys, tmp_path):
+    # Z05 has a zero first input, so its tie-break LP is unbounded whenever
+    # an adversary uses that input: a defined failure until the model
+    # handles zero input cells
+    X = [[3, 2], [2, 1], [1, 0], [1, 0], [0, 3], [2, 3], [2, 2], [3, 2]]
+    Y = [2, 2, 2, 3, 1, 3, 3, 1]
+    path = tmp_path / "zeros.csv"
+    path.write_text("dmu,x:a,x:b,y:c\n" + "".join(
+        f"Z{k + 1:02d},{x[0]},{x[1]},{y}\n" for k, (x, y) in enumerate(zip(X, Y))))
+    code, _, err = run(capsys, "crosseff", "--input", path, "--clusters", 2,
+                       "--out", tmp_path / "m.csv", "--no-timestamp")
+    assert code == 4
+    assert "'Z05'" in err
+    assert "zero input cells" in err
+
+
 def test_pipeline_json_validates_against_schema(capsys):
     jsonschema = pytest.importorskip("jsonschema")
     code, out, _ = run(capsys, "pipeline", "--input", TOY_DATA, "--revenue", 10000,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from revalloc import game
+from revalloc import _kernels, game
 from revalloc.game import (
     DegenerateDenominatorError,
     build_coalition_table,
@@ -165,8 +165,17 @@ def test_two_player_bounds_collapse():
         assert (triple.phi_lower == triple.phi).all()
 
 
-@pytest.mark.parametrize("include_empty", [False, True])
-def test_matches_naive_enumeration(include_empty):
+@pytest.mark.parametrize("include_empty, block_bits", [
+    pytest.param(False, None, id="False"),
+    pytest.param(True, None, id="True"),
+    # 2-bit share blocks: n = 4..9 spans 2-64 blocks, and the player bit
+    # falls both below and above the block
+    pytest.param(False, 2, id="False-2bit"),
+    pytest.param(True, 2, id="True-2bit"),
+])
+def test_matches_naive_enumeration(include_empty, block_bits, monkeypatch):
+    if block_bits is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
     rng = np.random.default_rng(17)
     convention = "unit" if include_empty else "exclude"
     for n in range(1, 10):

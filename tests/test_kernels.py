@@ -1,5 +1,7 @@
 """The coalition kernel against brute-force scans of the coalition game."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from revalloc.game import (
     DENOM_TOL,
     DegenerateDenominatorError,
     build_coalition_table,
+    coalition_weights,
     shapley_triples,
 )
 
@@ -60,8 +63,16 @@ def test_numpy_tables_match_slim_sums():
         assert (sl == sl2).all()
 
 
-@pytest.mark.parametrize("convention", ["exclude", "unit"])
-def test_degenerate_location_is_first_offender(convention):
+@pytest.mark.parametrize("convention, block_bits", [
+    pytest.param("exclude", None, id="exclude"),
+    pytest.param("unit", None, id="unit"),
+    # 2-bit share blocks: n = 4..7 spans 2-16 blocks per player
+    pytest.param("exclude", 2, id="exclude-2bit"),
+    pytest.param("unit", 2, id="unit-2bit"),
+])
+def test_degenerate_location_is_first_offender(convention, block_bits, monkeypatch):
+    if block_bits is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
     # entries from a small set, so no denominator lands near the tolerance:
     # zeros and 1e-10 make |S| = 1 terms vanish, and entries above 1 drive
     # |S| >= 2 terms negative
@@ -92,9 +103,30 @@ def test_table_holds_only_the_two_sums():
     arrays = {k: v for k, v in vars(table).items() if isinstance(v, np.ndarray)}
     assert sorted(arrays) == ["E", "sum_lower", "sum_upper"]
     assert table.sum_upper.shape == table.sum_lower.shape == (1 << n,)
+    # the share kernel relies on this to leave den_lo unscanned
+    assert (table.sum_lower <= table.sum_upper).all()
     for mask in [0, 1 << 7, (1 << n) - 1, *map(int, rng.integers(1, 1 << n, 50))]:
         coalition = {j for j in range(n) if mask >> j & 1}
         assert abs(table.sum_upper[mask] - naive_oracles.coalition_worth(E, coalition)) < 1e-12
         assert abs(table.sum_lower[mask]
                    - naive_oracles.coalition_lower_total(E, coalition)) < 1e-12
 
+
+def test_shares_use_block_sized_buffers():
+    # the share pass works in 2^_BLOCK_BITS-entry blocks, so at n = 20 its
+    # peak stays below one 2^19-entry float64 buffer
+    n = 20
+    rng = np.random.default_rng(67)
+    E = rng.uniform(0.05, 1.0, (n, n))
+    np.fill_diagonal(E, 1.0)
+    table = build_coalition_table(E)
+    weights = coalition_weights(n)
+    tracemalloc.start()
+    try:
+        bad_player = _kernels.shapley_sums(E, table.sum_upper, table.sum_lower,
+                                           weights, DENOM_TOL)[3]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bad_player == -1
+    assert peak < (1 << 19) * 8, f"peak {peak / 2**20:.1f} MiB"
