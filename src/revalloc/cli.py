@@ -20,7 +20,9 @@ from .dataset import (
     CrossEfficiencyMatrix,
     DataError,
     GroupAssignment,
+    ParseError,
     ValidationError,
+    _parse_cell,
     load_dataset,
     load_groups,
     load_matrix,
@@ -67,11 +69,18 @@ def build_parser() -> _Parser:
                        help="handling of the undefined empty-coalition share term")
         p.add_argument("--reference", help="per-DMU reference shares CSV for calibrate")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--precision", type=int, default=2, help="display decimals in CSV reports")
+        p.add_argument("--precision", type=_decimals, default=2,
+                       help="display decimals in CSV reports")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte-identical reruns")
         p.add_argument("--out", help="artifact path (matrix for crosseff, report otherwise)")
     return parser
+
+
+def _decimals(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def main(argv=None) -> int:
@@ -255,10 +264,15 @@ def _compute_triples(args, matrix: CrossEfficiencyMatrix):
 
 def _load_reference(path, names) -> np.ndarray:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    if not rows or [h.strip() for h in rows[0]] != ["dmu", "phi"]:
+        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
+                if row and any(c.strip() for c in row)]
+    if not rows or [h.strip() for h in rows[0][1]] != ["dmu", "phi"]:
         raise ValidationError("reference file must have header 'dmu,phi'")
-    table = {row[0].strip(): float(row[1]) for row in rows[1:]}
+    table = {}
+    for lineno, row in rows[1:]:
+        if len(row) != 2:
+            raise ParseError(f"reference line {lineno}: expected 2 fields, got {len(row)}")
+        table[row[0].strip()] = _parse_cell(row[1], f"reference line {lineno}")
     missing = [nm for nm in names if nm not in table]
     if missing:
         raise ValidationError(f"reference is missing DMUs {missing}")

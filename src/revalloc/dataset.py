@@ -108,6 +108,7 @@ class CrossEfficiencyMatrix:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         n = len(self.names)
+        _check_unique_names(self.names)
         if self.values.shape != (n, n):
             raise ValidationError(
                 f"matrix shape {self.values.shape} does not match {n} names"
@@ -139,13 +140,17 @@ def normalize(raw_inputs, raw_outputs):
     return raw_inputs / raw_inputs.sum(axis=0), raw_outputs / raw_outputs.sum(axis=0)
 
 
+def _check_unique_names(names: list[str]) -> None:
+    if len(set(names)) != len(names):
+        dupes = sorted({x for x in names if names.count(x) > 1})
+        raise ValidationError(f"duplicate DMU names: {dupes}")
+
+
 def _validate_dataset(ds: Dataset) -> None:
     n = len(ds.names)
     if n < 1:
         raise ValidationError("dataset needs at least one DMU")
-    if len(set(ds.names)) != n:
-        dupes = sorted({x for x in ds.names if ds.names.count(x) > 1})
-        raise ValidationError(f"duplicate DMU names: {dupes}")
+    _check_unique_names(ds.names)
     if ds.raw_inputs.ndim != 2 or ds.raw_outputs.ndim != 2:
         raise ValidationError("input/output data must be 2-dimensional")
     if ds.raw_inputs.shape[0] != n or ds.raw_outputs.shape[0] != n:

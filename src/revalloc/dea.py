@@ -128,46 +128,30 @@ def cluster_groups(data: Dataset, H: int) -> GroupAssignment:
     """Agglomerative average-linkage clustering into exactly H ally groups.
 
     Feature vectors are the concatenated normalized inputs and outputs;
-    distances are Euclidean.  Ties are broken toward the pair with the
-    lowest DMU indices, and group ids are numbered by lowest member.
+    distances are Euclidean.  The cluster distances live in one n x n
+    matrix indexed by each cluster's lowest member; a merge of b into a
+    applies the Lance-Williams average-linkage update
+    ``(n_a d_a + n_b d_b) / (n_a + n_b)`` to row and column a and retires
+    b.  The pair to merge is the row-major argmin of the upper triangle, so
+    exact ties go to the pair with the lowest DMU indices; group ids are
+    numbered by lowest member.
     """
     n = data.n
     if not 1 <= H <= n:
         raise ValidationError(f"cluster count {H} out of range 1..{n}")
     feats = data.features()
     diff = feats[:, None, :] - feats[None, :, :]
-    base = np.sqrt((diff * diff).sum(axis=2))
-
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    dist: dict[tuple[int, int], float] = {
-        (i, j): float(base[i, j]) for i in range(n) for j in range(i + 1, n)
-    }
-    while len(members) > H:
-        best_pair = None
-        best_d = np.inf
-        for pair in sorted(dist):
-            d = dist[pair]
-            if d < best_d:
-                best_d = d
-                best_pair = pair
-        a, b = best_pair
-        na, nb = len(members[a]), len(members[b])
-        for c in list(members):
-            if c in (a, b):
-                continue
-            key_ac = (min(a, c), max(a, c))
-            key_bc = (min(b, c), max(b, c))
-            # average linkage merges exactly under this weighted update
-            merged = (na * dist[key_ac] + nb * dist[key_bc]) / (na + nb)
-            dist[key_ac] = merged
-            del dist[key_bc]
-        del dist[(a, b)]
-        members[a].extend(members[b])
-        del members[b]
-
-    labels = np.zeros(n, dtype=int)
-    for gid, root in enumerate(sorted(members), start=1):
-        for i in members[root]:
-            labels[i] = gid
-    return GroupAssignment(groups=labels, H=len(members))
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    below = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), 0.0, np.inf)
+    size = np.ones(n)
+    root = np.arange(n)
+    for _ in range(n - H):
+        a, b = divmod(int(np.argmin(dist + below)), n)
+        merged = (size[a] * dist[a] + size[b] * dist[b]) / (size[a] + size[b])
+        dist[a] = dist[:, a] = merged
+        dist[b] = dist[:, b] = np.inf
+        size[a] += size[b]
+        root[root == b] = a
+    labels = np.unique(root, return_inverse=True)[1] + 1
+    return GroupAssignment(groups=labels, H=H)
 

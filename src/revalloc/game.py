@@ -77,13 +77,7 @@ class CoalitionTable:
 
     def member_bounds(self, mask: int, j: int) -> tuple[float, float]:
         """(upper, lower) appraisal bounds of member j inside coalition mask."""
-        if not (mask >> j) & 1:
-            raise ValueError(f"DMU {j} is not a member of mask {mask}")
-        rest = mask ^ (1 << j)
-        if rest == 0:
-            return 1.0, 1.0
-        col = self.E[mask_members(rest), j]
-        return float(col.max()), float(col.min())
+        return coalition_bounds(self.E, mask, j)
 
     def characteristic(self, mask: int) -> float:
         return float(self.sum_upper[mask])
@@ -159,7 +153,7 @@ def include_empty_coalition(triple: ShapleyTriple) -> ShapleyTriple:
                          phi_upper=triple.phi_upper + w0)
 
 
-def _shapley_all(E, empty_coalition: str, table: CoalitionTable | None) -> ShapleyTriple:
+def _shapley_all(E, empty_coalition: str) -> ShapleyTriple:
     values = matrix_values(E)
     n = values.shape[0]
     if empty_coalition not in EMPTY_CONVENTIONS:
@@ -168,8 +162,7 @@ def _shapley_all(E, empty_coalition: str, table: CoalitionTable | None) -> Shapl
         # a lone DMU owns its whole (unit) worth; the coalition sum is vacuous
         one = np.ones(1)
         return ShapleyTriple(phi_lower=one.copy(), phi=one.copy(), phi_upper=one.copy())
-    if table is None:
-        table = build_coalition_table(values)
+    table = build_coalition_table(values)
     phi, up, lo, bad_i, bad_mask = _kernels.shapley_sums(
         values, table.sum_upper, table.sum_lower, coalition_weights(n), DENOM_TOL,
     )
@@ -179,20 +172,19 @@ def _shapley_all(E, empty_coalition: str, table: CoalitionTable | None) -> Shapl
     return include_empty_coalition(triple) if empty_coalition == "unit" else triple
 
 
-def modified_shapley(E, empty_coalition: str = DEFAULT_EMPTY_COALITION,
-                     table: CoalitionTable | None = None) -> np.ndarray:
+def modified_shapley(E, empty_coalition: str = DEFAULT_EMPTY_COALITION) -> np.ndarray:
     """Central per-DMU share vector."""
-    return _shapley_all(E, empty_coalition, table).phi
+    return _shapley_all(E, empty_coalition).phi
 
 
-def shapley_bounds(E, empty_coalition: str = DEFAULT_EMPTY_COALITION,
-                   table: CoalitionTable | None = None) -> tuple[np.ndarray, np.ndarray]:
+def shapley_bounds(
+    E, empty_coalition: str = DEFAULT_EMPTY_COALITION,
+) -> tuple[np.ndarray, np.ndarray]:
     """(upper, lower) per-DMU share bound vectors."""
-    triple = _shapley_all(E, empty_coalition, table)
+    triple = _shapley_all(E, empty_coalition)
     return triple.phi_upper, triple.phi_lower
 
 
-def shapley_triples(E, empty_coalition: str = DEFAULT_EMPTY_COALITION,
-                    table: CoalitionTable | None = None) -> ShapleyTriple:
+def shapley_triples(E, empty_coalition: str = DEFAULT_EMPTY_COALITION) -> ShapleyTriple:
     """Lower/central/upper shares in one pass over the coalition table."""
-    return _shapley_all(E, empty_coalition, table)
+    return _shapley_all(E, empty_coalition)

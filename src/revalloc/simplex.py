@@ -26,49 +26,26 @@ _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs
 
 @dataclass(eq=False)
 class LinearProgram:
-    """min/max c.x subject to rows ``A x (<=|=|>=) b`` and bounds on x >= 0."""
+    """min/max c.x subject to rows ``A x (<=|=|>=) b`` and x >= 0."""
 
     objective: np.ndarray
     sense: str = "max"
     constraints: list[tuple] = field(default_factory=list)  # (coeffs, relation, rhs)
-    lower: np.ndarray | None = None  # defaults to 0; negative values rejected
-    upper: np.ndarray | None = None  # optional finite upper bounds
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.ndim != 1 or self.objective.size == 0:
             raise ValueError("objective must be a nonempty vector")
+        if not np.isfinite(self.objective).all():
+            raise ValueError("all coefficients must be finite")
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        n = self.objective.size
-        checked = []
-        for coeffs, rel, rhs in self.constraints:
-            coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape != (n,):
-                raise ValueError("constraint length does not match objective")
-            if rel not in _RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
-            checked.append((coeffs, rel, float(rhs)))
-        self.constraints = checked
-        if self.lower is None:
-            self.lower = np.zeros(n)
-        else:
-            self.lower = np.asarray(self.lower, dtype=float)
-        if self.lower.shape != (n,):
-            raise ValueError("lower bounds length does not match objective")
-        if (self.lower < 0).any():
-            raise ValueError("negative lower bounds are not supported")
-        if self.upper is not None:
-            self.upper = np.asarray(self.upper, dtype=float)
-            if self.upper.shape != (n,):
-                raise ValueError("upper bounds length does not match objective")
-        values = [self.objective, self.lower] + [c for c, _, _ in self.constraints]
-        values.append(np.array([rhs for _, _, rhs in self.constraints]))
-        for arr in values:
-            if not np.isfinite(arr).all():
-                raise ValueError("all coefficients must be finite")
+        rows, self.constraints = self.constraints, []
+        for coeffs, rel, rhs in rows:
+            self.add_constraint(coeffs, rel, rhs)
 
     def add_constraint(self, coeffs, relation: str, rhs: float) -> "LinearProgram":
+        """Append one row; its finiteness is checked once per solve."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.objective.size,):
             raise ValueError("constraint length does not match objective")
@@ -86,23 +63,16 @@ class LpSolution:
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Solve a LinearProgram; status is optimal, infeasible, or unbounded."""
-    n = lp.objective.size
-    rows = [(c.copy(), rel, rhs) for c, rel, rhs in lp.constraints]
-    # Bounds other than x >= 0 become ordinary rows; the kernel itself only
-    # knows nonnegative variables.
-    eye = np.eye(n)
-    for i in range(n):
-        if lp.lower[i] > 0:
-            rows.append((eye[i].copy(), ">=", float(lp.lower[i])))
-        if lp.upper is not None and np.isfinite(lp.upper[i]):
-            rows.append((eye[i].copy(), "<=", float(lp.upper[i])))
+    """Solve a LinearProgram; status is optimal, infeasible, or unbounded.
 
+    Raises ValueError if a row holds a non-finite coefficient.
+    """
+    n = lp.objective.size
     c = lp.objective.copy()
     if lp.sense == "max":
         c = -c  # kernel minimizes
 
-    status, x = _two_phase(c, rows, n)
+    status, x = _two_phase(c, lp.constraints, n)
     if status != OPTIMAL:
         return LpSolution(status=status)
     x = x[:n]
@@ -120,6 +90,8 @@ def _two_phase(c: np.ndarray, rows: list[tuple], n: int):
 
     A = np.array([r[0] for r in rows], dtype=float)
     b = np.array([r[2] for r in rows], dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("all coefficients must be finite")
     rels = [r[1] for r in rows]
     for i in range(m):
         if b[i] < 0:

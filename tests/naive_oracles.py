@@ -189,3 +189,40 @@ def average_linkage_labels(points, H):
     for gid, members in enumerate(clusters, start=1):
         labels[members] = gid
     return labels
+
+
+def lance_williams_labels(points, H):
+    """Agglomerate by the Lance-Williams average-linkage update, pair by pair.
+
+    Each pair of clusters keeps one distance; merging b into a sets the
+    distance to every other cluster c to (n_a d_ac + n_b d_bc) / (n_a + n_b).
+    Pairs are scanned in lexicographic order of their lowest members and
+    only a strictly smaller distance replaces the best, so exact ties go to
+    the lowest pair.  Tied averages come out of this update bit for bit as
+    they come out of the package's; the fresh means of
+    ``average_linkage_labels`` can round one of two tied averages an ulp
+    lower and so pick another pair on data full of ties.
+    """
+    points = np.asarray(points, float)
+    n = len(points)
+    diff = points[:, None, :] - points[None, :, :]
+    base = np.sqrt((diff * diff).sum(axis=2))
+    clusters = {i: [i] for i in range(n)}
+    dist = {(i, j): float(base[i, j]) for i in range(n) for j in range(i + 1, n)}
+    while len(clusters) > H:
+        best = None
+        for pair in sorted(dist):
+            if best is None or dist[pair] < dist[best]:
+                best = pair
+        a, b = best
+        na, nb = len(clusters[a]), len(clusters[b])
+        for c in clusters:
+            if c not in (a, b):
+                ac, bc = (min(a, c), max(a, c)), (min(b, c), max(b, c))
+                dist[ac] = (na * dist[ac] + nb * dist.pop(bc)) / (na + nb)
+        del dist[best]
+        clusters[a] += clusters.pop(b)
+    labels = np.zeros(n, dtype=int)
+    for gid, root in enumerate(sorted(clusters), start=1):
+        labels[clusters[root]] = gid
+    return labels

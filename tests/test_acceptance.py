@@ -280,8 +280,9 @@ def test_criterion_8_lp_oracle():
             rows.append((coeffs, rel, float(rng.uniform(-0.2, 1.0))))
         c = rng.uniform(-1, 1, n)
         sense = "max" if rng.integers(2) else "min"
-        prog = LinearProgram(objective=c, sense=sense, upper=np.full(n, box))
-        for coeffs, rel, rhs in rows:
+        prog = LinearProgram(objective=c, sense=sense)
+        # the box x_i <= box as rows, after the structural ones
+        for coeffs, rel, rhs in rows + [(np.eye(n)[i], "<=", box) for i in range(n)]:
             prog.add_constraint(coeffs, rel, rhs)
         sol = solve(prog)
         status, best = naive_oracles.vertex_enumeration_solve(c, sense, rows, box)

@@ -281,3 +281,23 @@ def test_out_writes_report_file(capsys, tmp_path):
 
 def test_unknown_command_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 3
+
+
+def test_negative_precision_is_usage_error(capsys):
+    code, _, err = run(capsys, "allocate", "--matrix", TOY_MATRIX, "--revenue", 100,
+                       "--precision", -1)
+    assert code == 3
+    assert "--precision" in err
+
+
+@pytest.mark.parametrize("bad_row", ["DMU_2,abc", "DMU_2", "DMU_2,nan"])
+def test_bad_reference_row_is_validation_error(capsys, tmp_path, bad_row):
+    lines = TOY_SHARES_REFERENCE.read_text().splitlines()
+    lines[2] = bad_row
+    reference = tmp_path / "reference.csv"
+    reference.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "shapley", "--matrix", TOY_MATRIX,
+                       "--empty-coalition", "calibrate", "--reference", reference)
+    assert code == 3
+    assert "line 3" in err
+

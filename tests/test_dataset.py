@@ -109,6 +109,8 @@ def test_zero_column_sum_rejected():
 def test_duplicate_names_rejected():
     with pytest.raises(ValidationError, match="duplicate"):
         load_dataset(make_csv("dmu,x:a,y:c\nA,1,2\nA,2,3"))
+    with pytest.raises(ValidationError, match="duplicate"):
+        load_matrix(make_csv("dmu,A,A\nA,1,0.5\nA,0.5,1"))
 
 
 @pytest.mark.parametrize("cell", ["-1", "nan", "inf", "oops"])

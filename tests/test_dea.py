@@ -10,7 +10,7 @@ import revalloc
 from revalloc import dea
 from revalloc.dataset import GroupAssignment, ValidationError, load_dataset
 
-from naive_oracles import average_linkage_labels, slack_tie_break
+from naive_oracles import average_linkage_labels, lance_williams_labels, slack_tie_break
 
 # one fixed technology for the seeded production data below
 ELASTICITY = np.array([[0.45, 0.30, 0.20], [0.20, 0.25, 0.50]])
@@ -231,6 +231,20 @@ def test_cluster_random_against_oracle():
         ours = dea.cluster_groups(ds, H).groups
         ref = average_linkage_labels(ds.features(), H)
         assert ours.tolist() == ref.tolist(), f"trial={trial} H={H}"
+    # cells in 1..3 tie often, exactly in the real numbers and often in
+    # floats too; every cut must go to the lowest pair on a float tie
+    for n in range(3, 31):
+        ds = revalloc.Dataset(
+            names=[f"d{i}" for i in range(n)],
+            input_names=["a", "b"],
+            output_names=["c"],
+            raw_inputs=rng.integers(1, 4, (n, 2)).astype(float),
+            raw_outputs=rng.integers(1, 4, (n, 1)).astype(float),
+        )
+        for H in range(1, n + 1):
+            ours = dea.cluster_groups(ds, H).groups
+            ref = lance_williams_labels(ds.features(), H)
+            assert ours.tolist() == ref.tolist(), f"integer cells n={n} H={H}"
 
 
 def test_cluster_group_ids_ordered_by_lowest_member(bank_dataset):

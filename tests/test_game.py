@@ -82,20 +82,20 @@ def test_table_matches_naive_on_random_bank_masks(bank_matrix):
         assert table.member_bounds(mask, j) == naive_oracles.bounds_in_coalition(E, coalition, j)
 
 
-def test_slim_table_agrees_with_dense():
-    # the table stores only the two sums; a dense per-member table built from
-    # member_bounds must add up to them, and member_bounds must agree with
-    # the stand-alone coalition_bounds
+def test_table_sums_equal_member_bounds():
+    # the table stores only the two sums per coalition; the members' bounds
+    # must add up to them, and member_bounds must agree with the stand-alone
+    # coalition_bounds
     rng = np.random.default_rng(1)
     E = random_matrix(rng, 6)
     table = build_coalition_table(E)
     assert not hasattr(table, "bound_max")
     for mask in range(1, 1 << 6):
         members = [j for j in range(6) if mask >> j & 1]
-        dense = [table.member_bounds(mask, j) for j in members]
-        assert dense == [coalition_bounds(E, mask, j) for j in members]
-        assert abs(table.sum_upper[mask] - sum(u for u, _ in dense)) <= 1e-12
-        assert abs(table.sum_lower[mask] - sum(lo for _, lo in dense)) <= 1e-12
+        bounds = [table.member_bounds(mask, j) for j in members]
+        assert bounds == [coalition_bounds(E, mask, j) for j in members]
+        assert abs(table.sum_upper[mask] - sum(u for u, _ in bounds)) <= 1e-12
+        assert abs(table.sum_lower[mask] - sum(lo for _, lo in bounds)) <= 1e-12
 
 
 def test_table_cap():

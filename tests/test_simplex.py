@@ -10,11 +10,16 @@ from revalloc.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solv
 from naive_oracles import row_loop_pivot, vertex_enumeration_solve
 
 
-def lp(c, sense, rows, **kw):
-    prog = LinearProgram(objective=np.asarray(c, float), sense=sense, **kw)
+def lp(c, sense, rows):
+    prog = LinearProgram(objective=np.asarray(c, float), sense=sense)
     for coeffs, rel, rhs in rows:
         prog.add_constraint(np.asarray(coeffs, float), rel, rhs)
     return prog
+
+
+def boxed(n, rows, box):
+    """The rows, then x_i <= box for each variable in index order."""
+    return rows + [(np.eye(n)[i], "<=", box) for i in range(n)]
 
 
 def test_box_maximum():
@@ -80,28 +85,15 @@ def test_klee_minty_style_cycling_guard():
     assert_allclose(sol.objective, 10000.0, atol=1e-6)
 
 
-def test_positive_lower_bounds_are_honored():
-    prog = lp([1, 1], "min", [([1, 1], "<=", 5)], lower=np.array([2.0, 0.5]))
-    sol = solve(prog)
-    assert sol.status == OPTIMAL
-    assert_allclose(sol.x, [2.0, 0.5], atol=1e-9)
-
-
-def test_upper_bounds_are_honored():
-    prog = lp([1, 1], "max", [], upper=np.array([2.0, 3.5]))
-    sol = solve(prog)
-    assert sol.status == OPTIMAL
-    assert_allclose(sol.objective, 5.5, atol=1e-9)
-
-
-def test_negative_lower_bound_rejected():
-    with pytest.raises(ValueError, match="lower bounds"):
-        LinearProgram(objective=np.ones(2), lower=np.array([-1.0, 0.0]))
-
-
 def test_non_finite_rejected():
-    with pytest.raises(ValueError, match="finite"):
-        lp([1, np.inf], "max", [])
+    # an objective is checked when the program is built, rows when it is solved
+    for c, rows in [
+        ([1, np.inf], []),
+        ([1, 1], [([np.inf, 1], "<=", 1)]),
+        ([1, 1], [([1, 1], "<=", np.nan)]),
+    ]:
+        with pytest.raises(ValueError, match="finite"):
+            solve(lp(c, "max", rows))
 
 
 def _random_lp(rng):
@@ -124,7 +116,7 @@ def test_matches_vertex_enumeration_oracle_on_50_random_lps():
         n, rows = _random_lp(rng)
         c = rng.uniform(-1, 1, n)
         sense = "max" if rng.integers(2) else "min"
-        prog = lp(c, sense, rows, upper=np.full(n, box))
+        prog = lp(c, sense, boxed(n, rows, box))
         sol = solve(prog)
         status, best = vertex_enumeration_solve(c, sense, rows, box)
         assert sol.status == status, f"status mismatch: {sol.status} vs oracle {status}"
@@ -140,7 +132,7 @@ def test_returned_points_feasible_and_objective_consistent():
     for _ in range(30):
         n, rows = _random_lp(rng)
         c = rng.uniform(-1, 1, n)
-        prog = lp(c, "max", rows, upper=np.full(n, 10.0))
+        prog = lp(c, "max", boxed(n, rows, 10.0))
         sol = solve(prog)
         if sol.status != OPTIMAL:
             continue
@@ -161,8 +153,8 @@ def test_determinism_bit_for_bit():
     rng = np.random.default_rng(5)
     n, rows = _random_lp(rng)
     c = rng.uniform(-1, 1, n)
-    a = solve(lp(c, "max", rows, upper=np.full(n, 10.0)))
-    b = solve(lp(c, "max", rows, upper=np.full(n, 10.0)))
+    a = solve(lp(c, "max", boxed(n, rows, 10.0)))
+    b = solve(lp(c, "max", boxed(n, rows, 10.0)))
     assert a.status == b.status
     if a.status == OPTIMAL:
         assert a.objective == b.objective
