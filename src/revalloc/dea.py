@@ -1,10 +1,15 @@
 """CCR self-efficiencies, ally grouping, and the unique cross-efficiency matrix.
 
 The evaluated DMU's ratio model is linearized the standard way (virtual
-input pinned to 1).  The tie-break model that selects among the evaluator's
-alternative optimal weights minimizes allies' slacks minus adversaries'
-slacks at fixed self-efficiency; the same virtual-input normalization is
-added there because the raw formulation is scale-unbounded.
+input pinned to 1) and solved on one simplex tableau per DMU, built
+straight from the normalized input and output arrays.  The tie-break that
+selects among the evaluator's alternative optimal weights minimizes allies'
+slacks minus adversaries' slacks over the optimal face of that same
+tableau: every nonbasic column with a positive reduced cost is dropped,
+which holds the self-score at its optimum without pinning theta as a
+number, and the tie-break objective runs as one more phase 2 from the
+self-score's final basis (the secondary-goal model of Sexton, Silkman &
+Hogan 1986 and Doyle & Green 1994).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from . import simplex
 from .dataset import CrossEfficiencyMatrix, Dataset, GroupAssignment, ValidationError
 
 THETA_TOL = 1e-7
+_DUST = 1e-12  # the <= rows keep every score <= 1; above 1 by this much is rounding
 
 
 class SolverFailure(RuntimeError):
@@ -32,23 +38,33 @@ class CcrResult:
     weights_v: np.ndarray  # n x m, input multipliers
 
 
+def _self_score(data: Dataset, d: int):
+    """Solve DMU d's ratio model; returns (theta, u, v, tableau at the optimum).
+
+    Variables are u_1..u_s, v_1..v_m; the rows are Y_j u - X_j v <= 0 for
+    every DMU j and X_d v = 1.
+    """
+    X, Y = data.norm_inputs, data.norm_outputs
+    A = np.vstack([np.hstack([Y, -X]), np.concatenate([np.zeros(data.s), X[d]])])
+    b = np.zeros(data.n + 1)
+    b[-1] = 1.0
+    tab = simplex.phase_one(A, b, ["<="] * data.n + ["="])
+    cost = np.concatenate([-Y[d], np.zeros(data.m)])
+    status = simplex.INFEASIBLE if tab is None else tab.optimize(cost)
+    if status != simplex.OPTIMAL:
+        raise SolverFailure(f"self-efficiency LP for DMU {data.names[d]!r}: {status}")
+    x = tab.point()
+    u, v = x[:data.s], x[data.s:]
+    theta = float(Y[d] @ u)
+    return (1.0 if 1.0 < theta <= 1.0 + _DUST else theta), u, v, tab
+
+
 def ccr_efficiency(data: Dataset, d: int):
     """Solve the evaluated DMU's ratio model; returns (theta, (u, v))."""
     if not 0 <= d < data.n:
         raise IndexError(f"DMU index {d} out of range")
-    X, Y = data.norm_inputs, data.norm_outputs
-    m, s = data.m, data.s
-    # variables: u_1..u_s, v_1..v_m
-    c = np.concatenate([Y[d], np.zeros(m)])
-    lp = simplex.LinearProgram(objective=c, sense="max")
-    lp.add_constraint(np.concatenate([np.zeros(s), X[d]]), "=", 1.0)
-    for j in range(data.n):
-        lp.add_constraint(np.concatenate([Y[j], -X[j]]), "<=", 0.0)
-    sol = simplex.solve(lp)
-    if sol.status != simplex.OPTIMAL:
-        raise SolverFailure(f"self-efficiency LP for DMU {data.names[d]!r}: {sol.status}")
-    u, v = sol.x[:s], sol.x[s:]
-    return float(sol.objective), (u, v)
+    theta, u, v, _ = _self_score(data, d)
+    return theta, (u, v)
 
 
 def ccr_all(data: Dataset) -> CcrResult:
@@ -60,33 +76,38 @@ def ccr_all(data: Dataset) -> CcrResult:
     return CcrResult(theta=theta, weights_u=u, weights_v=v)
 
 
-def secondary_goal_weights(data: Dataset, d: int, groups: GroupAssignment, theta_d: float):
+def secondary_goal_weights(data: Dataset, d: int, groups: GroupAssignment, self_score):
     """Weights for evaluator d that favor allies and penalize adversaries.
 
-    Minimizes sum of ally slacks minus sum of adversary slacks subject to
-    the evaluator keeping its own optimal score; returns (u, v).  The slack
-    of DMU j, X_j v - Y_j u, is no variable of the LP: each other DMU gets
-    the row Y_j u - X_j v <= 0 and the objective is written in (u, v).
+    Minimizes sum of ally slacks minus sum of adversary slacks over the
+    evaluator's optimal self-score weights; returns (u, v).  The slack of
+    DMU j, X_j v - Y_j u, is no variable of the LP: the objective is written
+    in (u, v) and runs on the optimal face of the self-score tableau.
+
+    ``self_score`` is that tableau, as solved for the diagonal of
+    ``cross_efficiency_matrix``, or the theta ``ccr_efficiency`` returned;
+    given theta, the self-score LP is solved again here and theta must
+    match it within THETA_TOL.
     """
+    if isinstance(self_score, simplex.Tableau):
+        tab = self_score
+    else:
+        theta, _, _, tab = _self_score(data, d)
+        if not abs(theta - self_score) <= THETA_TOL:
+            raise ValueError(f"theta {self_score!r} is not the self-score of DMU "
+                             f"{data.names[d]!r} ({theta!r})")
     X, Y = data.norm_inputs, data.norm_outputs
     others = np.arange(data.n) != d
     sign = np.where(groups.allies(d), 1.0, -1.0)[others, None]
-    # variables: u (s), v (m)
-    obj = np.concatenate([-(sign * Y[others]).sum(axis=0), (sign * X[others]).sum(axis=0)])
-    lp = simplex.LinearProgram(objective=obj, sense="min")
-    for j in np.flatnonzero(others):
-        lp.add_constraint(np.concatenate([Y[j], -X[j]]), "<=", 0.0)
-    lp.add_constraint(np.concatenate([Y[d], -theta_d * X[d]]), "=", 0.0)
-    # scale anchor: without it the objective is unbounded whenever negative
-    lp.add_constraint(np.concatenate([np.zeros(data.s), X[d]]), "=", 1.0)
-
-    sol = simplex.solve(lp)
-    if sol.status != simplex.OPTIMAL:
+    cost = np.concatenate([-(sign * Y[others]).sum(axis=0), (sign * X[others]).sum(axis=0)])
+    face = tab.optimal_face()
+    if face.optimize(cost) != simplex.OPTIMAL:
         raise SolverFailure(
-            f"tie-break LP for evaluator {data.names[d]!r} came back {sol.status} "
-            f"(theta={theta_d!r}); check for zero input cells or an inconsistent theta"
+            f"tie-break LP for evaluator {data.names[d]!r} is unbounded on its optimal "
+            "self-score weights; check for zero input cells"
         )
-    return sol.x[:data.s], sol.x[data.s:]
+    x = face.point()
+    return x[:data.s], x[data.s:]
 
 
 def cross_efficiency_row(data: Dataset, d: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -113,14 +134,13 @@ def cross_efficiency_matrix(
 
     rows = []
     for d in range(data.n):
-        theta, _ = ccr_efficiency(data, d)
-        u, v = secondary_goal_weights(data, d, groups, theta)
+        theta, _, _, tab = _self_score(data, d)
+        u, v = secondary_goal_weights(data, d, groups, tab)
         row = cross_efficiency_row(data, d, u, v)
-        row[d] = theta  # exact by the fixed-score constraint; avoids drift
+        row[d] = theta  # the self-score itself, as ccr_all gives it
         rows.append(row)
     E = np.vstack(rows)
-    # the <= rows force every appraisal <= 1; clip float dust only
-    E[(E > 1.0) & (E <= 1.0 + 1e-12)] = 1.0
+    E[(E > 1.0) & (E <= 1.0 + _DUST)] = 1.0
     return CrossEfficiencyMatrix(names=list(data.names), values=E)
 
 

@@ -5,6 +5,15 @@ and rows).  Determinism matters more than speed here: Bland's rule with a
 fixed variable ordering pins down which optimal vertex is returned when a
 program has alternative optima, so repeated solves of the same bits give
 the same bits back.
+
+There is one tableau path.  ``phase_one`` builds the tableau of
+``A x (<=|=|>=) b, x >= 0`` straight from arrays and finds a feasible
+basis; ``Tableau.optimize`` runs phase 2 for a cost vector from whatever
+basis the tableau holds; ``Tableau.optimal_face`` keeps only the columns
+that can move without leaving the optimum, so a second ``optimize`` picks
+among the first one's optimal points (a secondary goal); ``Tableau.point``
+reads the structural variables off the right-hand side.  ``solve`` runs a
+``LinearProgram`` through the same steps.
 """
 
 from __future__ import annotations
@@ -68,142 +77,118 @@ def solve(lp: LinearProgram) -> LpSolution:
     Raises ValueError if a row holds a non-finite coefficient.
     """
     n = lp.objective.size
-    c = lp.objective.copy()
-    if lp.sense == "max":
-        c = -c  # kernel minimizes
-
-    status, x = _two_phase(c, lp.constraints, n)
-    if status != OPTIMAL:
-        return LpSolution(status=status)
-    x = x[:n]
-    x[np.abs(x) < 1e-12] = 0.0
+    rows = lp.constraints
+    A = np.array([r[0] for r in rows], dtype=float).reshape(len(rows), n)
+    tab = phase_one(A, [r[2] for r in rows], [r[1] for r in rows])
+    if tab is None:
+        return LpSolution(status=INFEASIBLE)
+    cost = -lp.objective if lp.sense == "max" else lp.objective  # the kernel minimizes
+    if tab.optimize(cost) == UNBOUNDED:
+        return LpSolution(status=UNBOUNDED)
+    x = tab.point()
     return LpSolution(status=OPTIMAL, objective=float(lp.objective @ x), x=x)
 
 
-def _two_phase(c: np.ndarray, rows: list[tuple], n: int):
-    m = len(rows)
-    if m == 0:
-        # No rows: optimum is at the origin unless some cost is negative.
-        if (c < -TOL).any():
-            return UNBOUNDED, None
-        return OPTIMAL, np.zeros(n)
+@dataclass(eq=False)
+class Tableau:
+    """Rows in standard form with a feasible basis, and the last cost row.
 
-    A = np.array([r[0] for r in rows], dtype=float)
-    b = np.array([r[2] for r in rows], dtype=float)
+    ``T[:-1]`` holds the rows as the pivots left them and ``T[-1]`` the
+    reduced costs of the last ``optimize``; the last column is the
+    right-hand side.  ``cols`` names the variable of each column: the n
+    structural ones first, then one slack or surplus per inequality row.
+    """
+
+    T: np.ndarray
+    basis: np.ndarray  # column basic in each row
+    cols: np.ndarray   # variable of each column
+    n: int             # structural variables
+
+    def optimize(self, cost: np.ndarray) -> str:
+        """Minimize cost . x (over the structural variables) from the current basis."""
+        T, basis = self.T, self.basis
+        T[-1] = 0.0
+        structural = self.cols < self.n
+        T[-1, :-1][structural] = cost[self.cols[structural]]
+        # reduced costs c - c_B T over the rows whose basic variable has a cost
+        rows = np.flatnonzero(T[-1, basis])
+        T[-1] -= T[-1, basis[rows]] @ T[rows]
+        return _iterate(T, basis)
+
+    def optimal_face(self) -> "Tableau":
+        """The tableau restricted to the optimal points of the last ``optimize``.
+
+        A nonbasic column with a reduced cost above TOL would lower the
+        objective by that much per unit, so it is held at zero on the face
+        and dropped; the other columns, the rows and the basis stay.
+        """
+        keep = self.T[-1, :-1] <= TOL
+        keep[self.basis] = True
+        new_index = np.cumsum(keep) - 1
+        return Tableau(T=self.T[:, np.append(keep, True)], basis=new_index[self.basis],
+                       cols=self.cols[keep], n=self.n)
+
+    def point(self) -> np.ndarray:
+        """The structural variables of the current basic solution."""
+        x = np.zeros(self.n)
+        var = self.cols[self.basis]
+        structural = var < self.n
+        x[var[structural]] = self.T[:-1, -1][structural]
+        x[np.abs(x) < 1e-12] = 0.0
+        return x
+
+
+def phase_one(A, b, relations) -> Tableau | None:
+    """Tableau of ``A x (relations) b``, x >= 0, at a feasible basis; None if infeasible.
+
+    Raises ValueError if A or b holds a non-finite entry.
+    """
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)
+    rel = np.asarray(relations, dtype=str)
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("all coefficients must be finite")
-    rels = [r[1] for r in rows]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] = -b[i]
-            rels[i] = {"<=": ">=", ">=": "<=", "=": "="}[rels[i]]
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+    le = np.where(flip, rel == ">=", rel == "<=")
+    ge = np.where(flip, rel == "<=", rel == ">=")
+    art = ~le
+    m, n = A.shape
+    n_le, n_ge, n_art = int(le.sum()), int(ge.sum()), int(art.sum())
+    slack0, surp0, art0 = n, n + n_le, n + n_le + n_ge
 
-    n_slack = sum(1 for r in rels if r == "<=")
-    n_surp = sum(1 for r in rels if r == ">=")
-    n_art = sum(1 for r in rels if r in ("=", ">="))
-    total = n + n_slack + n_surp + n_art
-    slack0, surp0, art0 = n, n + n_slack, n + n_slack + n_surp
-
-    T = np.zeros((m + 1, total + 1))
+    # columns: structural, slacks of <= rows, surpluses of >= rows,
+    # artificials of = and >= rows, each group in row order
+    T = np.zeros((m + 1, art0 + n_art + 1))
     T[:m, :n] = A
     T[:m, -1] = b
+    le_rows, ge_rows, art_rows = np.flatnonzero(le), np.flatnonzero(ge), np.flatnonzero(art)
+    T[le_rows, slack0 + np.arange(n_le)] = 1.0
+    T[ge_rows, surp0 + np.arange(n_ge)] = -1.0
+    T[art_rows, art0 + np.arange(n_art)] = 1.0
     basis = np.empty(m, dtype=int)
-    unit_row = np.full(art0, -1)  # the one row of each slack/surplus column
-    si = ti = ai = 0
-    for i, rel in enumerate(rels):
-        if rel == "<=":
-            T[i, slack0 + si] = 1.0
-            basis[i] = slack0 + si
-            unit_row[slack0 + si] = i
-            si += 1
-        elif rel == ">=":
-            T[i, surp0 + ti] = -1.0
-            T[i, art0 + ai] = 1.0
-            basis[i] = art0 + ai
-            unit_row[surp0 + ti] = i
-            ti += 1
-            ai += 1
-        else:
-            T[i, art0 + ai] = 1.0
-            basis[i] = art0 + ai
-            ai += 1
-    A_std = T[:m, :art0].copy()  # rows in standard form, before any pivot
-    kept = np.ones(m, dtype=bool)
+    basis[le_rows] = slack0 + np.arange(n_le)
+    basis[art_rows] = art0 + np.arange(n_art)
 
-    # Phase 1: minimize the sum of artificials.
     if n_art:
-        obj = np.zeros(total + 1)
-        obj[art0:art0 + n_art] = 1.0
-        T[-1] = obj
-        for i in range(m):
-            if basis[i] >= art0:
-                T[-1] -= T[i]
+        # minimize the sum of the artificials
+        T[-1, art0:-1] = 1.0
+        for i in art_rows:
+            T[-1] -= T[i]
         if _iterate(T, basis) == UNBOUNDED:
-            return INFEASIBLE, None  # phase-1 objective is bounded below by 0
+            return None  # the phase-1 objective is bounded below by 0
         if -T[-1, -1] > 1e-8:
-            return INFEASIBLE, None
-        T, basis, m, kept = _purge_artificials(T, basis, art0)
-
-    # Phase 2: original objective over structural + slack/surplus columns.
-    T[:, art0:art0 + n_art] = 0.0
-    obj = np.zeros(total + 1)
-    obj[:n] = c
-    T[-1] = obj
-    for i in range(m):
-        if basis[i] < art0 and abs(T[-1, basis[i]]) > PIVOT_TOL:
-            T[-1] -= T[-1, basis[i]] * T[i]
-    if _iterate(T, basis, forbid_from=art0) == UNBOUNDED:
-        return UNBOUNDED, None
-
-    # The tableau's right-hand side carries the rounding of every pivot, so
-    # the final basis is solved once against the original rows.  A basic
-    # value below zero there means the rows are consistent only up to
-    # rounding (an equality pinned to a computed optimum, say) and the basis
-    # put all of it on one row, scaled by the basis's conditioning.  That
-    # value is held at zero and the others fit every row in least squares,
-    # which spreads the rounding instead.
-    kept_row = np.where(kept, np.cumsum(kept) - 1, -1)
-    unit_row = np.where(unit_row >= 0, kept_row[unit_row], -1)
-    A_B, b_B = A_std[kept], b[kept]
-    x_B = _basic_values(A_B, b_B, basis, unit_row, np.zeros(m, dtype=bool))
-    low = x_B < 0
-    if low.any():
-        x_B = _basic_values(A_B, b_B, basis, unit_row, low)
-    x = np.zeros(total)
-    x[basis] = x_B
-    return OPTIMAL, x
+            return None
+        T, basis = _purge_artificials(T, basis, art0)
+        T = np.delete(T, np.s_[art0:art0 + n_art], axis=1)
+    return Tableau(T=T, basis=basis, cols=np.arange(art0), n=n)
 
 
-def _basic_values(A, b, basis, unit_row, fixed):
-    """Basic values of A x = b with the ``fixed`` ones held at zero.
-
-    A slack or surplus column is +-1 in its own row only (``unit_row``), so
-    each free one absorbs that row; the rows left over fix the other basic
-    values, in least squares when held values leave more rows than unknowns.
-    """
-    rows = unit_row[basis]
-    unit = (rows >= 0) & ~fixed
-    dense = (rows < 0) & ~fixed
-    rest = np.ones(b.size, dtype=bool)
-    rest[rows[unit]] = False
-    x = np.zeros(basis.size)
-    if dense.any():
-        block = A[np.ix_(rest, basis[dense])]
-        if block.shape[0] == block.shape[1]:
-            x[dense] = np.linalg.solve(block, b[rest])
-        else:
-            x[dense] = np.linalg.lstsq(block, b[rest], rcond=None)[0]
-    covered = rows[unit]
-    x[unit] = (b[covered] - A[covered][:, basis[dense]] @ x[dense]) / A[covered, basis[unit]]
-    return x
-
-
-def _iterate(T: np.ndarray, basis: np.ndarray, forbid_from: int | None = None) -> str:
+def _iterate(T: np.ndarray, basis: np.ndarray) -> str:
     """Run Bland-rule pivots on tableau T until optimal or unbounded."""
-    limit = T.shape[1] - 1 if forbid_from is None else forbid_from
     for _ in range(_MAX_PIVOTS):
-        candidates = np.flatnonzero(T[-1, :limit] < -TOL)
+        candidates = np.flatnonzero(T[-1, :-1] < -TOL)
         if candidates.size == 0:
             return OPTIMAL
         enter = int(candidates[0])
@@ -235,24 +220,17 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
 
 
 def _purge_artificials(T: np.ndarray, basis: np.ndarray, art0: int):
-    """Drive zero-level artificials out of the basis; drop redundant rows.
-
-    Returns the tableau, the basis, the row count and the mask of the
-    original rows that were kept.
-    """
+    """Drive zero-level artificials out of the basis; drop redundant rows."""
     m = T.shape[0] - 1
     keep = np.ones(m + 1, dtype=bool)
-    for i in range(m):
-        if basis[i] >= art0:
-            for j in range(art0):
-                if abs(T[i, j]) > 1e-9:
-                    _pivot(T, i, j)
-                    basis[i] = j
-                    break
-            else:
-                keep[i] = False  # all-zero row: the constraint was redundant
+    for i in np.flatnonzero(basis >= art0):
+        for j in range(art0):
+            if abs(T[i, j]) > 1e-9:
+                _pivot(T, i, j)
+                basis[i] = j
+                break
+        else:
+            keep[i] = False  # all-zero row: the constraint was redundant
     if keep.all():
-        return T, basis, m, keep[:-1]
-    T = T[keep]
-    basis = basis[keep[:-1]]
-    return T, basis, int(basis.size), keep[:-1]
+        return T, basis
+    return T[keep], basis[keep[:-1]]

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import revalloc
-from revalloc import dea
+from revalloc import dea, simplex
 from revalloc.dataset import GroupAssignment, ValidationError, load_dataset
 
 from naive_oracles import average_linkage_labels, lance_williams_labels, slack_tie_break
@@ -108,10 +108,11 @@ def test_two_dmu_matrix_closed_form():
 
 
 def test_matrix_diagonal_and_range(toy_dataset, bank_dataset):
-    for ds in (toy_dataset, bank_dataset):
+    # the diagonal and ccr_all come from the same self-score solve, bit for bit
+    for ds in (toy_dataset, bank_dataset, production_dataset([0, 0])):
         theta = dea.ccr_all(ds).theta
         M = dea.cross_efficiency_matrix(ds)
-        assert_allclose(np.diag(M.values), theta, rtol=0, atol=1e-7)
+        assert np.diag(M.values).tobytes() == theta.tobytes()
         assert M.values.min() >= 0.0
         assert M.values.max() <= 1.0 + 1e-9
 
@@ -135,6 +136,13 @@ def test_rows_recompute_from_tie_break_weights(toy_dataset):
         assert_allclose(row, M.values[d], rtol=0, atol=1e-7)
 
 
+def test_tie_break_rejects_a_theta_that_is_not_the_self_score(toy_dataset):
+    groups = dea.cluster_groups(toy_dataset, 2)
+    theta, _ = dea.ccr_efficiency(toy_dataset, 4)
+    with pytest.raises(ValueError, match="DMU_5"):
+        dea.secondary_goal_weights(toy_dataset, 4, groups, theta + 1e-3)
+
+
 def test_units_invariance_under_column_scaling(toy_dataset, tmp_path):
     raw_in = toy_dataset.raw_inputs.copy()
     raw_out = toy_dataset.raw_outputs.copy()
@@ -155,10 +163,11 @@ def test_units_invariance_under_column_scaling(toy_dataset, tmp_path):
     assert_allclose(M1.values, M0.values, rtol=0, atol=1e-7)
 
 
-@pytest.mark.parametrize("seed", [[66792959, 2], [406, 0]])
+@pytest.mark.parametrize("seed", [[66792959, 2], [406, 0]] + [[s, 0] for s in range(10)])
 def test_seeded_matrix_stays_in_range_with_nonnegative_weights(seed):
     # the simplex's rounding once put entry (37, 7) of the first dataset
-    # 6.8e-9 above 1, and a tie-break weight of the second at -1.2e-7
+    # 6.8e-9 above 1, and a tie-break weight of the second at -1.2e-7;
+    # the weights are read off the final tableau with no refit
     ds = production_dataset(seed)
     groups = dea.cluster_groups(ds, 3)
     M = dea.cross_efficiency_matrix(ds, groups)
@@ -167,6 +176,22 @@ def test_seeded_matrix_stays_in_range_with_nonnegative_weights(seed):
         theta, _ = dea.ccr_efficiency(ds, d)
         u, v = dea.secondary_goal_weights(ds, d, groups, theta)
         assert min(u.min(), v.min()) >= -1e-9, d
+
+
+def test_matrix_solves_each_self_score_lp_once(bank_dataset, monkeypatch):
+    # the tie-break is one phase 2 on the self-score's optimal face; a second
+    # phase 1 per DMU (as with a separately built tie-break LP) took 350
+    pivots = 0
+    pivot = simplex._pivot
+
+    def counted(T, row, col):
+        nonlocal pivots
+        pivots += 1
+        pivot(T, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", counted)
+    dea.cross_efficiency_matrix(bank_dataset, dea.cluster_groups(bank_dataset, 3))
+    assert pivots <= 160
 
 
 def test_tie_break_matches_slack_variable_oracle(toy_dataset, bank_dataset):
