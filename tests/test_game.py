@@ -44,6 +44,34 @@ def test_non_member_rejected(toy_matrix):
         coalition_bounds(toy_matrix, 0b011, 2)
 
 
+@pytest.mark.parametrize("mask", [-1, 0b1000, 0b1001, -(1 << 70)])
+def test_mask_outside_the_game_rejected(mask):
+    # a 3-DMU game has masks 0..7
+    E = random_matrix(np.random.default_rng(3), 3)
+    table = build_coalition_table(E)
+    calls = [
+        lambda: characteristic_value(E, mask),
+        lambda: coalition_bounds(E, mask, 0),
+        lambda: table.characteristic(mask),
+        lambda: table.member_bounds(mask, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"mask {mask} is not a coalition of 3 DMUs"):
+            call()
+
+
+def test_mask_members_rejects_a_negative_mask():
+    with pytest.raises(ValueError, match="mask -1 is negative"):
+        game.mask_members(-1)
+
+
+@pytest.mark.parametrize("j", [-1, 3])
+def test_member_index_outside_the_game_rejected(j):
+    E = random_matrix(np.random.default_rng(3), 3)
+    with pytest.raises(ValueError, match=rf"DMU index {j} is out of range for 3 DMUs"):
+        coalition_bounds(E, 0b111, j)
+
+
 def test_characteristic_worked_example(toy_matrix):
     assert abs(characteristic_value(toy_matrix, 0b111) - 1.75) < 1e-12
     assert characteristic_value(toy_matrix, 0b00100) == 1.0

@@ -36,11 +36,19 @@ def first_degenerate_term(E):
     return None
 
 
-def test_numpy_tables_match_slim_sums():
+@pytest.mark.parametrize("block_bits", [
+    pytest.param(None, id="default"),
+    # 2-bit blocks: n = 1..3 is one block, and from n = 4 column j lies below,
+    # at or above the block bits
+    pytest.param(2, id="2bit"),
+])
+def test_numpy_tables_match_slim_sums(block_bits, monkeypatch):
+    if block_bits is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
     # dense n x 2^n member tables, summed member by member in ascending
-    # order, give the same bits as the strided column kernel
+    # order, give the same bits as the blocked column kernel
     rng = np.random.default_rng(2)
-    for n in (2, 4, 7):
+    for n in range(1, 8):
         E = rng.uniform(0.05, 1.0, (n, n))
         np.fill_diagonal(E, 1.0)
         bound_max = np.zeros((n, 1 << n))
@@ -130,3 +138,19 @@ def test_shares_use_block_sized_buffers():
         tracemalloc.stop()
     assert bad_player == -1
     assert peak < (1 << 19) * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_table_pass_holds_only_the_sums_and_block_buffers():
+    # coalition_sums walks each column in 2^_BLOCK_BITS-entry blocks, so at
+    # n = 20 its peak is the two length-2^n sums plus less than 1 MiB
+    n = 20
+    rng = np.random.default_rng(71)
+    E = rng.uniform(0.05, 1.0, (n, n))
+    np.fill_diagonal(E, 1.0)
+    tracemalloc.start()
+    try:
+        _kernels.coalition_sums(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (1 << n) * 8 + (1 << 20), f"peak {peak / 2**20:.1f} MiB"
