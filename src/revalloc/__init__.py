@@ -24,9 +24,9 @@ from .dataset import (
     load_dataset,
     load_groups,
     load_matrix,
+    load_reference,
     normalize,
     write_dataset,
-    write_groups,
     write_matrix,
 )
 from .dea import (
@@ -45,8 +45,6 @@ from .game import (
     build_coalition_table,
     characteristic_value,
     coalition_bounds,
-    modified_shapley,
-    shapley_bounds,
     shapley_triples,
 )
 from .report import TOOL_VERSION as __version__
@@ -82,16 +80,14 @@ __all__ = [
     "load_dataset",
     "load_groups",
     "load_matrix",
-    "modified_shapley",
+    "load_reference",
     "normalize",
     "optimistic_allocation",
     "pessimistic_allocation",
     "secondary_goal_weights",
-    "shapley_bounds",
     "shapley_triples",
     "solve",
     "write_dataset",
-    "write_groups",
     "write_matrix",
     "__version__",
 ]

@@ -1,16 +1,21 @@
 """Batch CLI wiring the pipeline end to end.
 
 Commands: ``ccr``, ``crosseff``, ``shapley``, ``allocate``, ``pipeline``.
-Exit codes: 0 ok, 2 I/O problem, 3 validation or usage error, 4 numerical
-degeneracy.  Reports go to stdout in CSV or JSON; ``--out`` additionally
-writes the command's main artifact (the cross-efficiency matrix for
-``crosseff``, the report itself elsewhere).
+Each runs a prefix or suffix of one chain of stages, in a fixed order:
+self-scores (theta), the cross-efficiency matrix, the share triples, and
+the allocation.  Game-stage commands take the matrix from ``--input`` or a
+``--matrix`` fixture; dataset commands given ``--matrix`` compare their
+result with the fixture in the report's discrepancy ledger.
+
+Exit codes: 0 ok, 2 I/O problem (also a failed ``--out`` write), 3
+validation or usage error, 4 numerical degeneracy.  Reports go to stdout in
+CSV or JSON; ``--out`` additionally writes the command's main artifact (the
+cross-efficiency matrix for ``crosseff``, the report itself elsewhere).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -20,12 +25,11 @@ from .dataset import (
     CrossEfficiencyMatrix,
     DataError,
     GroupAssignment,
-    ParseError,
     ValidationError,
-    _parse_cell,
     load_dataset,
     load_groups,
     load_matrix,
+    load_reference,
     write_matrix,
 )
 
@@ -83,135 +87,108 @@ def _decimals(text: str) -> int:
     return int(text)
 
 
+# command -> (the flags it requires, in the order they are checked; the
+# stages whose results it reports).  "source" means exactly one of --input
+# and --matrix.
+COMMANDS = {
+    "ccr": (("input",), ("theta",)),
+    "crosseff": (("input",), ("theta", "matrix")),
+    "shapley": (("source",), ("matrix", "shapley")),
+    "allocate": (("revenue", "source"), ("matrix", "shapley", "allocation")),
+    "pipeline": (("input", "revenue"), ("theta", "matrix", "shapley", "allocation")),
+}
+STAGES = ("theta", "matrix", "shapley", "allocation")
+
+# exception -> exit code; a failure anywhere, the --out write included, exits here
+EXIT_CODES = {
+    _UsageError: EXIT_VALIDATION,
+    DataError: EXIT_VALIDATION,
+    allocation.AllocationError: EXIT_VALIDATION,
+    dea.SolverFailure: EXIT_DEGENERATE,
+    game.DegenerateDenominatorError: EXIT_DEGENERATE,
+    OSError: EXIT_IO,
+}
+
+# config keys after "command", in report order, and the input files hashed
+CONFIG_KEYS = ("input", "matrix", "groups", "clusters", "revenue", "empty_coalition",
+               "reference", "format", "precision", "out")
+INPUT_FILES = ("input", "matrix", "groups", "reference")
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
         rep = _run(args)
-    except _UsageError as err:
+        text = rep.to_json() if args.format == "json" else rep.to_csv(args.precision)
+        if args.out and args.command != "crosseff":
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        sys.stdout.write(text)
+    except tuple(EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (DataError, allocation.AllocationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (dea.SolverFailure, game.DegenerateDenominatorError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-
-    text = rep.to_json() if args.format == "json" else rep.to_csv(args.precision)
-    sys.stdout.write(text)
-    if args.out and args.command != "crosseff":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(err, cls))
     return EXIT_OK
 
 
 def _run(args) -> report.Report:
-    handler = {
-        "ccr": cmd_ccr,
-        "crosseff": cmd_crosseff,
-        "shapley": cmd_shapley,
-        "allocate": cmd_allocate,
-        "pipeline": cmd_pipeline,
-    }[args.command]
-    return handler(args)
-
-
-# ------------------------------------------------------------------ commands
-
-def cmd_ccr(args) -> report.Report:
-    if not args.input:
-        raise _UsageError("ccr requires --input")
-    data = load_dataset(args.input)
-    theta = dea.ccr_all(data).theta
-    discrepancies = []
-    if args.matrix:
-        fixture = load_matrix(args.matrix)
+    required, stages = COMMANDS[args.command]
+    for flag in required:
+        if flag == "source":
+            if bool(args.input) == bool(args.matrix):
+                raise _UsageError(f"{args.command} requires exactly one of --input or --matrix")
+        elif getattr(args, flag) in (None, ""):
+            raise _UsageError(f"{args.command} requires --{flag}")
+    data = load_dataset(args.input) if args.input else None
+    fixture = load_matrix(args.matrix) if args.matrix else None
+    if data is not None and fixture is not None:
         _check_names(fixture, data.names)
-        for name, ours, theirs in zip(data.names, theta, fixture.diagonal()):
-            if abs(ours - theirs) > FIXTURE_TOL:
-                discrepancies.append(
-                    f"self-efficiency mismatch for {name}: computed {ours:.6f}, "
-                    f"fixture diagonal {theirs:.6f}"
-                )
-    results = {"theta": {"names": list(data.names), "values": theta.tolist()}}
-    return _report(args, results, discrepancies)
+    sections, ledger = {}, []
+    matrix = fixture
 
+    if data is not None:  # theta and matrix stages
+        if "matrix" in stages:
+            matrix = dea.cross_efficiency_matrix(data, _resolve_groups(args, data))
+            theta = matrix.diagonal()  # the self-scores, solved once inside the matrix build
+            sections["matrix"] = {"names": matrix.names, "values": matrix.values.tolist()}
+        else:
+            theta = dea.ccr_all(data).theta
+        if "theta" in stages:
+            sections["theta"] = {"names": list(data.names), "values": theta.tolist()}
+        if fixture is not None:
+            ledger += _fixture_notes(fixture, matrix, theta, data.names)
+        if args.command == "crosseff":
+            write_matrix(matrix, args.out or "matrix.csv")  # full precision so reruns agree
 
-def cmd_crosseff(args) -> report.Report:
-    if not args.input:
-        raise _UsageError("crosseff requires --input")
-    data = load_dataset(args.input)
-    groups = _resolve_groups(args, data)
-    matrix = dea.cross_efficiency_matrix(data, groups)
-    theta = matrix.diagonal()  # the self-scores, solved once inside the matrix build
-    discrepancies = []
-    if args.matrix:
-        fixture = load_matrix(args.matrix)
-        _check_names(fixture, data.names)
-        diff = np.abs(matrix.values - fixture.values)
-        d, j = np.unravel_index(int(diff.argmax()), diff.shape)
-        discrepancies.append(
-            f"matrix regeneration vs fixture: max abs deviation {diff.max():.6f} "
-            f"at ({data.names[d]}, {data.names[j]}); "
-            f"{int((diff > FIXTURE_TOL).sum())}/{diff.size} entries differ beyond {FIXTURE_TOL}"
-        )
-    out_path = args.out or "matrix.csv"
-    write_matrix(matrix, out_path)  # full precision so downstream reruns agree
-    results = {
-        "theta": {"names": list(data.names), "values": theta.tolist()},
-        "matrix": {"names": matrix.names, "values": matrix.values.tolist()},
-    }
-    return _report(args, results, discrepancies)
+    if "shapley" in stages:
+        triple, convention, notes = _compute_triples(args, matrix)
+        ledger += notes
+        sections["shapley"] = {
+            "names": list(matrix.names),
+            "empty_coalition": convention,
+            "phi_lower": triple.phi_lower.tolist(),
+            "phi": triple.phi.tolist(),
+            "phi_upper": triple.phi_upper.tolist(),
+        }
+    if "allocation" in stages:
+        plan = allocation.allocate(triple, args.revenue, names=matrix.names)
+        sections["allocation"] = {
+            "names": plan.names,
+            "revenue": plan.revenue,
+            "shares": plan.shares.tolist(),
+            "lower": plan.lower.tolist(),
+            "central": plan.central.tolist(),
+            "upper": plan.upper.tolist(),
+        }
 
+    return report.Report(
+        command=args.command,
+        config={"command": args.command, **{key: getattr(args, key) for key in CONFIG_KEYS}},
+        provenance=report.build_provenance({role: getattr(args, role) for role in INPUT_FILES},
+                                           timestamp=not args.no_timestamp),
+        results={stage: sections[stage] for stage in STAGES if stage in sections},
+        discrepancies=ledger,
+    )
 
-def cmd_shapley(args) -> report.Report:
-    matrix, results, discrepancies = _obtain_matrix(args)
-    triple, convention, notes = _compute_triples(args, matrix)
-    discrepancies.extend(notes)
-    results["shapley"] = _shapley_payload(matrix.names, triple, convention)
-    return _report(args, results, discrepancies)
-
-
-def cmd_allocate(args) -> report.Report:
-    if args.revenue is None:
-        raise _UsageError("allocate requires --revenue")
-    matrix, results, discrepancies = _obtain_matrix(args)
-    triple, convention, notes = _compute_triples(args, matrix)
-    discrepancies.extend(notes)
-    plan = allocation.allocate(triple, args.revenue, names=matrix.names)
-    results["shapley"] = _shapley_payload(matrix.names, triple, convention)
-    results["allocation"] = _allocation_payload(plan)
-    return _report(args, results, discrepancies)
-
-
-def cmd_pipeline(args) -> report.Report:
-    if not args.input:
-        raise _UsageError("pipeline requires --input")
-    if args.revenue is None:
-        raise _UsageError("pipeline requires --revenue")
-    data = load_dataset(args.input)
-    groups = _resolve_groups(args, data)
-    matrix = dea.cross_efficiency_matrix(data, groups)
-    theta = matrix.diagonal()  # the self-scores, solved once inside the matrix build
-    triple, convention, notes = _compute_triples(args, matrix)
-    plan = allocation.allocate(triple, args.revenue, names=matrix.names)
-    results = {
-        "theta": {"names": list(data.names), "values": theta.tolist()},
-        "matrix": {"names": matrix.names, "values": matrix.values.tolist()},
-        "shapley": _shapley_payload(matrix.names, triple, convention),
-        "allocation": _allocation_payload(plan),
-    }
-    return _report(args, results, notes)
-
-
-# ------------------------------------------------------------------- helpers
 
 def _resolve_groups(args, data) -> GroupAssignment:
     if args.groups:
@@ -221,17 +198,33 @@ def _resolve_groups(args, data) -> GroupAssignment:
     return GroupAssignment.single_group(data.n)
 
 
-def _obtain_matrix(args):
-    """Matrix fixture or computed-from-dataset, exactly one source."""
-    if bool(args.input) == bool(args.matrix):
-        raise _UsageError(f"{args.command} requires exactly one of --input or --matrix")
-    if args.matrix:
-        return load_matrix(args.matrix), {}, []
-    data = load_dataset(args.input)
-    groups = _resolve_groups(args, data)
-    matrix = dea.cross_efficiency_matrix(data, groups)
-    results = {"matrix": {"names": matrix.names, "values": matrix.values.tolist()}}
-    return matrix, results, []
+def _check_names(matrix: CrossEfficiencyMatrix, names) -> None:
+    if matrix.names != list(names):
+        raise ValidationError(
+            f"matrix names {matrix.names} do not match dataset names {list(names)}"
+        )
+
+
+def _fixture_notes(fixture, matrix, theta, names) -> list[str]:
+    """Ledger lines comparing a computed stage with a ``--matrix`` fixture.
+
+    Without a computed matrix (``ccr``, where ``matrix`` is the fixture
+    itself) only the fixture's diagonal is compared, against the self-scores.
+    """
+    if matrix is fixture:
+        return [
+            f"self-efficiency mismatch for {name}: computed {ours:.6f}, "
+            f"fixture diagonal {theirs:.6f}"
+            for name, ours, theirs in zip(names, theta, fixture.diagonal())
+            if abs(ours - theirs) > FIXTURE_TOL
+        ]
+    diff = np.abs(matrix.values - fixture.values)
+    d, j = np.unravel_index(int(diff.argmax()), diff.shape)
+    return [
+        f"matrix regeneration vs fixture: max abs deviation {diff.max():.6f} "
+        f"at ({names[d]}, {names[j]}); "
+        f"{int((diff > FIXTURE_TOL).sum())}/{diff.size} entries differ beyond {FIXTURE_TOL}"
+    ]
 
 
 def _compute_triples(args, matrix: CrossEfficiencyMatrix):
@@ -244,7 +237,7 @@ def _compute_triples(args, matrix: CrossEfficiencyMatrix):
     if calibrate:
         if not args.reference:
             raise _UsageError("--empty-coalition calibrate requires --reference")
-        reference = _load_reference(args.reference, matrix.names)
+        reference = load_reference(args.reference, matrix.names)
     try:
         triple = game.shapley_triples(matrix, "exclude" if calibrate else args.empty_coalition)
     except game.DegenerateDenominatorError as err:
@@ -260,83 +253,6 @@ def _compute_triples(args, matrix: CrossEfficiencyMatrix):
         + f"; selected {winner}"
     )
     return triples[winner], winner, [note]
-
-
-def _load_reference(path, names) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
-                if row and any(c.strip() for c in row)]
-    if not rows or [h.strip() for h in rows[0][1]] != ["dmu", "phi"]:
-        raise ValidationError("reference file must have header 'dmu,phi'")
-    table = {}
-    for lineno, row in rows[1:]:
-        if len(row) != 2:
-            raise ParseError(f"reference line {lineno}: expected 2 fields, got {len(row)}")
-        table[row[0].strip()] = _parse_cell(row[1], f"reference line {lineno}")
-    missing = [nm for nm in names if nm not in table]
-    if missing:
-        raise ValidationError(f"reference is missing DMUs {missing}")
-    return np.array([table[nm] for nm in names])
-
-
-def _check_names(matrix: CrossEfficiencyMatrix, names) -> None:
-    if matrix.names != list(names):
-        raise ValidationError(
-            f"matrix names {matrix.names} do not match dataset names {list(names)}"
-        )
-
-
-def _shapley_payload(names, triple, convention) -> dict:
-    return {
-        "names": list(names),
-        "empty_coalition": convention,
-        "phi_lower": triple.phi_lower.tolist(),
-        "phi": triple.phi.tolist(),
-        "phi_upper": triple.phi_upper.tolist(),
-    }
-
-
-def _allocation_payload(plan) -> dict:
-    return {
-        "names": plan.names,
-        "revenue": plan.revenue,
-        "shares": plan.shares.tolist(),
-        "lower": plan.lower.tolist(),
-        "central": plan.central.tolist(),
-        "upper": plan.upper.tolist(),
-    }
-
-
-def _report(args, results, discrepancies) -> report.Report:
-    config = {
-        "command": args.command,
-        "input": args.input,
-        "matrix": args.matrix,
-        "groups": args.groups,
-        "clusters": args.clusters,
-        "revenue": args.revenue,
-        "empty_coalition": args.empty_coalition,
-        "reference": args.reference,
-        "format": args.format,
-        "precision": args.precision,
-        "out": args.out,
-    }
-    provenance = report.build_provenance(
-        {
-            "input": args.input,
-            "matrix": args.matrix,
-            "groups": args.groups,
-            "reference": args.reference,
-        },
-        timestamp=not args.no_timestamp,
-    )
-    return report.Report(
-        command=args.command,
-        config=config,
-        provenance=provenance,
-        results=results,
-        discrepancies=discrepancies,
-    )
 
 
 if __name__ == "__main__":

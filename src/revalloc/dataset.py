@@ -7,8 +7,12 @@ File formats:
   are identified by the ``x:`` / ``y:`` header prefix, not by position.
 * ``groups.csv``  -- header ``dmu,group``; group ids are positive integers
   covering 1..H with no gaps.
+* reference shares -- header ``dmu,phi``; a nonnegative share per DMU.
 * ``matrix.csv``  -- first row and first column are DMU names; cell (d, j)
   is evaluator d's score of target j.
+
+Blank lines are skipped everywhere, also before the header.  The groups and
+reference files name every DMU exactly once and no other DMU.
 """
 
 from __future__ import annotations
@@ -180,24 +184,28 @@ def _parse_cell(text: str, where: str) -> float:
     return value
 
 
-def _open_source(source):
-    """Accept a path or an open text stream; return (stream, should_close)."""
+def _read_rows(source) -> list[tuple[int, list[str]]]:
+    """The non-blank rows of a CSV path or open text stream, with their line numbers."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    return source, False
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            return _read_rows(fh)
+    return [(lineno, row) for lineno, row in enumerate(csv.reader(source), start=1)
+            if any(c.strip() for c in row)]
+
+
+def _write_rows(dest, rows) -> None:
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            return _write_rows(fh, rows)
+    csv.writer(dest, lineterminator="\n").writerows(rows)
 
 
 def load_dataset(source) -> Dataset:
     """Read a ``dataset.csv`` stream and return a normalized Dataset."""
-    stream, close = _open_source(source)
-    try:
-        rows = list(csv.reader(stream))
-    finally:
-        if close:
-            stream.close()
+    rows = _read_rows(source)
     if not rows:
         raise ParseError("empty dataset file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     if header.count("dmu") != 1:
         raise ParseError("header must contain exactly one 'dmu' column")
     id_col = header.index("dmu")
@@ -211,9 +219,7 @@ def load_dataset(source) -> Dataset:
         raise ParseError("need at least one 'x:' and one 'y:' column")
 
     names, xs, ys = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for lineno, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
         names.append(row[id_col].strip())
@@ -230,76 +236,63 @@ def load_dataset(source) -> Dataset:
 
 def write_dataset(ds: Dataset, dest) -> None:
     """Write a Dataset as ``dataset.csv``; raw values round-trip bit-exactly."""
-    stream, close = _dest_stream(dest)
+    header = ["dmu"] + [f"x:{c}" for c in ds.input_names] + [f"y:{c}" for c in ds.output_names]
+    _write_rows(dest, [header] + [
+        [name] + [repr(v) for v in xs + ys]
+        for name, xs, ys in zip(ds.names, ds.raw_inputs.tolist(), ds.raw_outputs.tolist())
+    ])
+
+
+def _read_keyed(source, names: list[str], kind: str, column: str, parse) -> list:
+    """Read a ``dmu,<column>`` file: one parsed value per DMU of ``names``, in order.
+
+    The header must be exactly ``dmu,<column>``, every row has two fields,
+    and every DMU appears exactly once; a row naming another DMU is an error.
+    """
+    rows = _read_rows(source)
+    if not rows or [h.strip() for h in rows[0][1]] != ["dmu", column]:
+        raise ParseError(f"{kind} file must have header 'dmu,{column}'")
+    seen = {}
+    for lineno, row in rows[1:]:
+        where = f"{kind} line {lineno}"
+        if len(row) != 2:
+            raise ParseError(f"{where}: expected 2 fields, got {len(row)}")
+        name = row[0].strip()
+        if name in seen:
+            raise ValidationError(f"{where}: duplicate row for DMU {name!r}")
+        if name not in names:
+            raise ValidationError(f"{where}: unknown DMU {name!r}")
+        seen[name] = parse(row[1], where)
+    missing = [nm for nm in names if nm not in seen]
+    if missing:
+        raise ValidationError(f"{kind} file does not cover DMUs {missing}")
+    return [seen[nm] for nm in names]
+
+
+def _parse_group(text: str, where: str) -> int:
     try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["dmu"] + [f"x:{c}" for c in ds.input_names] + [f"y:{c}" for c in ds.output_names])
-        for i, name in enumerate(ds.names):
-            writer.writerow(
-                [name]
-                + [repr(v) for v in ds.raw_inputs[i].tolist()]
-                + [repr(v) for v in ds.raw_outputs[i].tolist()]
-            )
-    finally:
-        if close:
-            stream.close()
+        gid = int(text)
+    except ValueError:
+        raise ParseError(f"{where}: group id {text!r} is not an integer") from None
+    if gid < 1:
+        raise ValidationError(f"{where}: group ids must be positive")
+    return gid
 
 
 def load_groups(source, names: list[str]) -> GroupAssignment:
     """Read a ``groups.csv`` stream for the given DMU names."""
-    stream, close = _open_source(source)
-    try:
-        rows = list(csv.reader(stream))
-    finally:
-        if close:
-            stream.close()
-    if not rows or [h.strip() for h in rows[0]] != ["dmu", "group"]:
-        raise ParseError("groups file must have header 'dmu,group'")
-    seen: dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 2:
-            raise ParseError(f"line {lineno}: expected 2 fields")
-        name = row[0].strip()
-        try:
-            gid = int(row[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: group id {row[1]!r} is not an integer") from None
-        if gid < 1:
-            raise ValidationError(f"line {lineno}: group ids must be positive")
-        if name in seen:
-            raise ValidationError(f"duplicate group row for DMU {name!r}")
-        seen[name] = gid
-    missing = [nm for nm in names if nm not in seen]
-    extra = [nm for nm in seen if nm not in names]
-    if missing or extra:
-        raise ValidationError(f"groups do not cover the dataset (missing {missing}, extra {extra})")
-    labels = np.array([seen[nm] for nm in names], dtype=int)
+    labels = np.array(_read_keyed(source, names, "groups", "group", _parse_group), dtype=int)
     return GroupAssignment(groups=labels, H=int(labels.max()))
 
 
-def write_groups(assignment: GroupAssignment, names: list[str], dest) -> None:
-    stream, close = _dest_stream(dest)
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["dmu", "group"])
-        for name, gid in zip(names, assignment.groups.tolist()):
-            writer.writerow([name, gid])
-    finally:
-        if close:
-            stream.close()
+def load_reference(source, names: list[str]) -> np.ndarray:
+    """Read a ``dmu,phi`` reference share row for the given DMU names."""
+    return np.array(_read_keyed(source, names, "reference", "phi", _parse_cell))
 
 
 def load_matrix(source) -> CrossEfficiencyMatrix:
     """Read a ``matrix.csv`` stream into a CrossEfficiencyMatrix."""
-    stream, close = _open_source(source)
-    try:
-        rows = list(csv.reader(stream))
-    finally:
-        if close:
-            stream.close()
-    rows = [row for row in rows if row and any(c.strip() for c in row)]
+    rows = [row for _, row in _read_rows(source)]
     if not rows:
         raise ParseError("empty matrix file")
     header = [h.strip() for h in rows[0]]
@@ -323,25 +316,8 @@ def load_matrix(source) -> CrossEfficiencyMatrix:
     return CrossEfficiencyMatrix(names=names, values=values)
 
 
-def write_matrix(matrix: CrossEfficiencyMatrix, dest, decimals: int | None = None) -> None:
-    """Write ``matrix.csv``; full float precision unless ``decimals`` is given."""
-    stream, close = _dest_stream(dest)
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["dmu"] + matrix.names)
-        for d, name in enumerate(matrix.names):
-            row = matrix.values[d].tolist()
-            if decimals is None:
-                cells = [repr(v) for v in row]
-            else:
-                cells = [f"{v:.{decimals}f}" for v in row]
-            writer.writerow([name] + cells)
-    finally:
-        if close:
-            stream.close()
-
-
-def _dest_stream(dest):
-    if isinstance(dest, (str, Path)):
-        return open(dest, "w", encoding="utf-8", newline=""), True
-    return dest, False
+def write_matrix(matrix: CrossEfficiencyMatrix, dest) -> None:
+    """Write ``matrix.csv`` at full float precision, so reloading gives the same bits."""
+    _write_rows(dest, [["dmu"] + matrix.names] + [
+        [name] + [repr(v) for v in row] for name, row in zip(matrix.names, matrix.values.tolist())
+    ])

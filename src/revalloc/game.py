@@ -75,10 +75,6 @@ class CoalitionTable:
     def n(self) -> int:
         return self.E.shape[0]
 
-    def member_bounds(self, mask: int, j: int) -> tuple[float, float]:
-        """(upper, lower) appraisal bounds of member j inside coalition mask."""
-        return coalition_bounds(self.E, mask, j)
-
     def characteristic(self, mask: int) -> float:
         _check_mask(mask, self.n)
         return float(self.sum_upper[mask])
@@ -174,7 +170,8 @@ def include_empty_coalition(triple: ShapleyTriple) -> ShapleyTriple:
                          phi_upper=triple.phi_upper + w0)
 
 
-def _shapley_all(E, empty_coalition: str) -> ShapleyTriple:
+def shapley_triples(E, empty_coalition: str = DEFAULT_EMPTY_COALITION) -> ShapleyTriple:
+    """Lower/central/upper shares in one pass over the coalition table."""
     values = matrix_values(E)
     n = values.shape[0]
     if empty_coalition not in EMPTY_CONVENTIONS:
@@ -191,21 +188,3 @@ def _shapley_all(E, empty_coalition: str) -> ShapleyTriple:
         raise DegenerateDenominatorError(int(bad_i), int(bad_mask))
     triple = ShapleyTriple(phi_lower=lo, phi=phi, phi_upper=up)
     return include_empty_coalition(triple) if empty_coalition == "unit" else triple
-
-
-def modified_shapley(E, empty_coalition: str = DEFAULT_EMPTY_COALITION) -> np.ndarray:
-    """Central per-DMU share vector."""
-    return _shapley_all(E, empty_coalition).phi
-
-
-def shapley_bounds(
-    E, empty_coalition: str = DEFAULT_EMPTY_COALITION,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(upper, lower) per-DMU share bound vectors."""
-    triple = _shapley_all(E, empty_coalition)
-    return triple.phi_upper, triple.phi_lower
-
-
-def shapley_triples(E, empty_coalition: str = DEFAULT_EMPTY_COALITION) -> ShapleyTriple:
-    """Lower/central/upper shares in one pass over the coalition table."""
-    return _shapley_all(E, empty_coalition)

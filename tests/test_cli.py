@@ -12,6 +12,7 @@ from revalloc.report import Report
 
 from conftest import (
     BANK_DATA,
+    BANK_MATRIX,
     TOY_DATA,
     TOY_GROUPS,
     TOY_MATRIX,
@@ -212,15 +213,36 @@ def test_zero_input_cell_tie_break_exits_four(capsys, tmp_path):
     assert "zero input cells" in err
 
 
-def test_pipeline_json_validates_against_schema(capsys):
+@pytest.mark.parametrize("argv, sections", [
+    (["ccr", "--input", TOY_DATA], {"theta"}),
+    (["crosseff", "--input", TOY_DATA], {"theta", "matrix"}),
+    (["shapley", "--matrix", TOY_MATRIX], {"shapley"}),
+    (["shapley", "--input", TOY_DATA], {"matrix", "shapley"}),
+    (["allocate", "--matrix", TOY_MATRIX, "--revenue", 10000], {"shapley", "allocation"}),
+    (["pipeline", "--input", TOY_DATA, "--revenue", 10000],
+     {"theta", "matrix", "shapley", "allocation"}),
+], ids=["ccr", "crosseff", "shapley-matrix", "shapley-input", "allocate", "pipeline"])
+def test_json_report_validates_against_schema(capsys, tmp_path, argv, sections):
     jsonschema = pytest.importorskip("jsonschema")
-    code, out, _ = run(capsys, "pipeline", "--input", TOY_DATA, "--revenue", 10000,
-                       "--format", "json", "--no-timestamp")
+    code, out, _ = run(capsys, *argv, "--format", "json", "--no-timestamp",
+                       "--out", tmp_path / "artifact")
     assert code == 0
     payload = json.loads(out)
     schema = json.loads(SCHEMA_PATH.read_text())
     jsonschema.validate(payload, schema)
-    assert set(payload["results"]) == {"theta", "matrix", "shapley", "allocation"}
+    assert set(payload["results"]) == sections
+
+
+def test_pipeline_matrix_fixture_is_compared(capsys):
+    code, out, _ = run(capsys, "pipeline", "--input", TOY_DATA, "--matrix", TOY_MATRIX,
+                       "--revenue", 10000, "--no-timestamp")
+    assert code == 0
+    assert "matrix regeneration vs fixture" in out
+    code, out, err = run(capsys, "pipeline", "--input", TOY_DATA, "--matrix", BANK_MATRIX,
+                         "--revenue", 10000, "--no-timestamp")
+    assert code == 3
+    assert "do not match dataset names" in err
+    assert out == ""
 
 
 def test_pipeline_requires_input_and_revenue(capsys):
@@ -279,6 +301,14 @@ def test_out_writes_report_file(capsys, tmp_path):
     assert path.read_text() == out
 
 
+def test_out_write_failure_is_io_error(capsys, tmp_path):
+    path = tmp_path / "no" / "such" / "r.csv"
+    code, out, err = run(capsys, "shapley", "--matrix", TOY_MATRIX, "--out", path)
+    assert code == 2
+    assert str(path) in err
+    assert out == ""
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 3
 
@@ -290,7 +320,8 @@ def test_negative_precision_is_usage_error(capsys):
     assert "--precision" in err
 
 
-@pytest.mark.parametrize("bad_row", ["DMU_2,abc", "DMU_2", "DMU_2,nan"])
+@pytest.mark.parametrize("bad_row", ["DMU_2,abc", "DMU_2", "DMU_2,nan",
+                                     "DMU_1,0.31", "DMU_9,0.19"])
 def test_bad_reference_row_is_validation_error(capsys, tmp_path, bad_row):
     lines = TOY_SHARES_REFERENCE.read_text().splitlines()
     lines[2] = bad_row

@@ -14,6 +14,7 @@ from revalloc.dataset import (
     load_dataset,
     load_groups,
     load_matrix,
+    load_reference,
     normalize,
     write_dataset,
     write_matrix,
@@ -173,17 +174,6 @@ def test_matrix_round_trip_full_precision(tmp_path, bank_matrix):
     assert (back.values == values).all()
 
 
-def test_matrix_round_trip_at_six_decimals(tmp_path):
-    rng = np.random.default_rng(12)
-    values = rng.uniform(0.001, 1.0, (4, 4))
-    m = revalloc.CrossEfficiencyMatrix(names=list("abcd"), values=values)
-    path = tmp_path / "m.csv"
-    write_matrix(m, path, decimals=6)
-    once = path.read_text()
-    write_matrix(load_matrix(path), path, decimals=6)
-    assert path.read_text() == once  # printed values are a fixed point
-
-
 def test_load_groups_round_trip(toy_dataset):
     ga = load_groups(TOY_GROUPS, toy_dataset.names)
     assert ga.H == 2
@@ -205,3 +195,27 @@ def test_group_ids_must_be_positive(toy_dataset):
     bad = make_csv("dmu,group\n" + "\n".join(f"DMU_{i},0" for i in range(1, 6)))
     with pytest.raises(ValidationError, match="positive"):
         load_groups(bad, toy_dataset.names)
+
+
+def test_blank_lines_before_the_header_are_skipped():
+    # make_csv strips the text, so the blank lines go in through StringIO
+    names = ["A", "B"]
+    blank = "\n , \n\n"
+    assert load_dataset(io.StringIO(blank + "dmu,x:a,y:b\nA,1,2\n\nB,2,3\n")).names == names
+    assert load_groups(io.StringIO(blank + "dmu,group\nA,1\n\nB,2\n"), names).H == 2
+    assert load_reference(io.StringIO(blank + "dmu,phi\nA,0.25\n\nB,0.5\n"),
+                          names).tolist() == [0.25, 0.5]
+    assert load_matrix(io.StringIO(blank + "dmu,A,B\nA,1,0.5\n\nB,0.5,1\n")).names == names
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    ("A,1\nB,2\nA,1", ValidationError, "line 4: duplicate row for DMU 'A'"),
+    ("A,1\nC,1\nB,2", ValidationError, "line 3: unknown DMU 'C'"),
+    ("A,1", ValidationError, r"file does not cover DMUs \['B'\]"),
+    ("A,1\nB", ParseError, "line 3: expected 2 fields, got 1"),
+], ids=["duplicate", "unknown", "missing", "short-row"])
+def test_keyed_files_name_every_dmu_exactly_once(rows, error, message):
+    for load, kind, column in ((load_groups, "groups", "group"),
+                               (load_reference, "reference", "phi")):
+        with pytest.raises(error, match=f"{kind} {message}"):
+            load(make_csv(f"dmu,{column}\n{rows}"), ["A", "B"])

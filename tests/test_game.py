@@ -11,8 +11,6 @@ from revalloc.game import (
     characteristic_value,
     coalition_bounds,
     coalition_weights,
-    modified_shapley,
-    shapley_bounds,
     shapley_triples,
 )
 
@@ -53,7 +51,6 @@ def test_mask_outside_the_game_rejected(mask):
         lambda: characteristic_value(E, mask),
         lambda: coalition_bounds(E, mask, 0),
         lambda: table.characteristic(mask),
-        lambda: table.member_bounds(mask, 0),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=rf"mask {mask} is not a coalition of 3 DMUs"):
@@ -91,7 +88,7 @@ def test_table_matches_naive_on_all_toy_masks(toy_matrix):
         assert abs(table.sum_lower[mask]
                    - naive_oracles.coalition_lower_total(E, coalition)) < 1e-12
         for j in members:
-            up, lo = table.member_bounds(mask, j)
+            up, lo = coalition_bounds(E, mask, j)
             ref = naive_oracles.bounds_in_coalition(E, coalition, j)
             assert (up, lo) == ref
 
@@ -107,21 +104,19 @@ def test_table_matches_naive_on_random_bank_masks(bank_matrix):
         assert abs(table.characteristic(mask)
                    - naive_oracles.coalition_worth(E, coalition)) < 1e-9
         j = min(coalition)
-        assert table.member_bounds(mask, j) == naive_oracles.bounds_in_coalition(E, coalition, j)
+        assert coalition_bounds(E, mask, j) == naive_oracles.bounds_in_coalition(E, coalition, j)
 
 
 def test_table_sums_equal_member_bounds():
     # the table stores only the two sums per coalition; the members' bounds
-    # must add up to them, and member_bounds must agree with the stand-alone
-    # coalition_bounds
+    # must add up to them
     rng = np.random.default_rng(1)
     E = random_matrix(rng, 6)
     table = build_coalition_table(E)
     assert not hasattr(table, "bound_max")
     for mask in range(1, 1 << 6):
         members = [j for j in range(6) if mask >> j & 1]
-        bounds = [table.member_bounds(mask, j) for j in members]
-        assert bounds == [coalition_bounds(E, mask, j) for j in members]
+        bounds = [coalition_bounds(E, mask, j) for j in members]
         assert abs(table.sum_upper[mask] - sum(u for u, _ in bounds)) <= 1e-12
         assert abs(table.sum_lower[mask] - sum(lo for _, lo in bounds)) <= 1e-12
 
@@ -144,15 +139,14 @@ def test_monotone_bounds_for_multi_member_coalitions():
     # to 1 by convention, which breaks monotonicity at that single step)
     rng = np.random.default_rng(8)
     E = random_matrix(rng, 7)
-    table = build_coalition_table(E)
     for _ in range(300):
         S = int(rng.integers(1, 1 << 7))
         extra = int(rng.integers(0, 7))
         T = S | (1 << extra)
         for j in range(7):
             if S >> j & 1 and bin(S).count("1") >= 2:
-                upS, loS = table.member_bounds(S, j)
-                upT, loT = table.member_bounds(T, j)
+                upS, loS = coalition_bounds(E, S, j)
+                upT, loT = coalition_bounds(E, T, j)
                 assert upS <= upT + 1e-12
                 assert loS >= loT - 1e-12
 
@@ -177,10 +171,10 @@ def test_coalition_weights_match_factorials():
 def test_two_player_symmetry_is_exact():
     for c in (0.3, 0.77, 1.0):
         E = np.array([[1.0, c], [c, 1.0]])
-        phi = modified_shapley(E)
-        assert phi[0] == phi[1]
-        up, lo = shapley_bounds(E)
-        assert up[0] == up[1] and lo[0] == lo[1]
+        triple = shapley_triples(E)
+        assert triple.phi[0] == triple.phi[1]
+        assert triple.phi_upper[0] == triple.phi_upper[1]
+        assert triple.phi_lower[0] == triple.phi_lower[1]
 
 
 def test_two_player_bounds_collapse():
@@ -238,7 +232,7 @@ def test_unit_convention_adds_first_weight_exactly():
 
 def test_unknown_convention_rejected(toy_matrix):
     with pytest.raises(ValueError, match="empty_coalition"):
-        modified_shapley(toy_matrix, empty_coalition="bogus")
+        shapley_triples(toy_matrix, empty_coalition="bogus")
 
 
 def test_ordering_holds_on_random_matrices():
@@ -272,7 +266,7 @@ def test_central_denominators_bounded_below_by_coalition_size():
                 continue
             s = bin(S).count("1")
             T = S | (1 << i)
-            eU, _ = table.member_bounds(T, i)
+            eU, _ = coalition_bounds(E, T, i)
             den = s + (table.sum_upper[T] - eU) - table.sum_upper[S]
             if s >= 2:
                 assert den >= s - 1e-12
