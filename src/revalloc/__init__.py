@@ -48,7 +48,6 @@ from .game import (
     shapley_triples,
 )
 from .report import TOOL_VERSION as __version__
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution, solve
 
 __all__ = [
     "AllocationError",
@@ -60,14 +59,9 @@ __all__ = [
     "Dataset",
     "DegenerateDenominatorError",
     "GroupAssignment",
-    "INFEASIBLE",
-    "LinearProgram",
-    "LpSolution",
-    "OPTIMAL",
     "ParseError",
     "ShapleyTriple",
     "SolverFailure",
-    "UNBOUNDED",
     "ValidationError",
     "allocate",
     "build_coalition_table",
@@ -86,7 +80,6 @@ __all__ = [
     "pessimistic_allocation",
     "secondary_goal_weights",
     "shapley_triples",
-    "solve",
     "write_dataset",
     "write_matrix",
     "__version__",

@@ -64,6 +64,8 @@ def allocate(triple: ShapleyTriple, revenue: float,
              names: list[str] | None = None) -> AllocationPlan:
     """Full allocation plan: proportional split plus both brackets."""
     _validated(triple, revenue)
+    if names is not None and len(names) != triple.n:
+        raise AllocationError(f"{len(names)} names for {triple.n} DMUs")
     shares = triple.phi / triple.phi.sum()
     return AllocationPlan(
         revenue=float(revenue),

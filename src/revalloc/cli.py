@@ -5,7 +5,8 @@ Each runs a prefix or suffix of one chain of stages, in a fixed order:
 self-scores (theta), the cross-efficiency matrix, the share triples, and
 the allocation.  Game-stage commands take the matrix from ``--input`` or a
 ``--matrix`` fixture; dataset commands given ``--matrix`` compare their
-result with the fixture in the report's discrepancy ledger.
+result with the fixture in the report's discrepancy ledger.  An input flag
+the command would not read is a usage error.
 
 Exit codes: 0 ok, 2 I/O problem (also a failed ``--out`` write), 3
 validation or usage error, 4 numerical degeneracy.  Reports go to stdout in
@@ -65,7 +66,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--input", help="dataset CSV path")
         p.add_argument("--matrix", help="cross-efficiency matrix CSV path")
-        p.add_argument("--groups", help="explicit ally groups CSV (overrides --clusters)")
+        p.add_argument("--groups", help="explicit ally groups CSV (not with --clusters)")
         p.add_argument("--clusters", type=int, help="cluster the DMUs into H ally groups")
         p.add_argument("--revenue", type=float, help="common revenue to allocate")
         p.add_argument("--empty-coalition", choices=("exclude", "unit", "calibrate"),
@@ -88,16 +89,21 @@ def _decimals(text: str) -> int:
 
 
 # command -> (the flags it requires, in the order they are checked; the
-# stages whose results it reports).  "source" means exactly one of --input
-# and --matrix.
-COMMANDS = {
-    "ccr": (("input",), ("theta",)),
-    "crosseff": (("input",), ("theta", "matrix")),
-    "shapley": (("source",), ("matrix", "shapley")),
-    "allocate": (("revenue", "source"), ("matrix", "shapley", "allocation")),
-    "pipeline": (("input", "revenue"), ("theta", "matrix", "shapley", "allocation")),
-}
+# input flags it reads; the stages whose results it reports).  "source"
+# means exactly one of --input and --matrix.
 STAGES = ("theta", "matrix", "shapley", "allocation")
+_DATASET = ("input", "matrix", "groups", "clusters")
+_GAME = _DATASET + ("empty_coalition", "reference")
+COMMANDS = {
+    "ccr": (("input",), ("input", "matrix"), ("theta",)),
+    "crosseff": (("input",), _DATASET, ("theta", "matrix")),
+    "shapley": (("source",), _GAME, ("matrix", "shapley")),
+    "allocate": (("revenue", "source"), _GAME + ("revenue",), ("matrix", "shapley", "allocation")),
+    "pipeline": (("input", "revenue"), _GAME + ("revenue",), STAGES),
+}
+# every input flag, with its value when it is not given
+INPUT_FLAGS = {"input": None, "matrix": None, "groups": None, "clusters": None, "revenue": None,
+               "empty_coalition": game.DEFAULT_EMPTY_COALITION, "reference": None}
 
 # exception -> exit code; a failure anywhere, the --out write included, exits here
 EXIT_CODES = {
@@ -131,17 +137,19 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> report.Report:
-    required, stages = COMMANDS[args.command]
+    required, reads, stages = COMMANDS[args.command]
     for flag in required:
         if flag == "source":
             if bool(args.input) == bool(args.matrix):
                 raise _UsageError(f"{args.command} requires exactly one of --input or --matrix")
         elif getattr(args, flag) in (None, ""):
             raise _UsageError(f"{args.command} requires --{flag}")
+    _check_unread(args, reads)
     data = load_dataset(args.input) if args.input else None
     fixture = load_matrix(args.matrix) if args.matrix else None
-    if data is not None and fixture is not None:
-        _check_names(fixture, data.names)
+    if data is not None and fixture is not None and fixture.names != list(data.names):
+        raise ValidationError(
+            f"matrix names {fixture.names} do not match dataset names {list(data.names)}")
     sections, ledger = {}, []
     matrix = fixture
 
@@ -190,19 +198,28 @@ def _run(args) -> report.Report:
     )
 
 
+def _check_unread(args, reads) -> None:
+    """Refuse a given input flag that this run would not read."""
+    needs = {"groups": (args.input, "--input"), "clusters": (args.input, "--input"),
+             "reference": (args.empty_coalition == "calibrate", "--empty-coalition calibrate")}
+    for flag, unset in INPUT_FLAGS.items():
+        name = "--" + flag.replace("_", "-")
+        if getattr(args, flag) in (unset, ""):
+            continue
+        if flag not in reads:
+            raise _UsageError(f"{args.command} does not read {name}")
+        if flag in needs and not needs[flag][0]:
+            raise _UsageError(f"{args.command} reads {name} only with {needs[flag][1]}")
+    if args.groups and args.clusters is not None:
+        raise _UsageError("--groups and --clusters are exclusive")
+
+
 def _resolve_groups(args, data) -> GroupAssignment:
     if args.groups:
         return load_groups(args.groups, data.names)
     if args.clusters is not None:
         return dea.cluster_groups(data, args.clusters)
     return GroupAssignment.single_group(data.n)
-
-
-def _check_names(matrix: CrossEfficiencyMatrix, names) -> None:
-    if matrix.names != list(names):
-        raise ValidationError(
-            f"matrix names {matrix.names} do not match dataset names {list(names)}"
-        )
 
 
 def _fixture_notes(fixture, matrix, theta, names) -> list[str]:
@@ -238,10 +255,7 @@ def _compute_triples(args, matrix: CrossEfficiencyMatrix):
         if not args.reference:
             raise _UsageError("--empty-coalition calibrate requires --reference")
         reference = load_reference(args.reference, matrix.names)
-    try:
-        triple = game.shapley_triples(matrix, "exclude" if calibrate else args.empty_coalition)
-    except game.DegenerateDenominatorError as err:
-        raise game.DegenerateDenominatorError(err.player, err.mask, matrix.names) from None
+    triple = game.shapley_triples(matrix, "exclude" if calibrate else args.empty_coalition)
     if not calibrate:
         return triple, args.empty_coalition, []
     triples = {"exclude": triple, "unit": game.include_empty_coalition(triple)}

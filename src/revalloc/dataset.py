@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-COLUMN_SUM_TOL = 1e-12
 SCORE_UPPER_TOL = 1e-9
 
 
@@ -112,6 +111,8 @@ class CrossEfficiencyMatrix:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         n = len(self.names)
+        if n == 0:
+            raise ValidationError("matrix needs at least one DMU")
         _check_unique_names(self.names)
         if self.values.shape != (n, n):
             raise ValidationError(

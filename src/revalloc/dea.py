@@ -10,6 +10,10 @@ which holds the self-score at its optimum without pinning theta as a
 number, and the tie-break objective runs as one more phase 2 from the
 self-score's final basis (the secondary-goal model of Sexton, Silkman &
 Hogan 1986 and Doyle & Green 1994).
+
+``ccr_efficiency`` is the one self-score solve: ``ccr_all`` and
+``cross_efficiency_matrix`` both call it, and the matrix hands the tableau
+it returns to ``secondary_goal_weights``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 from . import simplex
 from .dataset import CrossEfficiencyMatrix, Dataset, GroupAssignment, ValidationError
 
-THETA_TOL = 1e-7
 _DUST = 1e-12  # the <= rows keep every score <= 1; above 1 by this much is rounding
 
 
@@ -38,12 +41,14 @@ class CcrResult:
     weights_v: np.ndarray  # n x m, input multipliers
 
 
-def _self_score(data: Dataset, d: int):
+def ccr_efficiency(data: Dataset, d: int):
     """Solve DMU d's ratio model; returns (theta, u, v, tableau at the optimum).
 
     Variables are u_1..u_s, v_1..v_m; the rows are Y_j u - X_j v <= 0 for
     every DMU j and X_d v = 1.
     """
+    if not 0 <= d < data.n:
+        raise IndexError(f"DMU index {d} out of range")
     X, Y = data.norm_inputs, data.norm_outputs
     A = np.vstack([np.hstack([Y, -X]), np.concatenate([np.zeros(data.s), X[d]])])
     b = np.zeros(data.n + 1)
@@ -59,48 +64,26 @@ def _self_score(data: Dataset, d: int):
     return (1.0 if 1.0 < theta <= 1.0 + _DUST else theta), u, v, tab
 
 
-def ccr_efficiency(data: Dataset, d: int):
-    """Solve the evaluated DMU's ratio model; returns (theta, (u, v))."""
-    if not 0 <= d < data.n:
-        raise IndexError(f"DMU index {d} out of range")
-    theta, u, v, _ = _self_score(data, d)
-    return theta, (u, v)
-
-
 def ccr_all(data: Dataset) -> CcrResult:
     """Self-efficiencies for every DMU, in DMU order."""
-    results = [ccr_efficiency(data, d) for d in range(data.n)]
-    theta = np.array([r[0] for r in results])
-    u = np.vstack([r[1][0] for r in results])
-    v = np.vstack([r[1][1] for r in results])
-    return CcrResult(theta=theta, weights_u=u, weights_v=v)
+    theta, u, v, _ = zip(*(ccr_efficiency(data, d) for d in range(data.n)))
+    return CcrResult(theta=np.array(theta), weights_u=np.vstack(u), weights_v=np.vstack(v))
 
 
-def secondary_goal_weights(data: Dataset, d: int, groups: GroupAssignment, self_score):
+def secondary_goal_weights(data: Dataset, d: int, groups: GroupAssignment, tableau):
     """Weights for evaluator d that favor allies and penalize adversaries.
 
     Minimizes sum of ally slacks minus sum of adversary slacks over the
     evaluator's optimal self-score weights; returns (u, v).  The slack of
     DMU j, X_j v - Y_j u, is no variable of the LP: the objective is written
-    in (u, v) and runs on the optimal face of the self-score tableau.
-
-    ``self_score`` is that tableau, as solved for the diagonal of
-    ``cross_efficiency_matrix``, or the theta ``ccr_efficiency`` returned;
-    given theta, the self-score LP is solved again here and theta must
-    match it within THETA_TOL.
+    in (u, v) and runs on the optimal face of ``tableau``, the self-score
+    tableau ``ccr_efficiency`` returned for d, which is left as it was.
     """
-    if isinstance(self_score, simplex.Tableau):
-        tab = self_score
-    else:
-        theta, _, _, tab = _self_score(data, d)
-        if not abs(theta - self_score) <= THETA_TOL:
-            raise ValueError(f"theta {self_score!r} is not the self-score of DMU "
-                             f"{data.names[d]!r} ({theta!r})")
     X, Y = data.norm_inputs, data.norm_outputs
     others = np.arange(data.n) != d
     sign = np.where(groups.allies(d), 1.0, -1.0)[others, None]
     cost = np.concatenate([-(sign * Y[others]).sum(axis=0), (sign * X[others]).sum(axis=0)])
-    face = tab.optimal_face()
+    face = tableau.optimal_face()
     if face.optimize(cost) != simplex.OPTIMAL:
         raise SolverFailure(
             f"tie-break LP for evaluator {data.names[d]!r} is unbounded on its optimal "
@@ -132,14 +115,11 @@ def cross_efficiency_matrix(
     if groups.groups.size != data.n:
         raise ValidationError("group assignment does not match dataset size")
 
-    rows = []
+    E = np.empty((data.n, data.n))
     for d in range(data.n):
-        theta, _, _, tab = _self_score(data, d)
-        u, v = secondary_goal_weights(data, d, groups, tab)
-        row = cross_efficiency_row(data, d, u, v)
-        row[d] = theta  # the self-score itself, as ccr_all gives it
-        rows.append(row)
-    E = np.vstack(rows)
+        theta, _, _, tab = ccr_efficiency(data, d)
+        E[d] = cross_efficiency_row(data, d, *secondary_goal_weights(data, d, groups, tab))
+        E[d, d] = theta  # the self-score itself, as ccr_all gives it
     E[(E > 1.0) & (E <= 1.0 + _DUST)] = 1.0
     return CrossEfficiencyMatrix(names=list(data.names), values=E)
 

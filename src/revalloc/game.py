@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dataset import CrossEfficiencyMatrix
+from .dataset import SCORE_UPPER_TOL, CrossEfficiencyMatrix
 
 MAX_DMUS = 24            # hard cap: the two 2^n sums take 256 MB at n = 24
 DENOM_TOL = 1e-9
@@ -83,23 +83,18 @@ class CoalitionTable:
 def mask_members(mask: int) -> list[int]:
     if mask < 0:
         raise ValueError(f"mask {mask} is negative")
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def matrix_values(E) -> np.ndarray:
-    """Accept a CrossEfficiencyMatrix or a plain square array."""
+    """Accept a CrossEfficiencyMatrix or a plain square array of scores in [0, 1]."""
     values = E.values if isinstance(E, CrossEfficiencyMatrix) else np.asarray(E, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] == 0:
         raise ValueError(f"appraisal matrix must be square and nonempty, got {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("appraisal matrix has non-finite entries")
+    if values.min() < 0 or values.max() > 1 + SCORE_UPPER_TOL:
+        raise ValueError("appraisal matrix entries must lie in [0, 1]")
     return values
 
 
@@ -185,6 +180,6 @@ def shapley_triples(E, empty_coalition: str = DEFAULT_EMPTY_COALITION) -> Shaple
         values, table.sum_upper, table.sum_lower, coalition_weights(n), DENOM_TOL,
     )
     if bad_i >= 0:
-        raise DegenerateDenominatorError(int(bad_i), int(bad_mask))
+        raise DegenerateDenominatorError(int(bad_i), int(bad_mask), getattr(E, "names", None))
     triple = ShapleyTriple(phi_lower=lo, phi=phi, phi_upper=up)
     return include_empty_coalition(triple) if empty_coalition == "unit" else triple

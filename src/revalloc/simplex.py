@@ -12,13 +12,14 @@ basis; ``Tableau.optimize`` runs phase 2 for a cost vector from whatever
 basis the tableau holds; ``Tableau.optimal_face`` keeps only the columns
 that can move without leaving the optimum, so a second ``optimize`` picks
 among the first one's optimal points (a secondary goal); ``Tableau.point``
-reads the structural variables off the right-hand side.  ``solve`` runs a
-``LinearProgram`` through the same steps.
+reads the structural variables off the right-hand side.  ``solve`` chains
+the three for one array LP; the package itself builds its tableaux with
+``phase_one`` and never calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,60 +34,22 @@ _RELATIONS = ("<=", "=", ">=")
 _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs
 
 
-@dataclass(eq=False)
-class LinearProgram:
-    """min/max c.x subject to rows ``A x (<=|=|>=) b`` and x >= 0."""
+def solve(cost, A, b, relations) -> tuple[str, np.ndarray | None]:
+    """Minimize cost . x subject to ``A x (relations) b``, x >= 0; returns (status, x).
 
-    objective: np.ndarray
-    sense: str = "max"
-    constraints: list[tuple] = field(default_factory=list)  # (coeffs, relation, rhs)
-
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        if self.objective.ndim != 1 or self.objective.size == 0:
-            raise ValueError("objective must be a nonempty vector")
-        if not np.isfinite(self.objective).all():
-            raise ValueError("all coefficients must be finite")
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        rows, self.constraints = self.constraints, []
-        for coeffs, rel, rhs in rows:
-            self.add_constraint(coeffs, rel, rhs)
-
-    def add_constraint(self, coeffs, relation: str, rhs: float) -> "LinearProgram":
-        """Append one row; its finiteness is checked once per solve."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.objective.size,):
-            raise ValueError("constraint length does not match objective")
-        if relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {relation!r}")
-        self.constraints.append((coeffs, relation, float(rhs)))
-        return self
-
-
-@dataclass(eq=False)
-class LpSolution:
-    status: str
-    objective: float | None = None
-    x: np.ndarray | None = None
-
-
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve a LinearProgram; status is optimal, infeasible, or unbounded.
-
-    Raises ValueError if a row holds a non-finite coefficient.
+    x is None unless the status is optimal.  Raises ValueError as
+    ``phase_one`` does, and on a cost that is not finite or does not match A.
     """
-    n = lp.objective.size
-    rows = lp.constraints
-    A = np.array([r[0] for r in rows], dtype=float).reshape(len(rows), n)
-    tab = phase_one(A, [r[2] for r in rows], [r[1] for r in rows])
+    cost = np.asarray(cost, dtype=float)
+    A = np.asarray(A, dtype=float)
+    if cost.ndim != 1 or A.ndim != 2 or A.shape[1] != cost.size or not np.isfinite(cost).all():
+        raise ValueError(f"cost {cost} is not a finite vector matching A of shape {A.shape}")
+    tab = phase_one(A, b, relations)
     if tab is None:
-        return LpSolution(status=INFEASIBLE)
-    cost = -lp.objective if lp.sense == "max" else lp.objective  # the kernel minimizes
+        return INFEASIBLE, None
     if tab.optimize(cost) == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED)
-    x = tab.point()
-    return LpSolution(status=OPTIMAL, objective=float(lp.objective @ x), x=x)
+        return UNBOUNDED, None
+    return OPTIMAL, tab.point()
 
 
 @dataclass(eq=False)
@@ -141,11 +104,17 @@ class Tableau:
 def phase_one(A, b, relations) -> Tableau | None:
     """Tableau of ``A x (relations) b``, x >= 0, at a feasible basis; None if infeasible.
 
-    Raises ValueError if A or b holds a non-finite entry.
+    Raises ValueError if A or b holds a non-finite entry, if a row lacks
+    its right-hand side or relation, or on a relation other than <=, = and >=.
     """
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
     rel = np.asarray(relations, dtype=str)
+    if A.ndim != 2 or b.shape != (A.shape[0],) or rel.shape != b.shape:
+        raise ValueError(f"A of shape {A.shape} needs one rhs and one relation per row")
+    unknown = ~np.isin(rel, _RELATIONS)
+    if unknown.any():
+        raise ValueError(f"unknown relation {str(rel[unknown][0])!r}")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("all coefficients must be finite")
     flip = b < 0

@@ -2,10 +2,11 @@
 
 Everything here is written set-wise and formula-by-formula, with no
 bitmask dynamic programming, no tableau, and no shared code with the
-package internals.  Two references are the exception on purpose: the
-slack-variable tie-break LP is solved with the package's simplex, so a
-comparison checks how the LP is stated rather than how it is solved, and
-the row-loop pivot is the loop form of the simplex's vectorised pivot.
+package internals.  The slack-variable tie-break LP is solved with scipy's
+HiGHS, so a comparison checks both how the package states that LP and how
+it solves it.  One reference is the exception on purpose: the row-loop
+pivot is the loop form of the simplex's vectorised pivot and shares its
+PIVOT_TOL.
 """
 
 import itertools
@@ -128,32 +129,30 @@ def slack_tie_break(X, Y, d, allies, theta_d):
     Variables are u (s), v (m) and s_j = X_j v - Y_j u for every j != d,
     each held by an equality row; the objective sums the allies' slacks
     minus the adversaries'.  The self-score and scale rows pin Y_d u to
-    theta_d X_d v and X_d v to 1.  Returns (objective, u, v).
+    theta_d X_d v and X_d v to 1.  Solved with scipy's HiGHS; returns
+    (objective, u, v).
     """
+    from scipy.optimize import linprog
+
     n, m = X.shape
     s = Y.shape[1]
     others = [j for j in range(n) if j != d]
     nvar = s + m + len(others)
     obj = np.zeros(nvar)
+    A_eq = np.zeros((len(others) + 2, nvar))
     for k, j in enumerate(others):
         obj[s + m + k] = 1.0 if allies[j] else -1.0
-    lp = simplex.LinearProgram(objective=obj, sense="min")
-    for k, j in enumerate(others):
-        row = np.zeros(nvar)
-        row[:s] = Y[j]
-        row[s:s + m] = -X[j]
-        row[s + m + k] = 1.0
-        lp.add_constraint(row, "=", 0.0)
-    row = np.zeros(nvar)
-    row[:s] = Y[d]
-    row[s:s + m] = -theta_d * X[d]
-    lp.add_constraint(row, "=", 0.0)
-    row = np.zeros(nvar)
-    row[s:s + m] = X[d]
-    lp.add_constraint(row, "=", 1.0)
-    sol = simplex.solve(lp)
-    assert sol.status == simplex.OPTIMAL, sol.status
-    return sol.objective, sol.x[:s], sol.x[s:s + m]
+        A_eq[k, :s] = Y[j]
+        A_eq[k, s:s + m] = -X[j]
+        A_eq[k, s + m + k] = 1.0
+    A_eq[-2, :s] = Y[d]
+    A_eq[-2, s:s + m] = -theta_d * X[d]
+    A_eq[-1, s:s + m] = X[d]
+    b_eq = np.zeros(len(A_eq))
+    b_eq[-1] = 1.0
+    res = linprog(obj, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun, res.x[:s], res.x[s:s + m]
 
 
 # ------------------------------------------------------------------ clustering

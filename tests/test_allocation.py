@@ -126,6 +126,13 @@ def test_rejects_nonpositive_shares():
         allocate(triple_of([0.1, 0.1], [-0.1, 0.2], [0.2, 0.3]), 10.0)
 
 
+def test_rejects_a_name_count_that_does_not_match_the_shares():
+    tri = triple_of([0.1, 0.1], [0.2, 0.2], [0.3, 0.3])
+    for names in (["A"], ["A", "B", "C"]):
+        with pytest.raises(AllocationError, match=f"{len(names)} names for 2 DMUs"):
+            allocate(tri, 10.0, names=names)
+
+
 def test_rejects_disordered_triples():
     with pytest.raises(AllocationError, match="lower <= central <= upper"):
         allocate(triple_of([0.5, 0.1], [0.2, 0.2], [0.6, 0.3]), 10.0)

@@ -332,3 +332,41 @@ def test_bad_reference_row_is_validation_error(capsys, tmp_path, bad_row):
     assert code == 3
     assert "line 3" in err
 
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["ccr", "--input", TOY_DATA, "--groups", BANK_MATRIX, "--clusters", 7],
+     "ccr does not read --groups"),
+    (["ccr", "--input", TOY_DATA, "--revenue", 5], "ccr does not read --revenue"),
+    (["ccr", "--input", TOY_DATA, "--empty-coalition", "unit"],
+     "ccr does not read --empty-coalition"),
+    (["ccr", "--input", TOY_DATA, "--reference", TOY_SHARES_REFERENCE],
+     "ccr does not read --reference"),
+    (["crosseff", "--input", TOY_DATA, "--revenue", 5], "crosseff does not read --revenue"),
+    (["shapley", "--matrix", TOY_MATRIX, "--revenue", 5], "shapley does not read --revenue"),
+    (["shapley", "--matrix", TOY_MATRIX, "--groups", TOY_GROUPS],
+     "shapley reads --groups only with --input"),
+    (["allocate", "--matrix", TOY_MATRIX, "--revenue", 5, "--clusters", 2],
+     "allocate reads --clusters only with --input"),
+    (["shapley", "--matrix", TOY_MATRIX, "--reference", TOY_SHARES_REFERENCE],
+     "shapley reads --reference only with --empty-coalition calibrate"),
+    (["crosseff", "--input", TOY_DATA, "--groups", TOY_GROUPS, "--clusters", 2],
+     "--groups and --clusters are exclusive"),
+    (["pipeline", "--input", TOY_DATA, "--revenue", 5, "--groups", TOY_GROUPS, "--clusters", 2],
+     "--groups and --clusters are exclusive"),
+    # the default convention, given explicitly, is no flag to refuse
+    (["ccr", "--input", TOY_DATA, "--empty-coalition", "exclude"], None),
+], ids=["ccr-groups-clusters", "ccr-revenue", "ccr-convention", "ccr-reference",
+        "crosseff-revenue", "shapley-revenue", "shapley-matrix-groups",
+        "allocate-matrix-clusters", "shapley-reference-without-calibrate",
+        "crosseff-groups-and-clusters", "pipeline-groups-and-clusters", "ccr-default-convention"])
+def test_input_flags_a_run_does_not_read_exit_three(capsys, tmp_path, argv, error):
+    artifact = tmp_path / "artifact"
+    code, out, err = run(capsys, *argv, "--no-timestamp", "--out", artifact)
+    if error is None:
+        assert code == 0
+        return
+    assert code == 3
+    assert error in err
+    assert out == ""
+    assert not artifact.exists()

@@ -154,6 +154,12 @@ def test_singleton_matrix_valid():
     assert m.values.shape == (1, 1)
 
 
+def test_empty_matrix_rejected():
+    # used to fail inside numpy ("zero-size array to reduction operation")
+    with pytest.raises(ValidationError, match="at least one DMU"):
+        revalloc.CrossEfficiencyMatrix(names=[], values=np.empty((0, 0)))
+
+
 def test_non_square_matrix_rejected():
     with pytest.raises(ValidationError, match="square"):
         load_matrix(make_csv("dmu,A,B\nA,1,0.5"))

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from revalloc import _kernels, game
+from revalloc.dataset import CrossEfficiencyMatrix
 from revalloc.game import (
     DegenerateDenominatorError,
     build_coalition_table,
@@ -316,6 +317,26 @@ def test_degenerate_denominator_raises_with_location():
     assert err.mask >= 1
     assert str(err.player) in str(err)
     assert "coalition" in str(err)
+
+
+def test_degenerate_denominator_names_the_dmus_of_a_named_matrix():
+    E = CrossEfficiencyMatrix(names=["A", "B", "C"], values=[
+        [1.0, 1.0, 1.0],
+        [1.0, 1.0, 1.0],
+        [1e-10, 1e-10, 1.0],
+    ])
+    with pytest.raises(DegenerateDenominatorError,
+                       match=r"for DMU C \(index 2\) joining coalition \{A\} \(mask 1\)$"):
+        shapley_triples(E)
+
+
+@pytest.mark.parametrize("entry", [-0.5, 1.5, 1 + 2e-9])
+def test_scores_outside_the_unit_interval_rejected(entry):
+    # a negative entry used to surface as a misleading degenerate denominator
+    E = np.array([[1.0, entry], [0.5, 1.0]])
+    for call in (shapley_triples, build_coalition_table, lambda E: characteristic_value(E, 0b11)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            call(E)
 
 
 def test_shapley_shares_sum_near_relative_worth(bank_matrix):

@@ -71,6 +71,21 @@ def test_numpy_tables_match_slim_sums(block_bits, monkeypatch):
         assert (sl == sl2).all()
 
 
+def game_shares(E, convention):
+    """``shapley_triples`` on E; for a matrix with entries above 1, which it
+    refuses, the kernel pass it would run, raising as it would."""
+    if E.max() <= 1.0:
+        return shapley_triples(E, empty_coalition=convention)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        shapley_triples(E, empty_coalition=convention)
+    sum_upper, sum_lower = _kernels.coalition_sums(E)
+    *shares, bad_i, bad_mask = _kernels.shapley_sums(
+        E, sum_upper, sum_lower, coalition_weights(len(E)), DENOM_TOL)
+    if bad_i >= 0:
+        raise DegenerateDenominatorError(int(bad_i), int(bad_mask))
+    return shares
+
+
 @pytest.mark.parametrize("convention, block_bits", [
     pytest.param("exclude", None, id="exclude"),
     pytest.param("unit", None, id="unit"),
@@ -83,7 +98,7 @@ def test_degenerate_location_is_first_offender(convention, block_bits, monkeypat
         monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
     # entries from a small set, so no denominator lands near the tolerance:
     # zeros and 1e-10 make |S| = 1 terms vanish, and entries above 1 drive
-    # |S| >= 2 terms negative
+    # |S| >= 2 terms negative in the kernel (the game refuses such entries)
     rng = np.random.default_rng(52)
     levels = np.array([0.0, 1e-10, 0.25, 0.5, 1.0, 3.0])
     raised = 0
@@ -93,7 +108,7 @@ def test_degenerate_location_is_first_offender(convention, block_bits, monkeypat
         np.fill_diagonal(E, 1.0)
         expected = first_degenerate_term(E)
         try:
-            shapley_triples(E, empty_coalition=convention)
+            game_shares(E, convention)
         except DegenerateDenominatorError as err:
             raised += 1
             assert (err.player, err.mask) == expected

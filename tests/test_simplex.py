@@ -5,16 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from revalloc import simplex
-from revalloc.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve
+from revalloc.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve
 
 from naive_oracles import row_loop_pivot, vertex_enumeration_solve
 
 
 def lp(c, sense, rows):
-    prog = LinearProgram(objective=np.asarray(c, float), sense=sense)
-    for coeffs, rel, rhs in rows:
-        prog.add_constraint(np.asarray(coeffs, float), rel, rhs)
-    return prog
+    """max or min c.x over rows (coeffs, relation, rhs) through ``solve``, which
+    minimizes; returns (status, objective, x), objective and x None unless optimal."""
+    c = np.asarray(c, float)
+    A = np.array([r[0] for r in rows], float).reshape(len(rows), c.size)
+    status, x = solve(-c if sense == "max" else c, A, [r[2] for r in rows], [r[1] for r in rows])
+    return status, (None if x is None else float(c @ x)), x
 
 
 def boxed(n, rows, box):
@@ -23,77 +25,87 @@ def boxed(n, rows, box):
 
 
 def test_box_maximum():
-    sol = solve(lp([1, 1], "max", [([1, 0], "<=", 1), ([0, 1], "<=", 1)]))
-    assert sol.status == OPTIMAL
-    assert_allclose(sol.objective, 2.0, atol=1e-9)
-    assert_allclose(sol.x, [1, 1], atol=1e-9)
+    status, obj, x = lp([1, 1], "max", [([1, 0], "<=", 1), ([0, 1], "<=", 1)])
+    assert status == OPTIMAL
+    assert_allclose(obj, 2.0, atol=1e-9)
+    assert_allclose(x, [1, 1], atol=1e-9)
 
 
 def test_infeasible():
-    sol = solve(lp([1], "max", [([1], "<=", -1)]))
-    assert sol.status == INFEASIBLE
+    assert lp([1], "max", [([1], "<=", -1)]) == (INFEASIBLE, None, None)
 
 
 def test_unbounded():
-    sol = solve(lp([1], "max", [([-1], "<=", 1)]))
-    assert sol.status == UNBOUNDED
+    assert lp([1], "max", [([-1], "<=", 1)]) == (UNBOUNDED, None, None)
 
 
 def test_no_constraints():
-    assert solve(lp([1], "max", [])).status == UNBOUNDED
-    sol = solve(lp([1], "min", []))
-    assert sol.status == OPTIMAL and sol.objective == 0.0
+    assert lp([1], "max", [])[0] == UNBOUNDED
+    status, obj, _ = lp([1], "min", [])
+    assert status == OPTIMAL and obj == 0.0
 
 
 def test_equality_constraint():
-    sol = solve(lp([2, 3], "max", [([1, 1], "=", 4), ([1, 0], "<=", 3)]))
-    assert sol.status == OPTIMAL
-    assert_allclose(sol.objective, 12.0, atol=1e-9)  # all weight on x2
-    assert_allclose(sol.x, [0, 4], atol=1e-9)
+    status, obj, x = lp([2, 3], "max", [([1, 1], "=", 4), ([1, 0], "<=", 3)])
+    assert status == OPTIMAL
+    assert_allclose(obj, 12.0, atol=1e-9)  # all weight on x2
+    assert_allclose(x, [0, 4], atol=1e-9)
 
 
 def test_redundant_equality_rows_are_dropped():
-    sol = solve(lp([1, 2], "max", [
+    status, obj, x = lp([1, 2], "max", [
         ([1, 1], "=", 3),
         ([2, 2], "=", 6),  # same hyperplane
         ([1, 0], "<=", 2),
-    ]))
-    assert sol.status == OPTIMAL
-    assert_allclose(sol.objective, 6.0, atol=1e-9)
-    assert_allclose(sol.x, [0, 3], atol=1e-9)
+    ])
+    assert status == OPTIMAL
+    assert_allclose(obj, 6.0, atol=1e-9)
+    assert_allclose(x, [0, 3], atol=1e-9)
 
 
 def test_mixed_relations():
-    sol = solve(lp([6, 3], "min", [([0, 3], "<=", 2), ([1, 1], ">=", 1), ([2, -1], ">=", 1)]))
-    assert sol.status == OPTIMAL
-    assert_allclose(sol.objective, 5.0, atol=1e-8)
-    assert_allclose(sol.x, [2 / 3, 1 / 3], atol=1e-8)
+    status, obj, x = lp([6, 3], "min", [([0, 3], "<=", 2), ([1, 1], ">=", 1), ([2, -1], ">=", 1)])
+    assert status == OPTIMAL
+    assert_allclose(obj, 5.0, atol=1e-8)
+    assert_allclose(x, [2 / 3, 1 / 3], atol=1e-8)
 
 
 def test_degenerate_vertex():
-    sol = solve(lp([2, 1], "max", [([3, 1], "<=", 6), ([1, -1], "<=", 2), ([0, 1], "<=", 3)]))
-    assert sol.status == OPTIMAL
-    assert_allclose(sol.objective, 5.0, atol=1e-9)
+    status, obj, _ = lp([2, 1], "max", [([3, 1], "<=", 6), ([1, -1], "<=", 2), ([0, 1], "<=", 3)])
+    assert status == OPTIMAL
+    assert_allclose(obj, 5.0, atol=1e-9)
 
 
 def test_klee_minty_style_cycling_guard():
-    sol = solve(lp(
+    status, obj, _ = lp(
         [100, 10, 1], "max",
         [([1, 0, 0], "<=", 1), ([20, 1, 0], "<=", 100), ([200, 20, 1], "<=", 10000)],
-    ))
-    assert sol.status == OPTIMAL
-    assert_allclose(sol.objective, 10000.0, atol=1e-6)
+    )
+    assert status == OPTIMAL
+    assert_allclose(obj, 10000.0, atol=1e-6)
 
 
 def test_non_finite_rejected():
-    # an objective is checked when the program is built, rows when it is solved
+    # the cost is checked by solve, the rows by phase_one
     for c, rows in [
         ([1, np.inf], []),
         ([1, 1], [([np.inf, 1], "<=", 1)]),
         ([1, 1], [([1, 1], "<=", np.nan)]),
     ]:
         with pytest.raises(ValueError, match="finite"):
-            solve(lp(c, "max", rows))
+            lp(c, "max", rows)
+
+
+def test_malformed_programs_rejected():
+    # an unknown relation used to be read as "="
+    with pytest.raises(ValueError, match="unknown relation '<'"):
+        lp([1, 1], "max", [([1, 0], "<", 1)])
+    with pytest.raises(ValueError, match="unknown relation '=<'"):
+        simplex.phase_one([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], ["<=", "=<"])
+    with pytest.raises(ValueError, match="matching A"):
+        solve([1.0, 1.0, 1.0], [[1.0, 0.0]], [1.0], ["<="])
+    with pytest.raises(ValueError, match="one rhs and one relation per row"):
+        solve([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], ["<="])
 
 
 def _random_lp(rng):
@@ -116,13 +128,12 @@ def test_matches_vertex_enumeration_oracle_on_50_random_lps():
         n, rows = _random_lp(rng)
         c = rng.uniform(-1, 1, n)
         sense = "max" if rng.integers(2) else "min"
-        prog = lp(c, sense, boxed(n, rows, box))
-        sol = solve(prog)
-        status, best = vertex_enumeration_solve(c, sense, rows, box)
-        assert sol.status == status, f"status mismatch: {sol.status} vs oracle {status}"
+        status, obj, _ = lp(c, sense, boxed(n, rows, box))
+        ref_status, best = vertex_enumeration_solve(c, sense, rows, box)
+        assert status == ref_status, f"status mismatch: {status} vs oracle {ref_status}"
         statuses[status] += 1
         if status == "optimal":
-            assert abs(sol.objective - best) <= 1e-7, (sol.objective, best)
+            assert abs(obj - best) <= 1e-7, (obj, best)
     assert statuses["optimal"] >= 10
     assert statuses["infeasible"] >= 3  # the suite must exercise both outcomes
 
@@ -132,33 +143,30 @@ def test_returned_points_feasible_and_objective_consistent():
     for _ in range(30):
         n, rows = _random_lp(rng)
         c = rng.uniform(-1, 1, n)
-        prog = lp(c, "max", boxed(n, rows, 10.0))
-        sol = solve(prog)
-        if sol.status != OPTIMAL:
+        status, _, x = lp(c, "max", boxed(n, rows, 10.0))
+        if status != OPTIMAL:
             continue
-        assert (sol.x >= -1e-9).all()
-        assert (sol.x <= 10.0 + 1e-9).all()
+        assert (x >= -1e-9).all()
+        assert (x <= 10.0 + 1e-9).all()
         for coeffs, rel, rhs in rows:
-            lhs = float(coeffs @ sol.x)
+            lhs = float(coeffs @ x)
             if rel == "<=":
                 assert lhs <= rhs + 1e-9
             elif rel == ">=":
                 assert lhs >= rhs - 1e-9
             else:
                 assert abs(lhs - rhs) <= 1e-9
-        assert abs(sol.objective - float(c @ sol.x)) <= 1e-9
 
 
 def test_determinism_bit_for_bit():
     rng = np.random.default_rng(5)
     n, rows = _random_lp(rng)
     c = rng.uniform(-1, 1, n)
-    a = solve(lp(c, "max", boxed(n, rows, 10.0)))
-    b = solve(lp(c, "max", boxed(n, rows, 10.0)))
-    assert a.status == b.status
-    if a.status == OPTIMAL:
-        assert a.objective == b.objective
-        assert (a.x == b.x).all()
+    a = lp(c, "max", boxed(n, rows, 10.0))
+    b = lp(c, "max", boxed(n, rows, 10.0))
+    assert a[:2] == b[:2]
+    if a[0] == OPTIMAL:
+        assert a[2].tobytes() == b[2].tobytes()
 
 
 def test_pivot_matches_row_loop_bit_for_bit():
