@@ -83,7 +83,14 @@ class CoalitionTable:
 def mask_members(mask: int) -> list[int]:
     if mask < 0:
         raise ValueError(f"mask {mask} is negative")
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out
 
 
 def matrix_values(E) -> np.ndarray:

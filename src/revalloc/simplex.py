@@ -30,7 +30,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-_RELATIONS = ("<=", "=", ">=")
 _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs
 
 
@@ -112,7 +111,8 @@ def phase_one(A, b, relations) -> Tableau | None:
     rel = np.asarray(relations, dtype=str)
     if A.ndim != 2 or b.shape != (A.shape[0],) or rel.shape != b.shape:
         raise ValueError(f"A of shape {A.shape} needs one rhs and one relation per row")
-    unknown = ~np.isin(rel, _RELATIONS)
+    is_le, is_ge = rel == "<=", rel == ">="
+    unknown = ~(is_le | is_ge | (rel == "="))
     if unknown.any():
         raise ValueError(f"unknown relation {str(rel[unknown][0])!r}")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
@@ -120,8 +120,8 @@ def phase_one(A, b, relations) -> Tableau | None:
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
-    le = np.where(flip, rel == ">=", rel == "<=")
-    ge = np.where(flip, rel == "<=", rel == ">=")
+    le = np.where(flip, is_ge, is_le)
+    ge = np.where(flip, is_le, is_ge)
     art = ~le
     m, n = A.shape
     n_le, n_ge, n_art = int(le.sum()), int(ge.sum()), int(art.sum())
