@@ -1,19 +1,24 @@
 """CCR self-efficiencies, ally grouping, and the unique cross-efficiency matrix.
 
 The evaluated DMU's ratio model is linearized the standard way (virtual
-input pinned to 1) and solved on one simplex tableau per DMU, built
-straight from the normalized input and output arrays.  The tie-break that
-selects among the evaluator's alternative optimal weights minimizes allies'
-slacks minus adversaries' slacks over the optimal face of that same
-tableau: every nonbasic column with a positive reduced cost is dropped,
-which holds the self-score at its optimum without pinning theta as a
-number, and the tie-break objective runs as one more phase 2 from the
-self-score's final basis (the secondary-goal model of Sexton, Silkman &
-Hogan 1986 and Doyle & Green 1994).
+input pinned to 1) and solved on the simplex tableau built straight from
+the normalized input and output arrays.  The tie-break that selects among
+the evaluator's alternative optimal weights minimizes allies' slacks minus
+adversaries' slacks over the optimal face of that same tableau: every
+nonbasic column with a positive reduced cost is barred, which holds the
+self-score at its optimum without pinning theta as a number, and the
+tie-break objective runs as one more phase 2 from the self-score's final
+basis (the secondary-goal model of Sexton, Silkman & Hogan 1986 and Doyle
+& Green 1994).
 
-``ccr_efficiency`` is the one self-score solve: ``ccr_all`` and
-``cross_efficiency_matrix`` both call it, and the matrix hands the tableau
-it returns to ``secondary_goal_weights``.
+Every evaluator's LP has the same shape and differs from the others in one
+row, so ``ccr_all`` and ``cross_efficiency_matrix`` solve all n self-score
+LPs as one ``simplex.Stack``, and the matrix then runs all n tie-breaks on
+that stack's optimal faces.  ``ccr_efficiency`` and
+``secondary_goal_weights`` are the same path for one evaluator (a stack
+of one), and give the same bits.  A failure names the evaluator the
+DMU-by-DMU order reaches first: the lowest index, its self-score before
+its tie-break.
 """
 
 from __future__ import annotations
@@ -41,55 +46,80 @@ class CcrResult:
     weights_v: np.ndarray  # n x m, input multipliers
 
 
-def ccr_efficiency(data: Dataset, d: int):
-    """Solve DMU d's ratio model; returns (theta, u, v, tableau at the optimum).
+def _self_scores(data: Dataset, evaluators):
+    """Solve the evaluators' ratio models as one stack; returns (theta, x, stack).
 
-    Variables are u_1..u_s, v_1..v_m; the rows are Y_j u - X_j v <= 0 for
-    every DMU j and X_d v = 1.
+    Variables are u_1..u_s, v_1..v_m; evaluator d's rows are
+    Y_j u - X_j v <= 0 for every DMU j and X_d v = 1.  Row l of x holds
+    (u, v) of ``evaluators[l]``; theta and x mean nothing for an LP whose
+    status in the stack is not optimal.
     """
-    if not 0 <= d < data.n:
-        raise IndexError(f"DMU index {d} out of range")
     X, Y = data.norm_inputs, data.norm_outputs
-    A = np.vstack([np.hstack([Y, -X]), np.concatenate([np.zeros(data.s), X[d]])])
+    A = np.zeros((len(evaluators), data.n + 1, data.s + data.m))
+    A[:, :-1] = np.hstack([Y, -X])
+    A[:, -1, data.s:] = X[evaluators]
     b = np.zeros(data.n + 1)
     b[-1] = 1.0
-    tab = simplex.phase_one(A, b, ["<="] * data.n + ["="])
-    cost = np.concatenate([-Y[d], np.zeros(data.m)])
-    status = simplex.INFEASIBLE if tab is None else tab.optimize(cost)
-    if status != simplex.OPTIMAL:
-        raise SolverFailure(f"self-efficiency LP for DMU {data.names[d]!r}: {status}")
-    x = tab.point()
-    u, v = x[:data.s], x[data.s:]
-    theta = float(Y[d] @ u)
-    return (1.0 if 1.0 < theta <= 1.0 + _DUST else theta), u, v, tab
+    stack = simplex.phase_one(A, b, ["<="] * data.n + ["="])
+    stack.optimize(np.hstack([-Y[evaluators], np.zeros((len(evaluators), data.m))]))
+    x = stack.point()
+    theta = np.array([float(Y[d] @ x[lp, :data.s]) for lp, d in enumerate(evaluators)])
+    theta[(theta > 1.0) & (theta <= 1.0 + _DUST)] = 1.0
+    return theta, x, stack
+
+
+def _tie_break_costs(data: Dataset, evaluators, groups: GroupAssignment) -> np.ndarray:
+    """Each evaluator's ally slacks minus adversary slacks, as a cost over (u, v).
+
+    The slack of DMU j, X_j v - Y_j u, is no variable of the LP.  Each sum
+    runs over the other DMUs in DMU order, as one evaluator's sum would.
+    """
+    X, Y = data.norm_inputs, data.norm_outputs
+    d = np.asarray(evaluators)[:, None]
+    others = np.arange(data.n - 1) + (np.arange(data.n - 1) >= d)
+    sign = np.where(groups.groups[others] == groups.groups[d], 1.0, -1.0)[:, :, None]
+    return np.hstack([-(sign * Y[others]).sum(axis=1), (sign * X[others]).sum(axis=1)])
+
+
+def _check(data: Dataset, d: int, self_score: str, tie_break: str = simplex.OPTIMAL) -> None:
+    """Raise SolverFailure for evaluator d unless both of its LPs are optimal."""
+    if self_score != simplex.OPTIMAL:
+        raise SolverFailure(f"self-efficiency LP for DMU {data.names[d]!r}: {self_score}")
+    if tie_break != simplex.OPTIMAL:
+        raise SolverFailure(
+            f"tie-break LP for evaluator {data.names[d]!r} is unbounded on its optimal "
+            "self-score weights; check for zero input cells"
+        )
+
+
+def ccr_efficiency(data: Dataset, d: int):
+    """Solve DMU d's ratio model; returns (theta, u, v, stack of one LP at the optimum)."""
+    if not 0 <= d < data.n:
+        raise IndexError(f"DMU index {d} out of range")
+    theta, x, stack = _self_scores(data, [d])
+    _check(data, d, stack.status[0])
+    return float(theta[0]), x[0, :data.s], x[0, data.s:], stack
 
 
 def ccr_all(data: Dataset) -> CcrResult:
     """Self-efficiencies for every DMU, in DMU order."""
-    theta, u, v, _ = zip(*(ccr_efficiency(data, d) for d in range(data.n)))
-    return CcrResult(theta=np.array(theta), weights_u=np.vstack(u), weights_v=np.vstack(v))
+    theta, x, stack = _self_scores(data, np.arange(data.n))
+    for d in range(data.n):
+        _check(data, d, stack.status[d])
+    return CcrResult(theta=theta, weights_u=x[:, :data.s], weights_v=x[:, data.s:])
 
 
 def secondary_goal_weights(data: Dataset, d: int, groups: GroupAssignment, tableau):
     """Weights for evaluator d that favor allies and penalize adversaries.
 
     Minimizes sum of ally slacks minus sum of adversary slacks over the
-    evaluator's optimal self-score weights; returns (u, v).  The slack of
-    DMU j, X_j v - Y_j u, is no variable of the LP: the objective is written
-    in (u, v) and runs on the optimal face of ``tableau``, the self-score
-    tableau ``ccr_efficiency`` returned for d, which is left as it was.
+    evaluator's optimal self-score weights; returns (u, v).  The objective
+    runs on the optimal face of ``tableau``, the one-LP stack
+    ``ccr_efficiency`` returned for d, which is left as it was.
     """
-    X, Y = data.norm_inputs, data.norm_outputs
-    others = np.arange(data.n) != d
-    sign = np.where(groups.allies(d), 1.0, -1.0)[others, None]
-    cost = np.concatenate([-(sign * Y[others]).sum(axis=0), (sign * X[others]).sum(axis=0)])
     face = tableau.optimal_face()
-    if face.optimize(cost) != simplex.OPTIMAL:
-        raise SolverFailure(
-            f"tie-break LP for evaluator {data.names[d]!r} is unbounded on its optimal "
-            "self-score weights; check for zero input cells"
-        )
-    x = face.point()
+    _check(data, d, simplex.OPTIMAL, face.optimize(_tie_break_costs(data, [d], groups))[0])
+    x = face.point()[0]
     return x[:data.s], x[data.s:]
 
 
@@ -115,11 +145,15 @@ def cross_efficiency_matrix(
     if groups.groups.size != data.n:
         raise ValidationError("group assignment does not match dataset size")
 
+    theta, _, stack = _self_scores(data, np.arange(data.n))
+    face = stack.optimal_face()
+    face.optimize(_tie_break_costs(data, np.arange(data.n), groups))
+    x = face.point()
     E = np.empty((data.n, data.n))
     for d in range(data.n):
-        theta, _, _, tab = ccr_efficiency(data, d)
-        E[d] = cross_efficiency_row(data, d, *secondary_goal_weights(data, d, groups, tab))
-        E[d, d] = theta  # the self-score itself, as ccr_all gives it
+        _check(data, d, stack.status[d], face.status[d])
+        E[d] = cross_efficiency_row(data, d, x[d, :data.s], x[d, data.s:])
+        E[d, d] = theta[d]  # the self-score itself, as ccr_all gives it
     E[(E > 1.0) & (E <= 1.0 + _DUST)] = 1.0
     return CrossEfficiencyMatrix(names=list(data.names), values=E)
 

@@ -1,19 +1,29 @@
-"""Self-contained dense two-phase primal simplex solver.
+"""Self-contained dense two-phase primal simplex solver for stacks of small LPs.
 
-Built for the tiny LPs that DEA ratio models produce (tens of variables
-and rows).  Determinism matters more than speed here: Bland's rule with a
-fixed variable ordering pins down which optimal vertex is returned when a
-program has alternative optima, so repeated solves of the same bits give
+Built for the tiny LPs that DEA ratio models produce (a handful of
+variables, tens to hundreds of rows), one or two per DMU, all of one
+shape.  Determinism matters more than speed here: Bland's rule with a
+fixed variable numbering pins down which optimal vertex is returned when
+a program has alternative optima, so repeated solves of the same bits give
 the same bits back.
 
-There is one tableau path.  ``phase_one`` builds the tableau of
-``A x (<=|=|>=) b, x >= 0`` straight from arrays and finds a feasible
-basis; ``Tableau.optimize`` runs phase 2 for a cost vector from whatever
-basis the tableau holds; ``Tableau.optimal_face`` keeps only the columns
-that can move without leaving the optimum, so a second ``optimize`` picks
-among the first one's optimal points (a secondary goal); ``Tableau.point``
-reads the structural variables off the right-hand side.  ``solve`` chains
-the three for one array LP; the package itself builds its tableaux with
+A ``Stack`` holds L programs that share their right-hand side and
+relations and differ only in A, and pivots them in lockstep.  Each step
+picks every active LP's entering and leaving variable with numpy scans
+over the stack and updates all of them in one masked rank-1 update.  The
+tableau is compact: one column per nonbasic variable plus the right-hand
+side, with ``basis`` and ``nonbasic`` naming the variable of each row and
+column.  An LP takes the same pivots with the same bits whether it is
+solved alone or in a stack, so an L = 1 stack is the single-LP path.
+
+``phase_one`` builds the stack of ``A x (<=|=|>=) b, x >= 0`` straight
+from arrays and finds a feasible basis for each LP; ``Stack.optimize``
+runs phase 2 for one cost vector per LP from whatever basis each holds;
+``Stack.optimal_face`` bars the columns that cannot move without leaving
+the optimum, so a second ``optimize`` picks among the first one's optimal
+points (a secondary goal); ``Stack.point`` reads the structural variables
+off the right-hand side.  Each LP keeps its own status.  ``solve`` chains
+the three for one array LP; the package itself builds its stacks with
 ``phase_one`` and never calls it.
 """
 
@@ -43,73 +53,90 @@ def solve(cost, A, b, relations) -> tuple[str, np.ndarray | None]:
     A = np.asarray(A, dtype=float)
     if cost.ndim != 1 or A.ndim != 2 or A.shape[1] != cost.size or not np.isfinite(cost).all():
         raise ValueError(f"cost {cost} is not a finite vector matching A of shape {A.shape}")
-    tab = phase_one(A, b, relations)
-    if tab is None:
-        return INFEASIBLE, None
-    if tab.optimize(cost) == UNBOUNDED:
-        return UNBOUNDED, None
-    return OPTIMAL, tab.point()
+    stack = phase_one(A, b, relations)
+    status = stack.optimize(cost)[0]
+    return status, (stack.point()[0] if status == OPTIMAL else None)
 
 
 @dataclass(eq=False)
-class Tableau:
-    """Rows in standard form with a feasible basis, and the last cost row.
+class Stack:
+    """L LPs in compact tableau form, each at a feasible basis, and their last cost rows.
 
-    ``T[:-1]`` holds the rows as the pivots left them and ``T[-1]`` the
-    reduced costs of the last ``optimize``; the last column is the
-    right-hand side.  ``cols`` names the variable of each column: the n
-    structural ones first, then one slack or surplus per inequality row.
+    ``T[l, :-1]`` holds LP l's rows as the pivots left them and ``T[l, -1]``
+    the reduced costs of its last ``optimize``; column j stands for the
+    variable ``nonbasic[l, j]`` and the last column is the right-hand side.
+    Variables are numbered the structural ones first, then one slack or
+    surplus per inequality row, then one artificial per = and >= row, each
+    group in row order.  A ``barred`` column may not enter the basis: the
+    artificials after phase 1 and the columns an ``optimal_face`` holds at
+    zero.  A redundant row is kept as zeros with its artificial basic.
+    Only the LPs whose ``status`` is OPTIMAL take part in an ``optimize``.
     """
 
-    T: np.ndarray
-    basis: np.ndarray  # column basic in each row
-    cols: np.ndarray   # variable of each column
-    n: int             # structural variables
+    T: np.ndarray         # (L, rows + 1, k + 1)
+    basis: np.ndarray     # (L, rows) variable basic in each row
+    nonbasic: np.ndarray  # (L, k) variable of each column
+    barred: np.ndarray    # (L, k) columns that may not enter
+    status: np.ndarray    # (L,) OPTIMAL, INFEASIBLE or UNBOUNDED
+    n: int                # structural variables
 
-    def optimize(self, cost: np.ndarray) -> str:
-        """Minimize cost . x (over the structural variables) from the current basis."""
-        T, basis = self.T, self.basis
-        T[-1] = 0.0
-        structural = self.cols < self.n
-        T[-1, :-1][structural] = cost[self.cols[structural]]
-        # reduced costs c - c_B T over the rows whose basic variable has a cost
-        rows = np.flatnonzero(T[-1, basis])
-        T[-1] -= T[-1, basis[rows]] @ T[rows]
-        return _iterate(T, basis)
+    def optimize(self, cost) -> np.ndarray:
+        """Minimize cost[l] . x for every OPTIMAL LP l from its current basis; returns the statuses.
 
-    def optimal_face(self) -> "Tableau":
-        """The tableau restricted to the optimal points of the last ``optimize``.
+        ``cost`` gives each LP's cost over the structural variables, or one
+        vector for all of them.
+        """
+        T, basis, nonbasic = self.T, self.basis, self.nonbasic
+        lps = np.flatnonzero(self.status == OPTIMAL)
+        full = np.zeros((len(T), basis.shape[1] + nonbasic.shape[1]))
+        full[:, :self.n] = cost
+        T[lps, -1, :-1] = np.take_along_axis(full[lps], nonbasic[lps], axis=1)
+        T[lps, -1, -1] = 0.0
+        basic_cost = np.take_along_axis(full, basis, axis=1)
+        for lp in lps:
+            # reduced costs c - c_B T over the rows whose basic variable has a
+            # cost; one product per LP, so its bits do not depend on the stack
+            rows = np.flatnonzero(basic_cost[lp])
+            T[lp, -1] -= basic_cost[lp, rows] @ T[lp, rows]
+        self.status[lps[_iterate(self, lps)]] = UNBOUNDED
+        return self.status
+
+    def optimal_face(self) -> "Stack":
+        """The stack restricted to the optimal points of each LP's last ``optimize``.
 
         A nonbasic column with a reduced cost above TOL would lower the
-        objective by that much per unit, so it is held at zero on the face
-        and dropped; the other columns, the rows and the basis stay.
+        objective by that much per unit, so it is held at zero on the face.
+        It is barred rather than deleted, since each LP holds other columns.
+        The stack itself is left as it was.
         """
-        keep = self.T[-1, :-1] <= TOL
-        keep[self.basis] = True
-        new_index = np.cumsum(keep) - 1
-        return Tableau(T=self.T[:, np.append(keep, True)], basis=new_index[self.basis],
-                       cols=self.cols[keep], n=self.n)
+        return Stack(T=self.T.copy(), basis=self.basis.copy(), nonbasic=self.nonbasic.copy(),
+                     barred=self.barred | (self.T[:, -1, :-1] > TOL),
+                     status=self.status.copy(), n=self.n)
 
     def point(self) -> np.ndarray:
-        """The structural variables of the current basic solution."""
-        x = np.zeros(self.n)
-        var = self.cols[self.basis]
-        structural = var < self.n
-        x[var[structural]] = self.T[:-1, -1][structural]
+        """The structural variables of each LP's current basic solution, one row per LP."""
+        x = np.zeros((len(self.T), self.n))
+        lp, row = np.nonzero(self.basis < self.n)
+        x[lp, self.basis[lp, row]] = self.T[lp, row, -1]
         x[np.abs(x) < 1e-12] = 0.0
         return x
 
 
-def phase_one(A, b, relations) -> Tableau | None:
-    """Tableau of ``A x (relations) b``, x >= 0, at a feasible basis; None if infeasible.
+def phase_one(A, b, relations) -> Stack:
+    """Stack of ``A[l] x (relations) b``, x >= 0, each LP at a feasible basis.
 
-    Raises ValueError if A or b holds a non-finite entry, if a row lacks
-    its right-hand side or relation, or on a relation other than <=, = and >=.
+    A holds one LP's rows or a stack of L such arrays; every LP shares b
+    and the relations.  An LP with no feasible point gets the status
+    INFEASIBLE, the others OPTIMAL.  Raises ValueError if A or b holds a
+    non-finite entry, if a row lacks its right-hand side or relation, or
+    on a relation other than <=, = and >=.
     """
     A = np.array(A, dtype=float)
+    if A.ndim == 2:
+        A = A[None]
     b = np.array(b, dtype=float)
     rel = np.asarray(relations, dtype=str)
-    if A.ndim != 2 or b.shape != (A.shape[0],) or rel.shape != b.shape:
+    if A.ndim != 3 or b.shape != (A.shape[1],) or rel.shape != b.shape:
         raise ValueError(f"A of shape {A.shape} needs one rhs and one relation per row")
     is_le, is_ge = rel == "<=", rel == ">="
     unknown = ~(is_le | is_ge | (rel == "="))
@@ -118,88 +145,116 @@ def phase_one(A, b, relations) -> Tableau | None:
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("all coefficients must be finite")
     flip = b < 0
-    A[flip] *= -1.0
+    A[:, flip] *= -1.0
     b[flip] *= -1.0
     le = np.where(flip, is_ge, is_le)
     ge = np.where(flip, is_le, is_ge)
     art = ~le
-    m, n = A.shape
+    L, m, n = A.shape
     n_le, n_ge, n_art = int(le.sum()), int(ge.sum()), int(art.sum())
     slack0, surp0, art0 = n, n + n_le, n + n_le + n_ge
 
-    # columns: structural, slacks of <= rows, surpluses of >= rows,
-    # artificials of = and >= rows, each group in row order
-    T = np.zeros((m + 1, art0 + n_art + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
+    # columns: structural, then the surpluses of >= rows; the slacks of <=
+    # rows and the artificials of = and >= rows start basic
+    T = np.zeros((L, m + 1, n + n_ge + 1))
+    T[:, :m, :n] = A
+    T[:, :m, -1] = b
     le_rows, ge_rows, art_rows = np.flatnonzero(le), np.flatnonzero(ge), np.flatnonzero(art)
-    T[le_rows, slack0 + np.arange(n_le)] = 1.0
-    T[ge_rows, surp0 + np.arange(n_ge)] = -1.0
-    T[art_rows, art0 + np.arange(n_art)] = 1.0
-    basis = np.empty(m, dtype=int)
-    basis[le_rows] = slack0 + np.arange(n_le)
-    basis[art_rows] = art0 + np.arange(n_art)
-
+    T[:, ge_rows, n + np.arange(n_ge)] = -1.0
+    basis = np.empty((L, m), dtype=int)
+    basis[:, le_rows] = slack0 + np.arange(n_le)
+    basis[:, art_rows] = art0 + np.arange(n_art)
+    nonbasic = np.tile(np.concatenate([np.arange(n), surp0 + np.arange(n_ge)]), (L, 1))
+    stack = Stack(T=T, basis=basis, nonbasic=nonbasic, barred=np.zeros(nonbasic.shape, dtype=bool),
+                  status=np.full(L, OPTIMAL, dtype=object), n=n)
     if n_art:
-        # minimize the sum of the artificials
-        T[-1, art0:-1] = 1.0
+        # minimize the sum of the artificials; the objective is bounded below
+        # by 0, so an unbounded phase 1 can only come from rounding
         for i in art_rows:
-            T[-1] -= T[i]
-        if _iterate(T, basis) == UNBOUNDED:
-            return None  # the phase-1 objective is bounded below by 0
-        if -T[-1, -1] > 1e-8:
-            return None
-        T, basis = _purge_artificials(T, basis, art0)
-        T = np.delete(T, np.s_[art0:art0 + n_art], axis=1)
-    return Tableau(T=T, basis=basis, cols=np.arange(art0), n=n)
+            T[:, -1] -= T[:, i]
+        unbounded = _iterate(stack, np.arange(L))
+        infeasible = unbounded | (-T[:, -1, -1] > 1e-8)
+        stack.status[infeasible] = INFEASIBLE
+        for lp in np.flatnonzero(~infeasible & (basis >= art0).any(axis=1)):
+            _purge_artificials(stack, lp, art0)
+        stack.barred |= nonbasic >= art0
+    return stack
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray) -> str:
-    """Run Bland-rule pivots on tableau T until optimal or unbounded."""
+def _iterate(stack: Stack, lps: np.ndarray) -> np.ndarray:
+    """Run Bland-rule pivots on the LPs ``lps`` in lockstep until each is optimal or unbounded.
+
+    Returns which of ``lps`` are unbounded.
+    """
+    T, basis, nonbasic = stack.T, stack.basis, stack.nonbasic
+    unbounded = np.zeros(len(T), dtype=bool)
+    if nonbasic.shape[1] == 0:
+        return unbounded[lps]
+    above = basis.shape[1] + nonbasic.shape[1]  # above every variable number
+    active = lps
     for _ in range(_MAX_PIVOTS):
-        candidates = np.flatnonzero(T[-1, :-1] < -TOL)
-        if candidates.size == 0:
-            return OPTIMAL
-        enter = int(candidates[0])
-        leave = -1
-        best = np.inf
-        rows = np.flatnonzero(T[:-1, enter] > PIVOT_TOL)
-        ratios = T[rows, -1] / T[rows, enter]
-        for i, ratio in zip(rows.tolist(), ratios.tolist()):
-            # Bland: strict improvement, ties broken by smallest basis index
-            if ratio < best - PIVOT_TOL or (
-                -PIVOT_TOL <= ratio - best <= PIVOT_TOL and (leave < 0 or basis[i] < basis[leave])
-            ):
-                best = ratio
-                leave = i
-        if leave < 0:
-            return UNBOUNDED
-        _pivot(T, leave, enter)
-        basis[leave] = enter
+        # entering: the lowest-numbered free column whose reduced cost is below -TOL
+        key = np.where((T[active, -1, :-1] < -TOL) & ~stack.barred[active],
+                       nonbasic[active], above)
+        enter = key.argmin(axis=1)
+        moving = key[np.arange(active.size), enter] < above
+        active, enter = active[moving], enter[moving]
+        col = T[active, :-1, enter]
+        allowed = col > PIVOT_TOL
+        ratio = np.divide(T[active, :-1, -1], col, out=np.full(col.shape, np.inf), where=allowed)
+        best = ratio.min(axis=1, initial=np.inf)
+        bounded = best < np.inf
+        unbounded[active[~bounded]] = True
+        active, enter, ratio, best = active[bounded], enter[bounded], ratio[bounded], best[bounded]
+        if active.size == 0:
+            return unbounded[lps]
+        # leaving (Bland): the lowest-numbered basic variable among the rows
+        # within PIVOT_TOL of the least ratio
+        ties = ratio - best[:, None] <= PIVOT_TOL
+        leave = np.where(ties, basis[active], above).argmin(axis=1)
+        _pivot(T, active, leave, enter)
+        leaving = basis[active, leave]
+        basis[active, leave] = nonbasic[active, enter]
+        nonbasic[active, enter] = leaving
     raise RuntimeError("simplex did not terminate (pivot limit reached)")
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    """Scale the pivot row, then eliminate col from every row whose entry exceeds PIVOT_TOL."""
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    rows = np.abs(factors) > PIVOT_TOL
-    T[rows] -= factors[rows, None] * T[row]
+def _pivot(T: np.ndarray, lps: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Pivot each LP ``lps[i]`` of the stack on its row ``rows[i]`` and column ``cols[i]``.
+
+    The entering variable's column becomes the leaving one's, a unit column
+    in the pivot row.  The pivot row is scaled, and every other row whose
+    factor exceeds PIVOT_TOL in magnitude takes away the scaled row times
+    that factor, all in one masked rank-1 update: the bits the full tableau
+    would hold.  ``lps`` is sorted without repeats; the other LPs are left as
+    they were.
+    """
+    whole = lps.size == len(T)
+    S = T if whole else T[lps]
+    i = np.arange(lps.size)
+    p = S[i, rows, cols]
+    factors = S[i, :, cols]
+    factors[i, rows] = 0.0
+    S[i, :, cols] = 0.0
+    S[i, rows, cols] = 1.0
+    S[i, rows] /= p[:, None]
+    pivot_rows = S[i, rows]
+    eliminate = np.abs(factors) > PIVOT_TOL
+    for j in range(S.shape[2]):  # column by column: long inner loops over the rows
+        column = S[:, :, j]
+        np.subtract(column, factors * pivot_rows[:, j, None], out=column, where=eliminate)
+    if not whole:
+        T[lps] = S
 
 
-def _purge_artificials(T: np.ndarray, basis: np.ndarray, art0: int):
-    """Drive zero-level artificials out of the basis; drop redundant rows."""
-    m = T.shape[0] - 1
-    keep = np.ones(m + 1, dtype=bool)
-    for i in np.flatnonzero(basis >= art0):
-        for j in range(art0):
-            if abs(T[i, j]) > 1e-9:
-                _pivot(T, i, j)
-                basis[i] = j
+def _purge_artificials(stack: Stack, lp: int, art0: int) -> None:
+    """Drive LP lp's zero-level artificials out of its basis; zero the redundant rows."""
+    T, basis, nonbasic = stack.T, stack.basis, stack.nonbasic
+    for i in np.flatnonzero(basis[lp] >= art0):
+        for j in np.argsort(nonbasic[lp]):  # columns in variable order
+            if nonbasic[lp, j] < art0 and abs(T[lp, i, j]) > 1e-9:
+                _pivot(T, np.array([lp]), np.array([i]), np.array([j]))
+                basis[lp, i], nonbasic[lp, j] = nonbasic[lp, j], basis[lp, i]
                 break
         else:
-            keep[i] = False  # all-zero row: the constraint was redundant
-    if keep.all():
-        return T, basis
-    return T[keep], basis[keep[:-1]]
+            T[lp, i] = 0.0  # all-zero row: the constraint was redundant

@@ -5,8 +5,8 @@ bitmask dynamic programming, no tableau, and no shared code with the
 package internals.  The slack-variable tie-break LP is solved with scipy's
 HiGHS, so a comparison checks both how the package states that LP and how
 it solves it.  One reference is the exception on purpose: the row-loop
-pivot is the loop form of the simplex's vectorised pivot and shares its
-PIVOT_TOL.
+pivot is the one-tableau loop form of the simplex's stacked pivot and
+shares its PIVOT_TOL.
 """
 
 import itertools
@@ -115,12 +115,26 @@ def vertex_enumeration_solve(objective, sense, constraints, upper_box):
 
 
 def row_loop_pivot(T, row, col):
-    """Gauss-Jordan pivot on T[row, col], one row at a time (modifies T)."""
-    T[row] /= T[row, col]
-    piv = T[row]
+    """Pivot on T[row, col] of one compact tableau, one row at a time (modifies T).
+
+    The tableau holds a column per nonbasic variable, so column col holds
+    the entering variable before the pivot and the leaving one after it.
+    The full tableau gives the leaving variable's unit column 1/p in the
+    pivot row, -(f * (1/p)) in each row it eliminates (factor f above
+    PIVOT_TOL in magnitude) and 0 in the others.
+    """
+    p = T[row, col]
+    entering = T[:, col].copy()
+    T[row] /= p
     for i in range(T.shape[0]):
-        if i != row and abs(T[i, col]) > simplex.PIVOT_TOL:
-            T[i] -= T[i, col] * piv
+        f = entering[i]
+        if i == row:
+            T[i, col] = 1.0 / p
+        elif abs(f) > simplex.PIVOT_TOL:
+            T[i] -= f * T[row]
+            T[i, col] = -(f * (1.0 / p))
+        else:
+            T[i, col] = 0.0
 
 
 def slack_tie_break(X, Y, d, allies, theta_d):

@@ -172,18 +172,94 @@ def test_seeded_matrix_stays_in_range_with_nonnegative_weights(seed):
 
 def test_matrix_solves_each_self_score_lp_once(bank_dataset, monkeypatch):
     # the tie-break is one phase 2 on the self-score's optimal face; a second
-    # phase 1 per DMU (as with a separately built tie-break LP) took 350
+    # phase 1 per DMU (as with a separately built tie-break LP) took 350.
+    # One lockstep step pivots every LP still active, and each counts.
     pivots = 0
     pivot = simplex._pivot
 
-    def counted(T, row, col):
+    def counted(T, lps, rows, cols):
         nonlocal pivots
-        pivots += 1
-        pivot(T, row, col)
+        pivots += len(lps)
+        pivot(T, lps, rows, cols)
 
     monkeypatch.setattr(simplex, "_pivot", counted)
     dea.cross_efficiency_matrix(bank_dataset, dea.cluster_groups(bank_dataset, 3))
     assert pivots <= 160
+
+
+def one_evaluator_at_a_time(ds, groups):
+    """ccr_all's fields and the matrix, built evaluator by evaluator through
+    ``ccr_efficiency`` and ``secondary_goal_weights`` (stacks of one LP)."""
+    solves = [dea.ccr_efficiency(ds, d) for d in range(ds.n)]
+    theta = np.array([t for t, _, _, _ in solves])
+    E = np.vstack([dea.cross_efficiency_row(ds, d, *dea.secondary_goal_weights(ds, d, groups, tab))
+                   for d, (_, _, _, tab) in enumerate(solves)])
+    E[np.diag_indices(ds.n)] = theta
+    E[(E > 1.0) & (E <= 1.0 + 1e-12)] = 1.0
+    return theta, np.vstack([u for _, u, _, _ in solves]), np.vstack([v for _, _, v, _ in solves]), E
+
+
+def test_stacked_solves_match_one_evaluator_at_a_time(toy_dataset, bank_dataset):
+    cases = [(toy_dataset, H) for H in (1, 2, 3)] + [(bank_dataset, H) for H in (1, 3)]
+    cases += [(production_dataset([seed, 0], n=24), 3) for seed in range(4)]
+    for ds, H in cases:
+        groups = dea.cluster_groups(ds, H)
+        theta, u, v, E = one_evaluator_at_a_time(ds, groups)
+        res = dea.ccr_all(ds)
+        assert res.theta.tobytes() == theta.tobytes()
+        assert np.ascontiguousarray(res.weights_u).tobytes() == u.tobytes()
+        assert np.ascontiguousarray(res.weights_v).tobytes() == v.tobytes()
+        assert dea.cross_efficiency_matrix(ds, groups).values.tobytes() == E.tobytes(), (ds.n, H)
+
+
+def zero_cell_dataset():
+    # Z03, Z04 and Z05 have a zero input; with three clusters each of their
+    # tie-break LPs is unbounded
+    X = [[3, 2], [2, 1], [1, 0], [1, 0], [0, 3], [2, 3], [2, 2], [3, 2]]
+    Y = [2, 2, 2, 3, 1, 3, 3, 1]
+    return load_dataset(io.StringIO("dmu,x:a,x:b,y:c\n" + "".join(
+        f"Z{k + 1:02d},{x[0]},{x[1]},{y}\n" for k, (x, y) in enumerate(zip(X, Y)))))
+
+
+def failing_self_scores(monkeypatch, evaluators):
+    """The zero-cell dataset, with the self-score LPs of the given evaluators
+    reported infeasible in every stack of all n LPs."""
+    ds = zero_cell_dataset()
+    phase_one = simplex.phase_one
+
+    def failing(A, b, relations):
+        stack = phase_one(A, b, relations)
+        if len(stack.status) == ds.n:
+            stack.status[evaluators] = simplex.INFEASIBLE
+        return stack
+
+    monkeypatch.setattr(simplex, "phase_one", failing)
+    return ds
+
+
+def test_failure_names_the_first_evaluator_in_dmu_order(monkeypatch):
+    ds = zero_cell_dataset()
+    groups = dea.cluster_groups(ds, 3)
+    failing = []
+    for d in range(ds.n):
+        try:
+            dea.secondary_goal_weights(ds, d, groups, dea.ccr_efficiency(ds, d)[3])
+        except dea.SolverFailure:
+            failing.append(d)
+    assert failing == [2, 3, 4]
+    with pytest.raises(dea.SolverFailure, match="tie-break LP for evaluator 'Z03'"):
+        dea.cross_efficiency_matrix(ds, groups)
+    # a self-score failure of a later evaluator does not jump the queue; one
+    # of the same evaluator comes before its tie-break's
+    ds = failing_self_scores(monkeypatch, [3, 6])
+    with pytest.raises(dea.SolverFailure, match="tie-break LP for evaluator 'Z03'"):
+        dea.cross_efficiency_matrix(ds, groups)
+    with pytest.raises(dea.SolverFailure, match="self-efficiency LP for DMU 'Z04': infeasible"):
+        dea.ccr_all(ds)
+    monkeypatch.undo()
+    ds = failing_self_scores(monkeypatch, [2, 6])
+    with pytest.raises(dea.SolverFailure, match="self-efficiency LP for DMU 'Z03': infeasible"):
+        dea.cross_efficiency_matrix(ds, groups)
 
 
 def test_tie_break_matches_slack_variable_oracle(toy_dataset, bank_dataset):

@@ -170,39 +170,123 @@ def test_determinism_bit_for_bit():
 
 
 def test_pivot_matches_row_loop_bit_for_bit():
+    # stacks of compact tableaux; some LPs sit the pivot out, as LPs that are
+    # already optimal or unbounded do in the lockstep loop
     rng = np.random.default_rng(11)
     tol = simplex.PIVOT_TOL
     near_tol = [tol, -tol, tol * (1 - 1e-6), tol * (1 + 1e-6), -tol * (1 + 1e-6), 0.0]
     for _ in range(200):
-        rows, cols = int(rng.integers(2, 12)), int(rng.integers(2, 15))
-        T = rng.normal(size=(rows, cols))
-        T[rng.random((rows, cols)) < 0.3] = 0.0
-        row, col = int(rng.integers(rows)), int(rng.integers(cols))
-        T[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-        # factors just under, at and just over the elimination threshold
-        for i in rng.choice(rows, size=min(rows, 3), replace=False):
-            if i != row:
-                T[i, col] = rng.choice(near_tol)
+        L, rows, cols = int(rng.integers(1, 6)), int(rng.integers(2, 12)), int(rng.integers(2, 15))
+        T = rng.normal(size=(L, rows, cols))
+        T[rng.random(T.shape) < 0.3] = 0.0
+        lps = np.flatnonzero(rng.random(L) < 0.7)
+        row, col = rng.integers(rows, size=lps.size), rng.integers(cols - 1, size=lps.size)
+        for lp, r, c in zip(lps, row, col):
+            T[lp, r, c] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            # factors just under, at and just over the elimination threshold
+            for i in rng.choice(rows, size=min(rows, 3), replace=False):
+                if i != r:
+                    T[lp, i, c] = rng.choice(near_tol)
         ours, ref = T.copy(), T.copy()
-        simplex._pivot(ours, row, col)
-        row_loop_pivot(ref, row, col)
+        simplex._pivot(ours, lps, row, col)
+        for lp, r, c in zip(lps, row, col):
+            row_loop_pivot(ref[lp], r, c)
         assert ours.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("basis, leaves", [([3, 2], 1), ([2, 3], 0)])
 @pytest.mark.parametrize("gap", [0.0, 5e-11])
 def test_ratio_tie_leaves_smaller_basis_index(basis, leaves, gap):
-    # column 0 enters; both rows allow it up to 1, the row with the larger
+    # variable 0 enters; both rows allow it up to 1, the row with the larger
     # basis index up to `gap` less, which is still within the tie tolerance
     T = np.array([
-        [2.0, 1.0, 0.0, 0.0, 2.0],
-        [1.0, 1.0, 0.0, 0.0, 1.0],
-        [-1.0, 1.0, 0.0, 0.0, 0.0],
+        [2.0, 1.0, 2.0],
+        [1.0, 1.0, 1.0],
+        [-1.0, 1.0, 0.0],
     ])
-    for i, var in enumerate(basis):
-        T[i, var] = 1.0
     T[basis.index(3), -1] -= gap * T[basis.index(3), 0]
-    basis = np.array(basis)
-    assert simplex._iterate(T, basis) == OPTIMAL
-    assert basis[leaves] == 0
-    assert basis[1 - leaves] == 3
+    stack = simplex.Stack(T=T[None], basis=np.array([basis]), nonbasic=np.array([[0, 1]]),
+                          barred=np.zeros((1, 2), dtype=bool),
+                          status=np.array([OPTIMAL], dtype=object), n=2)
+    assert not simplex._iterate(stack, np.array([0])).any()
+    assert stack.basis[0, leaves] == 0
+    assert stack.basis[0, 1 - leaves] == 3
+
+
+def test_entering_variable_is_the_lowest_numbered_free_column():
+    # both columns improve; column 0 holds variable 2 and column 1 variable
+    # 0, so variable 0 enters, unless it is barred (second LP)
+    T = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 0.0]])
+    stack = simplex.Stack(T=np.stack([T, T]), basis=np.array([[1], [1]]),
+                          nonbasic=np.array([[2, 0], [2, 0]]),
+                          barred=np.array([[False, False], [False, True]]),
+                          status=np.array([OPTIMAL, OPTIMAL], dtype=object), n=3)
+    assert not simplex._iterate(stack, np.array([0, 1])).any()
+    assert stack.basis.tolist() == [[0], [2]]
+
+
+def solve_one_at_a_time(A, b, relations, cost):
+    """Statuses and points of each LP of a stack, solved as a stack of one."""
+    results = []
+    for lp in range(len(A)):
+        one = simplex.phase_one(A[lp], b, relations)
+        one.optimize(cost[lp])
+        results.append((one.status[0], one.point()[0]))
+    return results
+
+
+def assert_stack_matches_singles(A, b, relations, cost):
+    stack = simplex.phase_one(A, b, relations)
+    stack.optimize(cost)
+    points = stack.point()
+    singles = solve_one_at_a_time(A, b, relations, cost)
+    assert list(stack.status) == [status for status, _ in singles]
+    for lp, (status, x) in enumerate(singles):
+        if status == OPTIMAL:
+            assert points[lp].tobytes() == x.tobytes(), lp
+    return list(stack.status), points
+
+
+def test_stack_matches_its_lps_solved_alone():
+    # shared b and relations, a different A and cost per LP; without a box
+    # some members are unbounded, and with a mixed sign pattern some infeasible
+    rng = np.random.default_rng(314)
+    seen = set()
+    for _ in range(40):
+        L, m, n = int(rng.integers(2, 9)), int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        relations = rng.choice(["<=", ">=", "="], size=m, p=[0.6, 0.25, 0.15]).tolist()
+        b = rng.uniform(-0.2, 1.0, m)
+        A = rng.uniform(-1, 1, (L, m, n))
+        A[rng.random(A.shape) < 0.2] = 0.0
+        cost = rng.uniform(-1, 1, (L, n))
+        seen.update(assert_stack_matches_singles(A, b, relations, cost)[0])
+    assert seen == {OPTIMAL, UNBOUNDED, INFEASIBLE}
+
+
+def test_stack_with_an_infeasible_phase_one_member():
+    # x1 + x2 = 1 with x1 + x2 <= 0.5 has no point; the other members solve
+    A = np.array([
+        [[1.0, 1.0], [1.0, 0.0]],
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[1.0, 2.0], [0.0, 1.0]],
+    ])
+    statuses, _ = assert_stack_matches_singles(A, [1.0, 0.5], ["=", "<="], -np.ones((3, 2)))
+    assert statuses == [OPTIMAL, INFEASIBLE, OPTIMAL]
+
+
+def test_stack_purges_a_redundant_equality_row():
+    # the middle member repeats its first equality, so one artificial stays
+    # basic at zero after phase 1 and its row is zeroed; the first member
+    # has no point with x1 <= 2
+    A = np.array([
+        [[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]],
+        [[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]],
+        [[1.0, 1.0], [1.0, 2.0], [1.0, 0.0]],
+    ])
+    b, relations = [3.0, 6.0, 2.0], ["=", "=", "<="]
+    stack = simplex.phase_one(A, b, relations)
+    # variables 0 and 1 are structural, 2 the slack and 3, 4 the artificials
+    assert (stack.T[1, 1] == 0.0).all() and stack.basis[1, 1] >= 3
+    statuses, x = assert_stack_matches_singles(A, b, relations, np.array([[-1.0, -2.0]] * 3))
+    assert statuses == [INFEASIBLE, OPTIMAL, OPTIMAL]
+    assert_allclose(x[1:], [[0, 3], [0, 3]], atol=1e-9)
