@@ -4,21 +4,19 @@ The evaluated DMU's ratio model is linearized the standard way (virtual
 input pinned to 1) and solved on the simplex tableau built straight from
 the normalized input and output arrays.  The tie-break that selects among
 the evaluator's alternative optimal weights minimizes allies' slacks minus
-adversaries' slacks over the optimal face of that same tableau: every
-nonbasic column with a positive reduced cost is barred, which holds the
-self-score at its optimum without pinning theta as a number, and the
-tie-break objective runs as one more phase 2 from the self-score's final
-basis (the secondary-goal model of Sexton, Silkman & Hogan 1986 and Doyle
-& Green 1994).
+adversaries' slacks over the optimal face of that same tableau (the
+secondary-goal model of Sexton, Silkman & Hogan 1986 and Doyle & Green
+1994): the columns that would lower the self-score are barred, and the
+tie-break runs as one more phase 2 from the self-score's final basis.
 
-Every evaluator's LP has the same shape and differs from the others in one
-row, so ``ccr_all`` and ``cross_efficiency_matrix`` solve all n self-score
-LPs as one ``simplex.Stack``, and the matrix then runs all n tie-breaks on
-that stack's optimal faces.  ``ccr_efficiency`` and
-``secondary_goal_weights`` are the same path for one evaluator (a stack
-of one), and give the same bits.  A failure names the evaluator the
-DMU-by-DMU order reaches first: the lowest index, its self-score before
-its tie-break.
+Every evaluator's LP has the same shape, so ``ccr_all`` and
+``cross_efficiency_matrix`` solve all n self-score LPs as one
+``simplex.Stack`` and then all n tie-breaks on its optimal faces;
+``ccr_efficiency`` and ``secondary_goal_weights`` are a stack of one.
+Scores are fixed-order sums with no BLAS, so each evaluator's bits are the
+same in any batch and on any CPU.  A failure names the first evaluator in
+DMU order: its self-score LP, then its tie-break LP, then a DMU its
+weights give zero virtual input.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ def _self_scores(data: Dataset, evaluators):
     stack = simplex.phase_one(A, b, ["<="] * data.n + ["="])
     stack.optimize(np.hstack([-Y[evaluators], np.zeros((len(evaluators), data.m))]))
     x = stack.point()
-    theta = np.array([float(Y[d] @ x[lp, :data.s]) for lp, d in enumerate(evaluators)])
+    theta = _products(Y[evaluators], x[:, :data.s])
     theta[(theta > 1.0) & (theta <= 1.0 + _DUST)] = 1.0
     return theta, x, stack
 
@@ -81,15 +79,34 @@ def _tie_break_costs(data: Dataset, evaluators, groups: GroupAssignment) -> np.n
     return np.hstack([-(sign * Y[others]).sum(axis=1), (sign * X[others]).sum(axis=1)])
 
 
-def _check(data: Dataset, d: int, self_score: str, tie_break: str = simplex.OPTIMAL) -> None:
-    """Raise SolverFailure for evaluator d unless both of its LPs are optimal."""
-    if self_score != simplex.OPTIMAL:
-        raise SolverFailure(f"self-efficiency LP for DMU {data.names[d]!r}: {self_score}")
-    if tie_break != simplex.OPTIMAL:
-        raise SolverFailure(
-            f"tie-break LP for evaluator {data.names[d]!r} is unbounded on its optimal "
-            "self-score weights; check for zero input cells"
-        )
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[..., k] * b[..., k] in k order, no BLAS: the same bits in any batch, on any CPU."""
+    acc = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    for k in range(a.shape[-1]):
+        acc += a[..., k] * b[..., k]
+    return acc
+
+
+def _check(data: Dataset, evaluators, self_score, tie_break=simplex.OPTIMAL, den=None) -> None:
+    """Raise SolverFailure for the first evaluator with a failed LP or a zero virtual input.
+
+    For that evaluator a failed self-score LP comes first, then a failed
+    tie-break LP, then a DMU given zero virtual input (``den[l]`` holds the
+    virtual inputs of evaluator l).
+    """
+    failed = np.vstack(np.broadcast_arrays(self_score != simplex.OPTIMAL,
+                                           tie_break != simplex.OPTIMAL,
+                                           False if den is None else (den <= 0).any(axis=1)))
+    lp = int(failed.any(axis=0).argmax())
+    name = data.names[evaluators[lp]]
+    if failed[0, lp]:
+        raise SolverFailure(f"self-efficiency LP for DMU {name!r}: {self_score[lp]}")
+    if failed[1, lp]:
+        raise SolverFailure(f"tie-break LP for evaluator {name!r} is unbounded on its optimal "
+                            "self-score weights; check for zero input cells")
+    if failed[2, lp]:
+        j = data.names[int(np.argmin(den[lp]))]
+        raise SolverFailure(f"evaluator {name!r} gives DMU {j!r} zero virtual input")
 
 
 def ccr_efficiency(data: Dataset, d: int):
@@ -97,15 +114,14 @@ def ccr_efficiency(data: Dataset, d: int):
     if not 0 <= d < data.n:
         raise IndexError(f"DMU index {d} out of range")
     theta, x, stack = _self_scores(data, [d])
-    _check(data, d, stack.status[0])
+    _check(data, [d], stack.status)
     return float(theta[0]), x[0, :data.s], x[0, data.s:], stack
 
 
 def ccr_all(data: Dataset) -> CcrResult:
     """Self-efficiencies for every DMU, in DMU order."""
     theta, x, stack = _self_scores(data, np.arange(data.n))
-    for d in range(data.n):
-        _check(data, d, stack.status[d])
+    _check(data, np.arange(data.n), stack.status)
     return CcrResult(theta=theta, weights_u=x[:, :data.s], weights_v=x[:, data.s:])
 
 
@@ -118,21 +134,21 @@ def secondary_goal_weights(data: Dataset, d: int, groups: GroupAssignment, table
     ``ccr_efficiency`` returned for d, which is left as it was.
     """
     face = tableau.optimal_face()
-    _check(data, d, simplex.OPTIMAL, face.optimize(_tie_break_costs(data, [d], groups))[0])
+    _check(data, [d], tableau.status, face.optimize(_tie_break_costs(data, [d], groups)))
     x = face.point()[0]
     return x[:data.s], x[data.s:]
 
 
-def cross_efficiency_row(data: Dataset, d: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Score every DMU with evaluator d's weights."""
-    num = data.norm_outputs @ u
-    den = data.norm_inputs @ v
-    if (den <= 0).any():
-        j = int(np.argmin(den))
-        raise SolverFailure(
-            f"evaluator {data.names[d]!r} gives DMU {data.names[j]!r} zero virtual input"
-        )
-    return num / den
+def cross_efficiency_rows(data: Dataset, evaluators, u: np.ndarray, v: np.ndarray,
+                          self_score=simplex.OPTIMAL, tie_break=simplex.OPTIMAL) -> np.ndarray:
+    """Row l scores every DMU with u[l], v[l], the weights of ``evaluators[l]``.
+
+    SolverFailure names the first evaluator whose LPs failed (given their
+    statuses) or whose weights give some DMU zero virtual input.
+    """
+    den = _products(data.norm_inputs, v[:, None])
+    _check(data, evaluators, self_score, tie_break, den)
+    return _products(data.norm_outputs, u[:, None]) / den
 
 
 def cross_efficiency_matrix(
@@ -145,15 +161,14 @@ def cross_efficiency_matrix(
     if groups.groups.size != data.n:
         raise ValidationError("group assignment does not match dataset size")
 
-    theta, _, stack = _self_scores(data, np.arange(data.n))
+    evaluators = np.arange(data.n)
+    theta, _, stack = _self_scores(data, evaluators)
     face = stack.optimal_face()
-    face.optimize(_tie_break_costs(data, np.arange(data.n), groups))
+    face.optimize(_tie_break_costs(data, evaluators, groups))
     x = face.point()
-    E = np.empty((data.n, data.n))
-    for d in range(data.n):
-        _check(data, d, stack.status[d], face.status[d])
-        E[d] = cross_efficiency_row(data, d, x[d, :data.s], x[d, data.s:])
-        E[d, d] = theta[d]  # the self-score itself, as ccr_all gives it
+    E = cross_efficiency_rows(data, evaluators, x[:, :data.s], x[:, data.s:],
+                              stack.status, face.status)
+    E[evaluators, evaluators] = theta  # the self-score itself, as ccr_all gives it
     E[(E > 1.0) & (E <= 1.0 + _DUST)] = 1.0
     return CrossEfficiencyMatrix(names=list(data.names), values=E)
 

@@ -2,29 +2,28 @@
 
 Built for the tiny LPs that DEA ratio models produce (a handful of
 variables, tens to hundreds of rows), one or two per DMU, all of one
-shape.  Determinism matters more than speed here: Bland's rule with a
+shape.  Determinism matters more than speed here.  Bland's rule with a
 fixed variable numbering pins down which optimal vertex is returned when
-a program has alternative optima, so repeated solves of the same bits give
-the same bits back.
+a program has alternative optima.  Every sum runs in a fixed order within
+its LP and none goes through BLAS, whose kernel OpenBLAS picks by CPU, so
+the same program gives the same bits on any machine, alone or in a stack.
 
 A ``Stack`` holds L programs that share their right-hand side and
-relations and differ only in A, and pivots them in lockstep.  Each step
-picks every active LP's entering and leaving variable with numpy scans
-over the stack and updates all of them in one masked rank-1 update.  The
-tableau is compact: one column per nonbasic variable plus the right-hand
-side, with ``basis`` and ``nonbasic`` naming the variable of each row and
-column.  An LP takes the same pivots with the same bits whether it is
-solved alone or in a stack, so an L = 1 stack is the single-LP path.
+relations and differ only in A, and pivots them in lockstep: numpy scans
+over the stack pick every active LP's entering and leaving variable, and
+one masked rank-1 update pivots them all.  The tableau is compact, one
+column per nonbasic variable plus the right-hand side, with ``basis`` and
+``nonbasic`` naming the variable of each row and column.  An L = 1 stack
+is the single-LP path.
 
-``phase_one`` builds the stack of ``A x (<=|=|>=) b, x >= 0`` straight
-from arrays and finds a feasible basis for each LP; ``Stack.optimize``
-runs phase 2 for one cost vector per LP from whatever basis each holds;
-``Stack.optimal_face`` bars the columns that cannot move without leaving
-the optimum, so a second ``optimize`` picks among the first one's optimal
-points (a secondary goal); ``Stack.point`` reads the structural variables
-off the right-hand side.  Each LP keeps its own status.  ``solve`` chains
-the three for one array LP; the package itself builds its stacks with
-``phase_one`` and never calls it.
+``phase_one`` builds the stack of ``A x (<=|=|>=) b, x >= 0`` from arrays
+and finds a feasible basis for each LP; ``Stack.optimize`` runs phase 2
+for one cost vector per LP; ``Stack.optimal_face`` bars the columns that
+cannot move without leaving the optimum, so a second ``optimize`` picks
+among the first one's optimal points (a secondary goal); ``Stack.point``
+reads the structural variables off the right-hand side.  Each LP keeps its
+own status.  ``solve`` chains the three for one LP; the package builds its
+stacks with ``phase_one`` and never calls it.
 """
 
 from __future__ import annotations
@@ -44,15 +43,7 @@ _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs
 
 
 def solve(cost, A, b, relations) -> tuple[str, np.ndarray | None]:
-    """Minimize cost . x subject to ``A x (relations) b``, x >= 0; returns (status, x).
-
-    x is None unless the status is optimal.  Raises ValueError as
-    ``phase_one`` does, and on a cost that is not finite or does not match A.
-    """
-    cost = np.asarray(cost, dtype=float)
-    A = np.asarray(A, dtype=float)
-    if cost.ndim != 1 or A.ndim != 2 or A.shape[1] != cost.size or not np.isfinite(cost).all():
-        raise ValueError(f"cost {cost} is not a finite vector matching A of shape {A.shape}")
+    """Minimize cost . x over ``A x (relations) b``, x >= 0; returns (status, x or None)."""
     stack = phase_one(A, b, relations)
     status = stack.optimize(cost)[0]
     return status, (stack.point()[0] if status == OPTIMAL else None)
@@ -84,20 +75,24 @@ class Stack:
         """Minimize cost[l] . x for every OPTIMAL LP l from its current basis; returns the statuses.
 
         ``cost`` gives each LP's cost over the structural variables, or one
-        vector for all of them.
+        vector for all of them; ValueError if it is neither or not finite.
         """
         T, basis, nonbasic = self.T, self.basis, self.nonbasic
+        cost = np.asarray(cost, dtype=float)
+        if cost.shape not in ((self.n,), (len(T), self.n)) or not np.isfinite(cost).all():
+            raise ValueError(f"cost of shape {cost.shape} is not finite or not matching A per LP")
+        cost = np.broadcast_to(cost, (len(T), self.n))
         lps = np.flatnonzero(self.status == OPTIMAL)
         full = np.zeros((len(T), basis.shape[1] + nonbasic.shape[1]))
         full[:, :self.n] = cost
         T[lps, -1, :-1] = np.take_along_axis(full[lps], nonbasic[lps], axis=1)
         T[lps, -1, -1] = 0.0
-        basic_cost = np.take_along_axis(full, basis, axis=1)
-        for lp in lps:
-            # reduced costs c - c_B T over the rows whose basic variable has a
-            # cost; one product per LP, so its bits do not depend on the stack
-            rows = np.flatnonzero(basic_cost[lp])
-            T[lp, -1] -= basic_cost[lp, rows] @ T[lp, rows]
+        # reduced costs c - c_B T, with cost_j times the row of each basic structural j
+        # taken away in variable order: no BLAS, so the same bits in any stack, on any CPU
+        for j in range(self.n):
+            lp, row = np.nonzero((basis[lps] == j) & (cost[lps, j, None] != 0.0))
+            lp = lps[lp]
+            T[lp, -1] -= cost[lp, j, None] * T[lp, row]
         self.status[lps[_iterate(self, lps)]] = UNBOUNDED
         return self.status
 

@@ -213,6 +213,17 @@ def test_zero_input_cell_tie_break_exits_four(capsys, tmp_path):
     assert "zero input cells" in err
 
 
+def test_zero_virtual_input_exits_four(capsys, tmp_path):
+    # A's tie-break weights rest on input a, which B lacks; B's and C's own
+    # tie-breaks are unbounded, but DMU order reaches A first
+    path = tmp_path / "zero_virtual_input.csv"
+    path.write_text("dmu,x:a,x:b,y:c\nA,1,1,2\nB,0,1,0\nC,1,0,0\n")
+    code, _, err = run(capsys, "crosseff", "--input", path, "--clusters", 3,
+                       "--out", tmp_path / "m.csv", "--no-timestamp")
+    assert code == 4
+    assert "evaluator 'A' gives DMU 'B' zero virtual input" in err
+
+
 @pytest.mark.parametrize("argv, sections", [
     (["ccr", "--input", TOY_DATA], {"theta"}),
     (["crosseff", "--input", TOY_DATA], {"theta", "matrix"}),

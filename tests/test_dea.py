@@ -125,13 +125,18 @@ def test_self_appraisal_dominance(toy_dataset, bank_dataset):
         assert (M.values - theta[None, :]).max() <= 1e-7
 
 
+def one_row(ds, d, u, v):
+    """Evaluator d's matrix row from its weights: a batch of one."""
+    return dea.cross_efficiency_rows(ds, [d], u[None], v[None])[0]
+
+
 def test_rows_recompute_from_tie_break_weights(toy_dataset):
     groups = dea.cluster_groups(toy_dataset, 2)
     M = dea.cross_efficiency_matrix(toy_dataset, groups)
     for d in range(toy_dataset.n):
         theta, _, _, tab = dea.ccr_efficiency(toy_dataset, d)
         u, v = dea.secondary_goal_weights(toy_dataset, d, groups, tab)
-        row = dea.cross_efficiency_row(toy_dataset, d, u, v)
+        row = one_row(toy_dataset, d, u, v)
         row[d] = theta
         assert_allclose(row, M.values[d], rtol=0, atol=1e-7)
 
@@ -192,7 +197,7 @@ def one_evaluator_at_a_time(ds, groups):
     ``ccr_efficiency`` and ``secondary_goal_weights`` (stacks of one LP)."""
     solves = [dea.ccr_efficiency(ds, d) for d in range(ds.n)]
     theta = np.array([t for t, _, _, _ in solves])
-    E = np.vstack([dea.cross_efficiency_row(ds, d, *dea.secondary_goal_weights(ds, d, groups, tab))
+    E = np.vstack([one_row(ds, d, *dea.secondary_goal_weights(ds, d, groups, tab))
                    for d, (_, _, _, tab) in enumerate(solves)])
     E[np.diag_indices(ds.n)] = theta
     E[(E > 1.0) & (E <= 1.0 + 1e-12)] = 1.0
@@ -262,6 +267,20 @@ def test_failure_names_the_first_evaluator_in_dmu_order(monkeypatch):
         dea.cross_efficiency_matrix(ds, groups)
 
 
+def test_zero_virtual_input_comes_before_a_later_evaluators_lp_failure():
+    ds = load_dataset(io.StringIO("dmu,x:a,x:b,y:c\nA,1,1,2\nB,0,1,0\nC,1,0,0\n"))
+    groups = dea.cluster_groups(ds, 3)
+    for name in ("B", "C"):
+        d = ds.names.index(name)
+        with pytest.raises(dea.SolverFailure, match=f"tie-break LP for evaluator '{name}'"):
+            dea.secondary_goal_weights(ds, d, groups, dea.ccr_efficiency(ds, d)[3])
+    u, v = dea.secondary_goal_weights(ds, 0, groups, dea.ccr_efficiency(ds, 0)[3])
+    assert v[0] > 0 and v[1] == 0  # all of A's input weight is on a, which B lacks
+    for build in (lambda: one_row(ds, 0, u, v), lambda: dea.cross_efficiency_matrix(ds, groups)):
+        with pytest.raises(dea.SolverFailure, match="evaluator 'A' gives DMU 'B' zero virtual input"):
+            build()
+
+
 def test_tie_break_matches_slack_variable_oracle(toy_dataset, bank_dataset):
     # same feasible set and objective as the slack form, so the same optimum;
     # on the case studies the same weights too, to 1e-12 in the matrix
@@ -280,7 +299,7 @@ def test_tie_break_matches_slack_variable_oracle(toy_dataset, bank_dataset):
             sign[d] = 0.0
             ours = float(sign @ (X @ v - Y @ u))
             assert abs(ours - ref) <= 1e-9 * abs(ref), (ds.n, H, d, ours, ref)
-            row = dea.cross_efficiency_row(ds, d, ref_u, ref_v)
+            row = one_row(ds, d, ref_u, ref_v)
             row[d] = theta
             rows.append(row)
         if same_matrix:

@@ -86,7 +86,7 @@ def test_klee_minty_style_cycling_guard():
 
 
 def test_non_finite_rejected():
-    # the cost is checked by solve, the rows by phase_one
+    # the cost is checked by Stack.optimize, the rows by phase_one
     for c, rows in [
         ([1, np.inf], []),
         ([1, 1], [([np.inf, 1], "<=", 1)]),
@@ -94,6 +94,10 @@ def test_non_finite_rejected():
     ]:
         with pytest.raises(ValueError, match="finite"):
             lp(c, "max", rows)
+    # optimize itself, one cost for the stack or one row per LP
+    for cost in ([np.nan, -1.0], [-np.inf, -1.0], [[1.0, np.inf]]):
+        with pytest.raises(ValueError, match="finite"):
+            simplex.phase_one([[1.0, 1.0]], [1.0], ["<="]).optimize(cost)
 
 
 def test_malformed_programs_rejected():
@@ -106,6 +110,8 @@ def test_malformed_programs_rejected():
         solve([1.0, 1.0, 1.0], [[1.0, 0.0]], [1.0], ["<="])
     with pytest.raises(ValueError, match="one rhs and one relation per row"):
         solve([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], ["<="])
+    with pytest.raises(ValueError, match="matching A per LP"):
+        simplex.phase_one([[1.0, 0.0]], [1.0], ["<="]).optimize([[1.0, 1.0], [1.0, 1.0]])
 
 
 def _random_lp(rng):
