@@ -43,8 +43,6 @@ from .game import (
     DegenerateDenominatorError,
     ShapleyTriple,
     build_coalition_table,
-    characteristic_value,
-    coalition_bounds,
     shapley_triples,
 )
 from .report import TOOL_VERSION as __version__
@@ -67,9 +65,7 @@ __all__ = [
     "build_coalition_table",
     "ccr_all",
     "ccr_efficiency",
-    "characteristic_value",
     "cluster_groups",
-    "coalition_bounds",
     "cross_efficiency_matrix",
     "load_dataset",
     "load_groups",

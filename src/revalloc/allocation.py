@@ -48,16 +48,12 @@ def _validated(triple: ShapleyTriple, revenue: float) -> ShapleyTriple:
 
 def optimistic_allocation(triple: ShapleyTriple, revenue: float) -> np.ndarray:
     """Each DMU's upper share against everyone else's lower shares."""
-    _validated(triple, revenue)
-    up, lo = triple.phi_upper, triple.phi_lower
-    return revenue * up / (up + (lo.sum() - lo))
+    return allocate(triple, revenue).upper
 
 
 def pessimistic_allocation(triple: ShapleyTriple, revenue: float) -> np.ndarray:
     """Each DMU's lower share against everyone else's upper shares."""
-    _validated(triple, revenue)
-    up, lo = triple.phi_upper, triple.phi_lower
-    return revenue * lo / (lo + (up.sum() - up))
+    return allocate(triple, revenue).lower
 
 
 def allocate(triple: ShapleyTriple, revenue: float,
@@ -66,12 +62,13 @@ def allocate(triple: ShapleyTriple, revenue: float,
     _validated(triple, revenue)
     if names is not None and len(names) != triple.n:
         raise AllocationError(f"{len(names)} names for {triple.n} DMUs")
+    up, lo = triple.phi_upper, triple.phi_lower
     shares = triple.phi / triple.phi.sum()
     return AllocationPlan(
         revenue=float(revenue),
         central=revenue * shares,
-        upper=optimistic_allocation(triple, revenue),
-        lower=pessimistic_allocation(triple, revenue),
+        upper=revenue * up / (up + (lo.sum() - lo)),
+        lower=revenue * lo / (lo + (up.sum() - up)),
         shares=shares,
         names=list(names) if names is not None else None,
     )

@@ -109,19 +109,13 @@ class CrossEfficiencyMatrix:
     values: np.ndarray  # n x n, entries in [0, 1]
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = check_scores(self.values)
         n = len(self.names)
-        if n == 0:
-            raise ValidationError("matrix needs at least one DMU")
         _check_unique_names(self.names)
         if self.values.shape != (n, n):
             raise ValidationError(
                 f"matrix shape {self.values.shape} does not match {n} names"
             )
-        if not np.isfinite(self.values).all():
-            raise ParseError("matrix contains non-finite entries")
-        if self.values.min() < 0 or self.values.max() > 1 + SCORE_UPPER_TOL:
-            raise ValidationError("matrix entries must lie in [0, 1]")
 
     @property
     def n(self) -> int:
@@ -129,6 +123,20 @@ class CrossEfficiencyMatrix:
 
     def diagonal(self) -> np.ndarray:
         return np.diag(self.values).copy()
+
+
+def check_scores(values) -> np.ndarray:
+    """An appraisal matrix as floats: square, nonempty, finite, in [0, 1 + SCORE_UPPER_TOL]."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValidationError(f"matrix must be square, got shape {values.shape}")
+    if values.size == 0:
+        raise ValidationError("matrix needs at least one DMU")
+    if not np.isfinite(values).all():
+        raise ParseError("matrix contains non-finite entries")
+    if values.min() < 0 or values.max() > 1 + SCORE_UPPER_TOL:
+        raise ValidationError("matrix entries must lie in [0, 1]")
+    return values
 
 
 def normalize(raw_inputs, raw_outputs):

@@ -3,7 +3,10 @@
 Coalitions are bitmasks over DMU indices (bit i = DMU i).  A member's
 in-coalition upper/lower bound is the max/min appraisal it receives from
 the other members; a lone member scores exactly 1 by convention.  The
-coalition worth is the sum of member upper bounds.
+coalition worth (the characteristic function) is the sum of member upper
+bounds.  ``build_coalition_table`` is the one place both totals are
+computed: ``sum_upper[mask]`` is the worth v(mask) and ``sum_lower[mask]``
+the sum of member lower bounds, for every mask at once.
 
 The per-player share replaces the classic marginal-contribution difference
 with a ratio: joining coalition S, player i contributes its own received
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dataset import SCORE_UPPER_TOL, CrossEfficiencyMatrix
+from .dataset import CrossEfficiencyMatrix, ValidationError, check_scores
 
 MAX_DMUS = 24            # hard cap: the two 2^n sums take 256 MB at n = 24
 DENOM_TOL = 1e-9
@@ -37,7 +40,7 @@ class DegenerateDenominatorError(ArithmeticError):
     def __init__(self, player: int, mask: int, names: list[str] | None = None):
         self.player = player
         self.mask = mask
-        members = mask_members(mask)
+        members = [i for i in range(mask.bit_length()) if mask >> i & 1]
         if names is None:
             who = f"DMU index {player}"
             coalition = ", ".join(map(str, members))
@@ -71,73 +74,10 @@ class CoalitionTable:
     sum_upper: np.ndarray            # worth v(mask) = sum of member upper bounds
     sum_lower: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.E.shape[0]
-
-    def characteristic(self, mask: int) -> float:
-        _check_mask(mask, self.n)
-        return float(self.sum_upper[mask])
-
-
-def mask_members(mask: int) -> list[int]:
-    if mask < 0:
-        raise ValueError(f"mask {mask} is negative")
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
 
 def matrix_values(E) -> np.ndarray:
-    """Accept a CrossEfficiencyMatrix or a plain square array of scores in [0, 1]."""
-    values = E.values if isinstance(E, CrossEfficiencyMatrix) else np.asarray(E, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] == 0:
-        raise ValueError(f"appraisal matrix must be square and nonempty, got {values.shape}")
-    if not np.isfinite(values).all():
-        raise ValueError("appraisal matrix has non-finite entries")
-    if values.min() < 0 or values.max() > 1 + SCORE_UPPER_TOL:
-        raise ValueError("appraisal matrix entries must lie in [0, 1]")
-    return values
-
-
-def _check_mask(mask: int, n: int) -> None:
-    if not 0 <= mask < 1 << n:
-        raise ValueError(f"mask {mask} is not a coalition of {n} DMUs (0 <= mask < {1 << n})")
-
-
-def _bounds(values: np.ndarray, mask: int, j: int) -> tuple[float, float]:
-    others = [d for d in mask_members(mask) if d != j]
-    if not others:
-        return 1.0, 1.0
-    col = values[others, j]
-    return float(col.max()), float(col.min())
-
-
-def coalition_bounds(E, mask: int, j: int) -> tuple[float, float]:
-    """(upper, lower) appraisal bounds of member j in coalition mask, directly."""
-    values = matrix_values(E)
-    n = values.shape[0]
-    _check_mask(mask, n)
-    if not 0 <= j < n:
-        raise ValueError(f"DMU index {j} is out of range for {n} DMUs")
-    if not (mask >> j) & 1:
-        raise ValueError(f"DMU {j} is not a member of mask {mask}")
-    return _bounds(values, mask, j)
-
-
-def characteristic_value(E, mask: int) -> float:
-    """Coalition worth: sum over members of their upper received appraisal."""
-    values = matrix_values(E)
-    _check_mask(mask, values.shape[0])
-    total = 0.0
-    for j in mask_members(mask):
-        total += _bounds(values, mask, j)[0]
-    return total
+    """The scores of a CrossEfficiencyMatrix, or a plain array checked as one."""
+    return E.values if isinstance(E, CrossEfficiencyMatrix) else check_scores(E)
 
 
 def coalition_weights(n: int) -> np.ndarray:
@@ -154,7 +94,7 @@ def build_coalition_table(E) -> CoalitionTable:
     values = matrix_values(E)
     n = values.shape[0]
     if n > MAX_DMUS:
-        raise ValueError(f"{n} DMUs exceeds the coalition cap of {MAX_DMUS}")
+        raise ValidationError(f"{n} DMUs exceeds the coalition cap of {MAX_DMUS}")
     sum_upper, sum_lower = _kernels.coalition_sums(values)
     return CoalitionTable(values, sum_upper, sum_lower)
 

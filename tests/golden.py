@@ -1,0 +1,90 @@
+"""Golden reports: the CLI's exact output on the bundled case studies.
+
+Each case is one ``revalloc`` command line with repo-relative paths, since a
+report echoes its paths in ``config``.  It runs in a work directory that
+holds a copy of ``tests/data``, so a ``crosseff --out`` matrix lands there
+too.  A case's golden file holds the exit code, the first stderr line and
+stdout; its ``--out`` matrix, if any, is pinned beside it.
+
+Regenerate every file under ``tests/data/golden/`` from the repo root with::
+
+    PYTHONPATH=src python tests/golden.py --write
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import shutil
+import tempfile
+from pathlib import Path
+
+from revalloc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+GOLDEN = DATA / "golden"
+
+
+def cases() -> dict[str, list[str]]:
+    """Case name -> argv.  The ``--out`` file of a case is ``<name>.matrix.csv``."""
+    runs = {}
+    for case, clusters, revenue in (("toy", "2", "10000"), ("bank", "3", "2900")):
+        data, matrix = f"tests/data/{case}_data.csv", f"tests/data/{case}_matrix.csv"
+        for fmt, extra in (("json", []), ("csv", ["--precision", "17"])):
+            tail = ["--format", fmt, *extra, "--no-timestamp"]
+            runs[f"{case}-ccr-{fmt}"] = ["ccr", "--input", data, *tail]
+            runs[f"{case}-crosseff-{fmt}"] = ["crosseff", "--input", data, "--clusters", clusters,
+                                             *tail, "--out", f"{case}-crosseff-{fmt}.matrix.csv"]
+            runs[f"{case}-shapley-{fmt}"] = ["shapley", "--matrix", matrix, *tail]
+            runs[f"{case}-allocate-{fmt}"] = ["allocate", "--matrix", matrix,
+                                             "--revenue", revenue, *tail]
+            runs[f"{case}-pipeline-{fmt}"] = ["pipeline", "--input", data, "--clusters", clusters,
+                                             "--revenue", revenue, *tail]
+    # Z05 has a zero input cell: its tie-break is unbounded (exit 4)
+    runs["zero-cells-crosseff"] = ["crosseff", "--input", "tests/data/zero_cells.csv",
+                                   "--clusters", "2", "--no-timestamp",
+                                   "--out", "zero-cells-crosseff.matrix.csv"]
+    # one DMU over the coalition cap of 24 (exit 3)
+    runs["over-cap-shapley"] = ["shapley", "--matrix", "tests/data/matrix_25.csv",
+                                "--no-timestamp"]
+    return runs
+
+
+def run_case(name: str, work: Path) -> dict[str, bytes]:
+    """Run one case in ``work``; file name -> the bytes its golden files should hold."""
+    if not (work / "tests" / "data").is_dir():
+        shutil.copytree(DATA, work / "tests" / "data", ignore=shutil.ignore_patterns("golden"))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(cases()[name])
+    finally:
+        os.chdir(cwd)
+    first_err = err.getvalue().partition("\n")[0]
+    files = {f"{name}.txt": f"exit: {code}\nstderr: {first_err}\n{out.getvalue()}".encode()}
+    matrix = work / f"{name}.matrix.csv"
+    if matrix.exists():
+        files[matrix.name] = matrix.read_bytes()
+    return files
+
+
+def write() -> None:
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    GOLDEN.mkdir()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in cases():
+            for fname, content in run_case(name, Path(tmp)).items():
+                (GOLDEN / fname).write_bytes(content)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true", required=True,
+                        help="regenerate tests/data/golden/")
+    parser.parse_args()
+    write()

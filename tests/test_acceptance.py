@@ -249,7 +249,7 @@ def test_criterion_7_property_suites(toy_matrix, bank_matrix):
     table = build_coalition_table(toy_matrix)
     for mask in range(1, 1 << 5):
         coalition = {j for j in range(5) if mask >> j & 1}
-        if abs(table.characteristic(mask)
+        if abs(table.sum_upper[mask]
                - naive_oracles.coalition_worth(toy_matrix.values, coalition)) > 1e-9:
             failures.append(f"toy DP aggregate differs from naive oracle at mask {mask}")
     table18 = build_coalition_table(bank_matrix)
@@ -257,7 +257,7 @@ def test_criterion_7_property_suites(toy_matrix, bank_matrix):
     for mask in rng.integers(1, 1 << 18, size=1000):
         mask = int(mask)
         coalition = {j for j in range(18) if mask >> j & 1}
-        if abs(table18.characteristic(mask)
+        if abs(table18.sum_upper[mask]
                - naive_oracles.coalition_worth(bank_matrix.values, coalition)) > 1e-9:
             failures.append(f"bank DP aggregate differs from naive oracle at mask {mask}")
             break

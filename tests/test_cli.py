@@ -197,6 +197,19 @@ def test_degenerate_matrix_exits_four(capsys, tmp_path):
     assert "DMU C (index 2) joining coalition {A}" in err
 
 
+def test_game_over_the_coalition_cap_exits_three(capsys, tmp_path):
+    names = [f"D{i + 1:02d}" for i in range(25)]
+    path = tmp_path / "m25.csv"
+    path.write_text(",".join(["dmu"] + names) + "\n" + "".join(
+        ",".join([name] + ["1" if i == j else "0.5" for j in range(25)]) + "\n"
+        for i, name in enumerate(names)))
+    for argv in (["shapley"], ["allocate", "--revenue", 100]):
+        code, out, err = run(capsys, *argv, "--matrix", path)
+        assert code == 3
+        assert out == ""
+        assert err == "error: 25 DMUs exceeds the coalition cap of 24\n"
+
+
 def test_zero_input_cell_tie_break_exits_four(capsys, tmp_path):
     # Z05 has a zero first input, so its tie-break LP is unbounded whenever
     # an adversary uses that input: a defined failure until the model

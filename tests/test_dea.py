@@ -27,7 +27,10 @@ def production_dataset(seed, n=80):
     rng = np.random.default_rng(seed)
     size = np.array([20.0, 60.0, 180.0])[rng.permutation(np.arange(n) % 3)]
     X = size[:, None] * np.exp(rng.normal(0.0, 0.3, (n, 3)))
-    frontier = np.exp(np.log(X) @ ELASTICITY.T) * OUTPUT_SCALE
+    log_frontier = np.zeros((n, 2))
+    for k in range(3):  # in input order, no BLAS: the same bits on any CPU
+        log_frontier += np.log(X[:, k, None]) * ELASTICITY[:, k]
+    frontier = np.exp(log_frontier) * OUTPUT_SCALE
     efficiency = np.exp(-np.abs(rng.normal(0.0, 0.3, (n, 1))))
     mix = np.exp(rng.normal(0.0, 0.15, (n, 2)))
     return revalloc.Dataset(

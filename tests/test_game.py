@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from revalloc import _kernels, game
+from revalloc import _kernels
 from revalloc.dataset import CrossEfficiencyMatrix
 from revalloc.game import (
     DegenerateDenominatorError,
     build_coalition_table,
-    characteristic_value,
-    coalition_bounds,
     coalition_weights,
     shapley_triples,
 )
@@ -27,53 +25,23 @@ def random_matrix(rng, n, low=0.05):
 # ------------------------------------------------------------------- bounds
 
 def test_worked_example_bounds(toy_matrix):
-    mask = 0b111  # members 1..3 of the toy case
-    assert coalition_bounds(toy_matrix, mask, 0) == (0.89, 0.58)
-    assert coalition_bounds(toy_matrix, mask, 1) == (0.46, 0.43)
-    assert coalition_bounds(toy_matrix, mask, 2) == (0.40, 0.25)
+    # members 1..3 of the toy case receive the (upper, lower) bounds
+    # (0.89, 0.58), (0.46, 0.43) and (0.40, 0.25)
+    table = build_coalition_table(toy_matrix)
+    assert abs(table.sum_upper[0b111] - 1.75) < 1e-12
+    assert abs(table.sum_lower[0b111] - 1.26) < 1e-12
 
 
 def test_singleton_bounds_are_one(toy_matrix):
+    table = build_coalition_table(toy_matrix)
     for j in range(5):
-        assert coalition_bounds(toy_matrix, 1 << j, j) == (1.0, 1.0)
-
-
-def test_non_member_rejected(toy_matrix):
-    with pytest.raises(ValueError, match="not a member"):
-        coalition_bounds(toy_matrix, 0b011, 2)
-
-
-@pytest.mark.parametrize("mask", [-1, 0b1000, 0b1001, -(1 << 70)])
-def test_mask_outside_the_game_rejected(mask):
-    # a 3-DMU game has masks 0..7
-    E = random_matrix(np.random.default_rng(3), 3)
-    table = build_coalition_table(E)
-    calls = [
-        lambda: characteristic_value(E, mask),
-        lambda: coalition_bounds(E, mask, 0),
-        lambda: table.characteristic(mask),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match=rf"mask {mask} is not a coalition of 3 DMUs"):
-            call()
-
-
-def test_mask_members_rejects_a_negative_mask():
-    with pytest.raises(ValueError, match="mask -1 is negative"):
-        game.mask_members(-1)
-
-
-@pytest.mark.parametrize("j", [-1, 3])
-def test_member_index_outside_the_game_rejected(j):
-    E = random_matrix(np.random.default_rng(3), 3)
-    with pytest.raises(ValueError, match=rf"DMU index {j} is out of range for 3 DMUs"):
-        coalition_bounds(E, 0b111, j)
+        assert table.sum_upper[1 << j] == table.sum_lower[1 << j] == 1.0
 
 
 def test_characteristic_worked_example(toy_matrix):
-    assert abs(characteristic_value(toy_matrix, 0b111) - 1.75) < 1e-12
-    assert characteristic_value(toy_matrix, 0b00100) == 1.0
-    assert characteristic_value(toy_matrix, 0) == 0.0
+    table = build_coalition_table(toy_matrix)
+    assert table.sum_upper[0b00100] == 1.0
+    assert table.sum_upper[0] == table.sum_lower[0] == 0.0
 
 
 # ------------------------------------------------------------ coalition table
@@ -82,16 +50,11 @@ def test_table_matches_naive_on_all_toy_masks(toy_matrix):
     table = build_coalition_table(toy_matrix)
     E = toy_matrix.values
     for mask in range(1, 1 << 5):
-        members = [j for j in range(5) if mask >> j & 1]
-        coalition = set(members)
-        assert abs(table.characteristic(mask)
+        coalition = {j for j in range(5) if mask >> j & 1}
+        assert abs(table.sum_upper[mask]
                    - naive_oracles.coalition_worth(E, coalition)) < 1e-12
         assert abs(table.sum_lower[mask]
                    - naive_oracles.coalition_lower_total(E, coalition)) < 1e-12
-        for j in members:
-            up, lo = coalition_bounds(E, mask, j)
-            ref = naive_oracles.bounds_in_coalition(E, coalition, j)
-            assert (up, lo) == ref
 
 
 def test_table_matches_naive_on_random_bank_masks(bank_matrix):
@@ -102,10 +65,10 @@ def test_table_matches_naive_on_random_bank_masks(bank_matrix):
     for mask in masks:
         mask = int(mask)
         coalition = {j for j in range(18) if mask >> j & 1}
-        assert abs(table.characteristic(mask)
+        assert abs(table.sum_upper[mask]
                    - naive_oracles.coalition_worth(E, coalition)) < 1e-9
-        j = min(coalition)
-        assert coalition_bounds(E, mask, j) == naive_oracles.bounds_in_coalition(E, coalition, j)
+        assert abs(table.sum_lower[mask]
+                   - naive_oracles.coalition_lower_total(E, coalition)) < 1e-9
 
 
 def test_table_sums_equal_member_bounds():
@@ -116,8 +79,8 @@ def test_table_sums_equal_member_bounds():
     table = build_coalition_table(E)
     assert not hasattr(table, "bound_max")
     for mask in range(1, 1 << 6):
-        members = [j for j in range(6) if mask >> j & 1]
-        bounds = [coalition_bounds(E, mask, j) for j in members]
+        coalition = {j for j in range(6) if mask >> j & 1}
+        bounds = [naive_oracles.bounds_in_coalition(E, coalition, j) for j in coalition]
         assert abs(table.sum_upper[mask] - sum(u for u, _ in bounds)) <= 1e-12
         assert abs(table.sum_lower[mask] - sum(lo for _, lo in bounds)) <= 1e-12
 
@@ -129,7 +92,7 @@ def test_table_cap():
 
 def test_single_dmu_table_and_shares():
     table = build_coalition_table(np.array([[1.0]]))
-    assert table.characteristic(1) == 1.0
+    assert table.sum_upper[1] == 1.0
     triple = shapley_triples(np.array([[1.0]]))
     assert triple.phi[0] == triple.phi_upper[0] == triple.phi_lower[0] == 1.0
 
@@ -137,19 +100,20 @@ def test_single_dmu_table_and_shares():
 def test_monotone_bounds_for_multi_member_coalitions():
     # growing a coalition can only raise a member's max and lower its min,
     # as long as the member is never alone (the lone-member value is pinned
-    # to 1 by convention, which breaks monotonicity at that single step)
+    # to 1 by convention, which breaks monotonicity at that single step); so
+    # without the joiner's own bounds the totals move the same way
     rng = np.random.default_rng(8)
     E = random_matrix(rng, 7)
+    table = build_coalition_table(E)
     for _ in range(300):
         S = int(rng.integers(1, 1 << 7))
         extra = int(rng.integers(0, 7))
+        if S >> extra & 1 or bin(S).count("1") < 2:
+            continue
         T = S | (1 << extra)
-        for j in range(7):
-            if S >> j & 1 and bin(S).count("1") >= 2:
-                upS, loS = coalition_bounds(E, S, j)
-                upT, loT = coalition_bounds(E, T, j)
-                assert upS <= upT + 1e-12
-                assert loS >= loT - 1e-12
+        received = E[[d for d in range(7) if S >> d & 1], extra]
+        assert table.sum_upper[S] <= table.sum_upper[T] - received.max() + 1e-12
+        assert table.sum_lower[S] >= table.sum_lower[T] - received.min() - 1e-12
 
 
 # ----------------------------------------------------------------- weights
@@ -267,7 +231,7 @@ def test_central_denominators_bounded_below_by_coalition_size():
                 continue
             s = bin(S).count("1")
             T = S | (1 << i)
-            eU, _ = coalition_bounds(E, T, i)
+            eU = E[[d for d in range(6) if S >> d & 1], i].max()
             den = s + (table.sum_upper[T] - eU) - table.sum_upper[S]
             if s >= 2:
                 assert den >= s - 1e-12
@@ -282,26 +246,22 @@ def test_superadditive_for_multi_member_coalitions():
     rng = np.random.default_rng(43)
     for _ in range(50):
         n = int(rng.integers(4, 7))
-        E = random_matrix(rng, n)
+        worth = build_coalition_table(random_matrix(rng, n)).sum_upper
         for S1 in range(1, 1 << n):
             if bin(S1).count("1") < 2:
                 continue
             for S2 in range(1, 1 << n):
                 if S1 & S2 or bin(S2).count("1") < 2:
                     continue
-                v1 = characteristic_value(E, S1)
-                v2 = characteristic_value(E, S2)
-                v12 = characteristic_value(E, S1 | S2)
-                assert v12 >= v1 + v2 - 1e-9
+                assert worth[S1 | S2] >= worth[S1] + worth[S2] - 1e-9
 
 
 def test_singleton_pair_breaks_superadditivity():
     # documented counterexample: two lone DMUs are worth 1 each, but the
     # pair is worth only the two mutual appraisals
-    E = np.array([[1.0, 0.5], [0.5, 1.0]])
-    v_pair = characteristic_value(E, 0b11)
-    assert v_pair == 1.0
-    assert v_pair < characteristic_value(E, 0b01) + characteristic_value(E, 0b10)
+    worth = build_coalition_table(np.array([[1.0, 0.5], [0.5, 1.0]])).sum_upper
+    assert worth[0b11] == 1.0
+    assert worth[0b11] < worth[0b01] + worth[0b10]
 
 
 def test_degenerate_denominator_raises_with_location():
@@ -334,7 +294,7 @@ def test_degenerate_denominator_names_the_dmus_of_a_named_matrix():
 def test_scores_outside_the_unit_interval_rejected(entry):
     # a negative entry used to surface as a misleading degenerate denominator
     E = np.array([[1.0, entry], [0.5, 1.0]])
-    for call in (shapley_triples, build_coalition_table, lambda E: characteristic_value(E, 0b11)):
+    for call in (shapley_triples, build_coalition_table):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             call(E)
 
