@@ -33,9 +33,14 @@ class AllocationPlan:
     names: list[str] | None = None
 
 
-def _validated(triple: ShapleyTriple, revenue: float) -> ShapleyTriple:
+def check_revenue(revenue: float) -> None:
+    """Refuse a revenue that is not a positive finite number."""
     if not np.isfinite(revenue) or revenue <= 0:
         raise AllocationError(f"revenue must be positive, got {revenue!r}")
+
+
+def _validated(triple: ShapleyTriple, revenue: float) -> ShapleyTriple:
+    check_revenue(revenue)
     arrays = (triple.phi_lower, triple.phi, triple.phi_upper)
     for arr in arrays:
         if (np.asarray(arr) <= 0).any():

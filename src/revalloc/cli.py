@@ -150,6 +150,17 @@ def _run(args) -> report.Report:
     if data is not None and fixture is not None and fixture.names != list(data.names):
         raise ValidationError(
             f"matrix names {fixture.names} do not match dataset names {list(data.names)}")
+    # refuse bad game inputs before any stage runs
+    reference = None
+    if "shapley" in stages:
+        names = (data or fixture).names
+        if args.empty_coalition == "calibrate":
+            if not args.reference:
+                raise _UsageError("--empty-coalition calibrate requires --reference")
+            reference = load_reference(args.reference, names)
+        game.check_coalition_cap(len(names))
+    if "allocation" in stages:
+        allocation.check_revenue(args.revenue)
     sections, ledger = {}, []
     matrix = fixture
 
@@ -168,7 +179,7 @@ def _run(args) -> report.Report:
             write_matrix(matrix, args.out or "matrix.csv")  # full precision so reruns agree
 
     if "shapley" in stages:
-        triple, convention, notes = _compute_triples(args, matrix)
+        triple, convention, notes = _compute_triples(args, matrix, reference)
         ledger += notes
         sections["shapley"] = {
             "names": list(matrix.names),
@@ -244,17 +255,13 @@ def _fixture_notes(fixture, matrix, theta, names) -> list[str]:
     ]
 
 
-def _compute_triples(args, matrix: CrossEfficiencyMatrix):
-    """Apply the empty-coalition flag, calibrating against a reference if asked.
+def _compute_triples(args, matrix: CrossEfficiencyMatrix, reference):
+    """Apply the empty-coalition flag, calibrating against ``reference`` if given.
 
     Calibration runs the game once: the ``unit`` triple is the ``exclude``
     triple plus the empty-coalition term.
     """
-    calibrate = args.empty_coalition == "calibrate"
-    if calibrate:
-        if not args.reference:
-            raise _UsageError("--empty-coalition calibrate requires --reference")
-        reference = load_reference(args.reference, matrix.names)
+    calibrate = reference is not None
     triple = game.shapley_triples(matrix, "exclude" if calibrate else args.empty_coalition)
     if not calibrate:
         return triple, args.empty_coalition, []

@@ -11,7 +11,8 @@ File formats:
 * ``matrix.csv``  -- first row and first column are DMU names; cell (d, j)
   is evaluator d's score of target j.
 
-Blank lines are skipped everywhere, also before the header.  The groups and
+Blank lines are skipped everywhere, also before the header, and so is a
+UTF-8 byte-order mark at the start of a file.  The groups and
 reference files name every DMU exactly once and no other DMU.
 """
 
@@ -196,7 +197,7 @@ def _parse_cell(text: str, where: str) -> float:
 def _read_rows(source) -> list[tuple[int, list[str]]]:
     """The non-blank rows of a CSV path or open text stream, with their line numbers."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return _read_rows(fh)
     return [(lineno, row) for lineno, row in enumerate(csv.reader(source), start=1)
             if any(c.strip() for c in row)]

@@ -85,6 +85,12 @@ def coalition_weights(n: int) -> np.ndarray:
     return np.array([1.0 / (n * math.comb(n - 1, s)) for s in range(n)])
 
 
+def check_coalition_cap(n: int) -> None:
+    """Refuse a game of more than ``MAX_DMUS`` players."""
+    if n > MAX_DMUS:
+        raise ValidationError(f"{n} DMUs exceeds the coalition cap of {MAX_DMUS}")
+
+
 def build_coalition_table(E) -> CoalitionTable:
     """Build the per-coalition sums with the blocked column kernel.
 
@@ -92,9 +98,7 @@ def build_coalition_table(E) -> CoalitionTable:
     peak is 256 MB of sums, down from 384 MB with full-length column tables.
     """
     values = matrix_values(E)
-    n = values.shape[0]
-    if n > MAX_DMUS:
-        raise ValidationError(f"{n} DMUs exceeds the coalition cap of {MAX_DMUS}")
+    check_coalition_cap(values.shape[0])
     sum_upper, sum_lower = _kernels.coalition_sums(values)
     return CoalitionTable(values, sum_upper, sum_lower)
 

@@ -28,11 +28,10 @@ class Report:
     provenance: dict
     results: dict
     discrepancies: list = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
 
     def to_json(self) -> str:
         payload = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "config": self.config,
             "provenance": self.provenance,
@@ -41,23 +40,11 @@ class Report:
         }
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        payload = json.loads(text)
-        return cls(
-            command=payload["command"],
-            config=payload["config"],
-            provenance=payload["provenance"],
-            results=payload["results"],
-            discrepancies=payload["discrepancy_ledger"],
-            schema_version=payload["schema_version"],
-        )
-
     def to_csv(self, precision: int = 2) -> str:
         out = io.StringIO()
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["section", "key", "values"])
-        w.writerow(["meta", "schema_version", self.schema_version])
+        w.writerow(["meta", "schema_version", SCHEMA_VERSION])
         w.writerow(["meta", "command", self.command])
         for key in sorted(self.config):
             w.writerow(["config", key, _scalar(self.config[key])])
@@ -92,16 +79,6 @@ class Report:
                     fmt(al["lower"][i]), fmt(al["central"][i]), fmt(al["upper"][i]),
                 ])
         return out.getvalue()
-
-    @classmethod
-    def parse_csv(cls, text: str) -> dict:
-        """Parse a CSV report back into {section: {key: [values...]}}."""
-        sections: dict[str, dict] = {}
-        rows = list(csv.reader(io.StringIO(text)))
-        for row in rows[1:]:
-            section, key, values = row[0], row[1], row[2:]
-            sections.setdefault(section, {})[key] = values
-        return sections
 
 
 def _scalar(value):

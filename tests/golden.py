@@ -6,9 +6,16 @@ holds a copy of ``tests/data``, so a ``crosseff --out`` matrix lands there
 too.  A case's golden file holds the exit code, the first stderr line and
 stdout; its ``--out`` matrix, if any, is pinned beside it.
 
+These cases are the one list of end-to-end CLI runs: ``test_golden.py``
+compares them with the golden files in process, ``test_portable_bits.py``
+under other OpenBLAS kernels, and ``test_cli.py`` validates their JSON
+reports against the schema.
+
 Regenerate every file under ``tests/data/golden/`` from the repo root with::
 
     PYTHONPATH=src python tests/golden.py --write
+
+It prints each golden file it added, changed or removed.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ def cases() -> dict[str, list[str]]:
                                              "--revenue", revenue, *tail]
             runs[f"{case}-pipeline-{fmt}"] = ["pipeline", "--input", data, "--clusters", clusters,
                                              "--revenue", revenue, *tail]
+    runs["toy-shapley-input-json"] = ["shapley", "--input", "tests/data/toy_data.csv",
+                                      "--clusters", "2", "--format", "json", "--no-timestamp"]
     # Z05 has a zero input cell: its tie-break is unbounded (exit 4)
     runs["zero-cells-crosseff"] = ["crosseff", "--input", "tests/data/zero_cells.csv",
                                    "--clusters", "2", "--no-timestamp",
@@ -73,13 +82,39 @@ def run_case(name: str, work: Path) -> dict[str, bytes]:
     return files
 
 
-def write() -> None:
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    GOLDEN.mkdir()
+def run_all() -> dict[str, bytes]:
+    """Every case's files, from one work directory."""
+    files = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in cases():
-            for fname, content in run_case(name, Path(tmp)).items():
-                (GOLDEN / fname).write_bytes(content)
+            files.update(run_case(name, Path(tmp)))
+    return files
+
+
+def compare(files: dict[str, bytes]) -> list[str]:
+    """One line per golden file that ``files`` would add, change or remove,
+    such as ``changed bank-ccr-csv.txt``."""
+    pinned = {p.name: p.read_bytes() for p in GOLDEN.glob("*")}
+    lines = []
+    for fname in sorted(pinned.keys() | files.keys()):
+        if fname not in files:
+            lines.append(f"removed {fname}")
+        elif fname not in pinned:
+            lines.append(f"added {fname}")
+        elif files[fname] != pinned[fname]:
+            lines.append(f"changed {fname}")
+    return lines
+
+
+def write() -> None:
+    files = run_all()
+    changes = compare(files)
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    GOLDEN.mkdir()
+    for fname, content in files.items():
+        (GOLDEN / fname).write_bytes(content)
+    for line in changes:
+        print(line)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """CLI behavior: commands, exit codes, determinism, and report contracts."""
 
+import csv
+import io
 import json
 import time
 from pathlib import Path
@@ -7,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from revalloc import dea, game
 from revalloc.cli import main
-from revalloc.report import Report
 
+import golden
 from conftest import (
     BANK_DATA,
     BANK_MATRIX,
@@ -26,13 +29,6 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def test_ccr_toy(capsys):
-    code, out, _ = run(capsys, "ccr", "--input", TOY_DATA, "--no-timestamp")
-    assert code == 0
-    assert "theta,DMU_1,1.00" in out
-    assert "theta,DMU_5,0.76" in out
 
 
 def test_ccr_fixture_comparison_lands_in_ledger(capsys):
@@ -108,13 +104,6 @@ def test_shapley_needs_exactly_one_source(capsys):
     code, _, err = run(capsys, "shapley", "--input", TOY_DATA, "--matrix", TOY_MATRIX)
     assert code == 3
     assert "exactly one" in err
-
-
-def test_shapley_from_fixture(capsys):
-    code, out, _ = run(capsys, "shapley", "--matrix", TOY_MATRIX, "--no-timestamp",
-                       "--precision", 4)
-    assert code == 0
-    assert "shapley,DMU_1,0.5128,0.6201,0.7401" in out
 
 
 def test_shapley_from_dataset(capsys):
@@ -197,17 +186,39 @@ def test_degenerate_matrix_exits_four(capsys, tmp_path):
     assert "DMU C (index 2) joining coalition {A}" in err
 
 
-def test_game_over_the_coalition_cap_exits_three(capsys, tmp_path):
+def test_game_over_the_coalition_cap_exits_three(capsys, tmp_path, monkeypatch):
+    # bad game inputs are refused before any stage runs
+    def stage(*args, **kwargs):
+        pytest.fail("a stage ran before the game inputs were checked")
+
+    monkeypatch.setattr(dea, "cross_efficiency_matrix", stage)
+    monkeypatch.setattr(game, "shapley_triples", stage)
     names = [f"D{i + 1:02d}" for i in range(25)]
-    path = tmp_path / "m25.csv"
-    path.write_text(",".join(["dmu"] + names) + "\n" + "".join(
+    matrix = tmp_path / "m25.csv"
+    matrix.write_text(",".join(["dmu"] + names) + "\n" + "".join(
         ",".join([name] + ["1" if i == j else "0.5" for j in range(25)]) + "\n"
         for i, name in enumerate(names)))
-    for argv in (["shapley"], ["allocate", "--revenue", 100]):
-        code, out, err = run(capsys, *argv, "--matrix", path)
-        assert code == 3
-        assert out == ""
-        assert err == "error: 25 DMUs exceeds the coalition cap of 24\n"
+    dataset = tmp_path / "d25.csv"
+    dataset.write_text("dmu,x:a,y:b\n" + "".join(
+        f"{name},{i + 1},{25 - i}\n" for i, name in enumerate(names)))
+    reference = tmp_path / "reference.csv"
+    reference.write_text("".join(TOY_SHARES_REFERENCE.read_text().splitlines(True)[:-1]))
+    cap = "error: 25 DMUs exceeds the coalition cap of 24\n"
+    for argv, error in (
+        (["shapley", "--matrix", matrix], cap),
+        (["allocate", "--revenue", 100, "--matrix", matrix], cap),
+        (["shapley", "--input", dataset], cap),
+        (["pipeline", "--revenue", 100, "--input", dataset], cap),
+        (["allocate", "--revenue", -5, "--matrix", TOY_MATRIX],
+         "error: revenue must be positive, got -5.0\n"),
+        (["allocate", "--revenue", "nan", "--matrix", TOY_MATRIX],
+         "error: revenue must be positive, got nan\n"),
+        (["shapley", "--input", TOY_DATA, "--empty-coalition", "calibrate"],
+         "error: --empty-coalition calibrate requires --reference\n"),
+        (["shapley", "--input", TOY_DATA, "--empty-coalition", "calibrate",
+          "--reference", reference], "error: reference file does not cover DMUs ['DMU_5']\n"),
+    ):
+        assert run(capsys, *argv) == (3, "", error)
 
 
 def test_zero_input_cell_tie_break_exits_four(capsys, tmp_path):
@@ -237,24 +248,27 @@ def test_zero_virtual_input_exits_four(capsys, tmp_path):
     assert "evaluator 'A' gives DMU 'B' zero virtual input" in err
 
 
-@pytest.mark.parametrize("argv, sections", [
-    (["ccr", "--input", TOY_DATA], {"theta"}),
-    (["crosseff", "--input", TOY_DATA], {"theta", "matrix"}),
-    (["shapley", "--matrix", TOY_MATRIX], {"shapley"}),
-    (["shapley", "--input", TOY_DATA], {"matrix", "shapley"}),
-    (["allocate", "--matrix", TOY_MATRIX, "--revenue", 10000], {"shapley", "allocation"}),
-    (["pipeline", "--input", TOY_DATA, "--revenue", 10000],
-     {"theta", "matrix", "shapley", "allocation"}),
+# the golden JSON reports, by command and source flag, and the stages each reports
+@pytest.mark.parametrize("command, source, sections", [
+    ("ccr", "--input", {"theta"}),
+    ("crosseff", "--input", {"theta", "matrix"}),
+    ("shapley", "--matrix", {"shapley"}),
+    ("shapley", "--input", {"matrix", "shapley"}),
+    ("allocate", "--matrix", {"shapley", "allocation"}),
+    ("pipeline", "--input", {"theta", "matrix", "shapley", "allocation"}),
 ], ids=["ccr", "crosseff", "shapley-matrix", "shapley-input", "allocate", "pipeline"])
-def test_json_report_validates_against_schema(capsys, tmp_path, argv, sections):
+def test_json_report_validates_against_schema(command, source, sections):
     jsonschema = pytest.importorskip("jsonschema")
-    code, out, _ = run(capsys, *argv, "--format", "json", "--no-timestamp",
-                       "--out", tmp_path / "artifact")
-    assert code == 0
-    payload = json.loads(out)
     schema = json.loads(SCHEMA_PATH.read_text())
-    jsonschema.validate(payload, schema)
-    assert set(payload["results"]) == sections
+    names = [name for name, argv in golden.cases().items()
+             if name.endswith("-json") and argv[:2] == [command, source]]
+    assert names
+    for name in names:
+        text = (golden.GOLDEN / f"{name}.txt").read_text()
+        assert text.startswith("exit: 0\nstderr: \n"), name
+        payload = json.loads(text.split("\n", 2)[2])
+        jsonschema.validate(payload, schema)
+        assert set(payload["results"]) == sections, name
 
 
 def test_pipeline_matrix_fixture_is_compared(capsys):
@@ -274,17 +288,6 @@ def test_pipeline_requires_input_and_revenue(capsys):
     assert run(capsys, "pipeline", "--input", TOY_DATA)[0] == 3
 
 
-def test_reports_are_byte_identical(capsys):
-    argv = ["pipeline", "--input", TOY_DATA, "--revenue", 2900, "--no-timestamp"]
-    _, first, _ = run(capsys, *argv)
-    _, second, _ = run(capsys, *argv)
-    assert first == second
-    argv_json = argv + ["--format", "json"]
-    _, first, _ = run(capsys, *argv_json)
-    _, second, _ = run(capsys, *argv_json)
-    assert first == second
-
-
 def test_composability_matrix_file_reproduces_pipeline(capsys, tmp_path):
     mpath = tmp_path / "m.csv"
     run(capsys, "crosseff", "--input", TOY_DATA, "--clusters", 2, "--out", mpath,
@@ -302,16 +305,15 @@ def test_composability_matrix_file_reproduces_pipeline(capsys, tmp_path):
 def test_report_json_round_trip(capsys):
     _, out, _ = run(capsys, "allocate", "--matrix", TOY_MATRIX, "--revenue", 100,
                     "--format", "json", "--no-timestamp")
-    rep = Report.from_json(out)
-    assert rep.to_json() == out
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
 def test_report_csv_round_trips_at_precision(capsys):
     _, out, _ = run(capsys, "allocate", "--matrix", TOY_MATRIX, "--revenue", 100,
                     "--precision", 3, "--no-timestamp")
-    sections = Report.parse_csv(out)
-    assert sections["meta"]["command"] == ["allocate"]
-    central = [float(sections["allocation"][f"DMU_{i}"][1]) for i in range(1, 6)]
+    rows = list(csv.reader(io.StringIO(out)))
+    assert ["meta", "command", "allocate"] in rows
+    central = [float(row[3]) for row in rows if row[0] == "allocation"]
     _, json_out, _ = run(capsys, "allocate", "--matrix", TOY_MATRIX, "--revenue", 100,
                          "--format", "json", "--no-timestamp")
     exact = json.loads(json_out)["results"]["allocation"]["central"]

@@ -20,7 +20,7 @@ from revalloc.dataset import (
     write_matrix,
 )
 
-from conftest import TOY_GROUPS
+from conftest import TOY_DATA, TOY_GROUPS, TOY_MATRIX, TOY_SHARES_REFERENCE
 
 
 def make_csv(text: str) -> io.StringIO:
@@ -225,3 +225,23 @@ def test_keyed_files_name_every_dmu_exactly_once(rows, error, message):
                                (load_reference, "reference", "phi")):
         with pytest.raises(error, match=f"{kind} {message}"):
             load(make_csv(f"dmu,{column}\n{rows}"), ["A", "B"])
+
+
+TOY_NAMES = [f"DMU_{i}" for i in range(1, 6)]
+
+
+@pytest.mark.parametrize("load, path", [
+    (load_dataset, TOY_DATA),
+    (lambda source: load_groups(source, TOY_NAMES), TOY_GROUPS),
+    (lambda source: load_reference(source, TOY_NAMES), TOY_SHARES_REFERENCE),
+    (load_matrix, TOY_MATRIX),
+], ids=["dataset", "groups", "reference", "matrix"])
+def test_byte_order_mark_is_skipped(tmp_path, load, path):
+    bom = tmp_path / path.name
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+    def fields(obj):
+        items = vars(obj).items() if hasattr(obj, "__dict__") else [("", obj)]
+        return {key: np.asarray(value).tolist() for key, value in items}
+
+    assert fields(load(bom)) == fields(load(path))

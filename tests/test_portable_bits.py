@@ -2,12 +2,11 @@
 
 OpenBLAS picks its kernel by CPU when it loads, and its kernels add the
 terms of a product in different orders.  ``OPENBLAS_CORETYPE`` forces a
-kernel for one process, so child processes under three kernels stand in
-for three machines.
+kernel for one process, so child processes under two other kernels stand
+in for other machines.
 """
 
 import ast
-import json
 import os
 import subprocess
 import sys
@@ -15,9 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BANK_DATA, TOY_DATA
-
-SRC = Path(__file__).parent.parent / "src"
+TESTS = Path(__file__).parent
+SRC = TESTS.parent / "src"
 
 BLAS_CALLS = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
 
@@ -57,48 +55,16 @@ def test_package_has_no_blas_products():
     assert not found
 
 
-# Run in one child per kernel: each command's exit code and stdout go to a
-# file in the working directory, next to the matrix files of ``--out``.
-CHILD = """
-import contextlib, io, json, sys
-from revalloc.cli import main
-for name, argv in json.loads(sys.argv[1]).items():
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    with open(name, "w", encoding="utf-8") as fh:
-        fh.write(f"{code}\\n{out.getvalue()}")
-"""
+# One child per kernel runs every golden case and prints each file whose
+# bytes differ from tests/data/golden/, which test_golden.py checks under
+# the default kernel.
+CHILD = "import golden; print(*golden.compare(golden.run_all()), sep='\\n', end='')"
 
 
-def commands():
-    runs = {}
-    for case, data, clusters, revenue in (("toy", TOY_DATA, "2", "10000"),
-                                          ("bank", BANK_DATA, "3", "2900")):
-        for fmt, extra in (("json", []), ("csv", ["--precision", "17"])):
-            common = ["--input", str(data), "--clusters", clusters, "--format", fmt,
-                      "--no-timestamp", *extra]
-            runs[f"{case}-crosseff-{fmt}"] = ["crosseff", *common, "--out", f"{case}-matrix-{fmt}.csv"]
-            runs[f"{case}-pipeline-{fmt}"] = ["pipeline", *common, "--revenue", revenue]
-    return runs
-
-
-def test_reports_have_the_same_bytes_under_every_openblas_kernel(tmp_path):
-    runs = commands()
-    outputs = {}
-    for kernel in ("default", "Haswell", "Sandybridge"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        if kernel != "default":
-            env["OPENBLAS_CORETYPE"] = kernel
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        work = tmp_path / kernel
-        work.mkdir()
-        subprocess.run([sys.executable, "-c", CHILD, json.dumps(runs)], cwd=work, env=env,
-                       check=True, timeout=120)
-        outputs[kernel] = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
-    default = outputs["default"]
-    assert len(default) == len(runs) + 4  # four matrix files
-    assert all(default[name].startswith(b"0\n") for name in runs)
-    for kernel in ("Haswell", "Sandybridge"):
-        differ = [name for name in default if outputs[kernel].get(name) != default[name]]
-        assert not differ, (kernel, differ)
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_reports_have_the_same_bytes_under_every_openblas_kernel(kernel, tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC), str(TESTS), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=path)
+    child = subprocess.run([sys.executable, "-c", CHILD], cwd=tmp_path, env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stdout) == (0, ""), child.stderr
