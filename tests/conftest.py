@@ -1,5 +1,6 @@
 """Shared fixtures: bundled case-study files and their reference figures."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,19 @@ BANK_REF_ALLOC_LOWER = np.array([
     57.41, 103.37, 44.86, 60.32, 55.84, 50.35, 91.40, 134.92, 77.88,
     44.99, 121.17, 50.70, 57.27, 31.93, 108.93, 61.42, 51.79, 56.47,
 ])
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    if pid == 0:
+        pytest.fail("the test left a child process running")
+    pytest.fail(f"the test left child process {pid} unreaped (wait status {status})")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
 """The coalition kernel against brute-force scans of the coalition game."""
 
+import errno
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -156,16 +159,187 @@ def test_shares_use_block_sized_buffers():
 
 
 def test_table_pass_holds_only_the_sums_and_block_buffers():
-    # coalition_sums walks each column in 2^_BLOCK_BITS-entry blocks, so at
-    # n = 20 its peak is the two length-2^n sums plus less than 1 MiB
+    # coalition_sums walks each column in 2^_BLOCK_BITS-entry blocks and keeps
+    # the two length-2^n sums in a shared mapping, which tracemalloc does not
+    # see, so at n = 20 its traced peak is the block buffers alone
     n = 20
     rng = np.random.default_rng(71)
     E = rng.uniform(0.05, 1.0, (n, n))
     np.fill_diagonal(E, 1.0)
     tracemalloc.start()
     try:
-        _kernels.coalition_sums(E)
+        sums = _kernels.coalition_sums(E)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * (1 << n) * 8 + (1 << 20), f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
+    for a in sums:
+        assert a.dtype == np.float64 and a.shape == (1 << n,)
+
+
+# ------------------------------------------------------- the forked helper
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def random_game(n, seed):
+    rng = np.random.default_rng(seed)
+    E = rng.uniform(0.05, 1.0, (n, n))
+    np.fill_diagonal(E, 1.0)
+    return E
+
+
+def kernel_passes(E):
+    """Both kernel passes on E: the two sums, then the shares and offender."""
+    sums = _kernels.coalition_sums(E)
+    assert_no_child_left()
+    shares = _kernels.shapley_sums(E, *sums, coalition_weights(len(E)), DENOM_TOL)
+    assert_no_child_left()
+    return sums, shares
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """``forks(flag)`` makes every pass split (True) or not (False); the
+    returned list counts the helpers started."""
+    started = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+
+    def force(flag):
+        monkeypatch.setattr(_kernels, "_forks", lambda nblocks: flag)
+        return started
+    return force
+
+
+@pytest.mark.parametrize("n, block_bits", [
+    *[pytest.param(n, None, id=f"n{n}") for n in (16, 18, 20)],
+    # 2-bit blocks: 2 to 64 blocks per column
+    *[pytest.param(n, 2, id=f"n{n}-2bit") for n in range(4, 10)],
+])
+def test_split_passes_give_the_same_bits(n, block_bits, forks, monkeypatch):
+    if block_bits is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
+    E = random_game(n, 80 + n)
+    started = forks(False)
+    (su, sl), shares = kernel_passes(E)
+    assert started == []
+    forks(True)
+    (su2, sl2), shares2 = kernel_passes(E)
+    assert len(started) == 2
+    assert np.array_equal(su, su2) and np.array_equal(sl, sl2)
+    for a, b in zip(shares[:3], shares2[:3]):
+        assert np.array_equal(a, b)
+    assert shares[3:] == shares2[3:] == (-1, -1)
+
+
+@pytest.mark.parametrize("zeros, player", [
+    pytest.param([(3, 1)], 3, id="odd"),
+    pytest.param([(2, 5)], 2, id="even"),
+    pytest.param([(3, 1), (2, 5)], 2, id="both-even-first"),
+    pytest.param([(1, 4), (4, 0)], 1, id="both-odd-first"),
+])
+def test_split_shares_report_the_first_offender(zeros, player, forks, monkeypatch):
+    # E[i, d] = 0 sends player i's term for joining {d} to 0; 2-bit blocks
+    # give 8 blocks per column at n = 6
+    monkeypatch.setattr(_kernels, "_BLOCK_BITS", 2)
+    E = random_game(6, 91)
+    for i, d in zeros:
+        E[i, d] = 0.0
+    expected = first_degenerate_term(E)
+    assert expected[0] == player
+    for flag in (False, True):
+        started = forks(flag)
+        with pytest.raises(DegenerateDenominatorError) as err:
+            shapley_triples(E)
+        assert (err.value.player, err.value.mask) == expected
+        assert_no_child_left()
+    assert len(started) == 2
+
+
+def test_failed_fork_runs_both_halves_here(forks, monkeypatch):
+    E = random_game(16, 95)
+    forks(False)
+    expected = kernel_passes(E)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    forks(True)
+    monkeypatch.setattr(os, "fork", no_fork)
+    (su, sl), shares = kernel_passes(E)
+    assert np.array_equal(su, expected[0][0]) and np.array_equal(sl, expected[0][1])
+    for a, b in zip(shares[:3], expected[1][:3]):
+        assert np.array_equal(a, b)
+
+
+def test_unmappable_sums_are_out_of_memory(monkeypatch):
+    # a failed mapping is no I/O fault: the CLI would report exit 2
+    def no_memory(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+    monkeypatch.setattr(_kernels.mmap, "mmap", no_memory)
+    with pytest.raises(MemoryError, match="for 16 players"):
+        _kernels.coalition_sums(random_game(16, 96))
+
+
+def in_helper_only(monkeypatch, name, action):
+    """Wrap ``_kernels.<name>`` so that it runs ``action()`` first in a helper."""
+    parent, real = os.getpid(), getattr(_kernels, name)
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            action()
+        return real(*args)
+    monkeypatch.setattr(_kernels, name, wrapped)
+
+
+def fail():
+    raise ValueError("helper fault")
+
+
+@pytest.mark.parametrize("name, action, status", [
+    pytest.param("_add_columns", fail, 1, id="table-raises"),
+    pytest.param("_player_sums", fail, 1, id="shares-raise"),
+    # exits cleanly without a reply: the short reply alone is the fault
+    pytest.param("_player_sums", lambda: os._exit(0), 0, id="shares-short-reply"),
+])
+def test_helper_fault_raises_after_reaping(name, action, status, forks, monkeypatch):
+    E = random_game(16, 97)
+    forks(True)
+    in_helper_only(monkeypatch, name, action)
+    with pytest.raises(RuntimeError, match=f"exit status {status} "):
+        kernel_passes(E)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", ["_add_columns", "_player_sums"])
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_parent_fault_kills_the_helper(name, error, forks, monkeypatch):
+    E = random_game(16, 99)
+    forks(True)
+    sums = _kernels.coalition_sums(E)
+    parent, real = os.getpid(), getattr(_kernels, name)
+
+    def wrapped(*args):
+        if os.getpid() == parent:
+            raise error
+        time.sleep(60)   # a helper left running would hold the test here
+        return real(*args)
+    monkeypatch.setattr(_kernels, name, wrapped)
+    start = time.monotonic()
+    with pytest.raises(error):
+        if name == "_add_columns":
+            _kernels.coalition_sums(E)
+        else:
+            _kernels.shapley_sums(E, *sums, coalition_weights(len(E)), DENOM_TOL)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
