@@ -35,34 +35,37 @@ first b other players and the block number holds the rest:
 the member bounds, with singletons pinned to 1 by convention.
 ``coalition_sums`` adds each block into its S | {j} view, one column after
 another, so every entry sums its columns in ascending order; max and min
-are exact, so the sums match full-length column tables bit for bit.  The
-sums live in one shared anonymous mapping (``mmap``), which tracemalloc does
-not see: at n = 20 the pass's traced peak is 0.63 MiB of block buffers.
+are exact, so the sums match full-length column tables bit for bit.
 
 The shares walk the same blocks.  Per-block partial sums are added per
 player in ascending block order, so the shares are deterministic and the
 first degenerate term found is still the lowest player's lowest mask.
 
-Each pass forks one helper process and splits its work in two disjoint
-halves, where ``_forks`` allows it (2 or more blocks per column, ``os.fork``,
-and 2 or more CPUs in the affinity mask):
+Each pass does the same two disjoint halves of work, in the same order:
 
 * table pass: for j < n - 1 the top bit of a block number is mask bit
-  n - 1.  The calling process adds the first half of every such column's
-  blocks (the masks without player n - 1); the helper adds the second half
-  and then all of column n - 1, so each mask still gets its columns in
-  ascending order, and both write straight into the shared sums;
-* share pass: the calling process takes the even players and the helper
-  the odd ones, so the costly low-bit players fall on both sides.  The
-  helper pipes back its 3 sums per player and its first offender; the
-  lower (player, mask) of the two halves is reported.
+  n - 1.  The first half adds the first half of every such column's blocks
+  (the masks without player n - 1); the second adds the other half and
+  then all of column n - 1, so each mask still gets its columns in
+  ascending order.  With one block per column the first half is empty;
+* share pass: the first half takes the even players and the second the
+  odd ones, so the costly low-bit players fall on both sides.  Each half
+  stores its 3 sums per player and its first offender; the lower
+  (player, mask) of the two is reported.
 
-Each entry is computed as in one process, so the bits do not depend on the
-CPU count.  The halves write disjoint data; the helper runs only numpy
-code and leaves through ``os._exit``.  At n = 21 the
-table pass takes 0.127 s against 0.210 s in one process, and the share
-pass 0.274 s against 0.506 s (medians of 16 alternating runs on
-``perfbench/inputs.appraisal_matrix(1)``, 2-vCPU Xeon at 2.1 GHz).
+Both halves write into shared anonymous mappings (``mmap``), which
+tracemalloc does not see: at n = 20 the table pass's traced peak is
+0.63 MiB of block buffers.  ``_in_halves`` runs the second half in one
+forked helper process while the first runs in the caller, where ``_forks``
+allows it (2 or more blocks per column, ``os.fork``, and 2 or more CPUs in
+the affinity mask); otherwise, or if the fork fails, the caller runs it
+right after the first.  Each entry is computed as in one process, so the
+bits do not depend on the CPU count.  The helper runs only numpy code,
+sets a shared done flag once its half returns, and leaves through
+``os._exit``.  At n = 21 the table pass takes 0.127 s against 0.210 s in
+one process, and the share pass 0.274 s against 0.506 s (medians of 16
+alternating runs on ``perfbench/inputs.appraisal_matrix(1)``, 2-vCPU Xeon
+at 2.1 GHz).
 """
 
 from __future__ import annotations
@@ -144,51 +147,58 @@ def _forks(nblocks: int) -> bool:
             and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _in_two_processes(mine, theirs, reply_size: int):
-    """Run ``theirs()`` in a forked helper while ``mine()`` runs here.
+def _shared(n: int, shape, dtype=np.float64) -> np.ndarray:
+    """A zero-filled array of a pass over n players, in a shared anonymous
+    mapping, so that a forked helper's writes land in it."""
+    try:
+        buf = mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize)
+    except OSError as err:   # ENOMEM: out of memory, as np.zeros would report it
+        raise MemoryError(f"cannot map the coalition arrays for {n} players") from err
+    return np.frombuffer(buf, dtype).reshape(shape)
 
-    Returns ``mine()``'s result and the ``reply_size`` bytes ``theirs()``
-    returned (``theirs`` returns None when ``reply_size`` is 0).  If fork
-    fails, both run here.  The helper leaves through ``os._exit`` and is
-    always reaped; an exception here, ``KeyboardInterrupt`` included,
-    kills it first.  A helper that exits nonzero or replies short raises
+
+def _in_halves(n: int, first, second) -> None:
+    """Run ``first()`` here and ``second()`` in a forked helper, or here
+    right after ``first()`` where ``_forks`` allows no helper or fork fails.
+
+    The helper leaves through ``os._exit`` and is always reaped; an
+    exception here, ``KeyboardInterrupt`` included, kills it first.  A
+    helper that exits nonzero or before ``second()`` returns raises
     ``RuntimeError``.
     """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:   # EAGAIN or ENOMEM: no helper, the same halves here
-        os.close(r)
-        os.close(w)
-        return mine(), theirs()
+    pid = -1
+    if _forks(1 << (n - 1 - min(_BLOCK_BITS, n - 1))):
+        done = _shared(n, 1, np.uint8)   # mapped before the fork, so both see it
+        try:
+            pid = os.fork()
+        except OSError:   # EAGAIN or ENOMEM: no helper, the same halves here
+            pass
+    if pid < 0:
+        first()
+        second()
+        return
     if pid == 0:
         code = 1
         try:
-            os.close(r)
-            with os.fdopen(w, "wb") as out:
-                out.write(theirs() or b"")
+            second()
+            done[0] = 1
             code = 0
         except Exception:
             import traceback   # only a failing helper loads it
             traceback.print_exc()
         finally:
             os._exit(code)
-    os.close(w)
     try:
-        with os.fdopen(r, "rb") as replies:
-            result = mine()
-            reply = replies.read(reply_size)
+        first()
     except BaseException:
         import signal   # only a failing pass loads it
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
         status = os.waitpid(pid, 0)[1]
-    if status != 0 or len(reply) != reply_size:
+    if status != 0 or not done[0]:
         raise RuntimeError(f"coalition helper failed with exit status "
-                           f"{os.waitstatus_to_exitcode(status)} after replying "
-                           f"{len(reply)} of {reply_size} bytes")
-    return result, reply
+                           f"{os.waitstatus_to_exitcode(status)} before its half was done")
 
 
 def _add_columns(E, sum_upper, sum_lower, bits: int, block_ranges) -> None:
@@ -212,32 +222,23 @@ def coalition_sums(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = E.shape[0]
     bits = min(_BLOCK_BITS, n - 1)
     nblocks = 1 << (n - 1 - bits)
-    # one shared zero-filled mapping, so a helper's writes land in these sums
-    try:
-        sums = np.frombuffer(mmap.mmap(-1, 2 * 8 << n))
-    except OSError as err:   # ENOMEM: out of memory, as np.zeros would report it
-        raise MemoryError(f"cannot map the coalition sums for {n} players") from err
-    sum_upper, sum_lower = sums[:1 << n], sums[1 << n:]
-    every = range(nblocks)
-    if _forks(nblocks):
-        # for j < n - 1 the top block bit is mask bit n - 1: masks without it
-        # here, masks with it (and all of column n - 1) in the helper
-        low, high = range(nblocks // 2), range(nblocks // 2, nblocks)
-        _in_two_processes(
-            lambda: _add_columns(E, sum_upper, sum_lower, bits, [low] * (n - 1)),
-            lambda: _add_columns(E, sum_upper, sum_lower, bits, [high] * (n - 1) + [every]),
-            0)
-    else:
-        _add_columns(E, sum_upper, sum_lower, bits, [every] * n)
+    sum_upper, sum_lower = _shared(n, (2, 1 << n))
+    # for j < n - 1 the top block bit is mask bit n - 1: masks without it
+    # first, then masks with it and all of column n - 1
+    low, high = range(nblocks // 2), range(nblocks // 2, nblocks)
+    _in_halves(n, lambda: _add_columns(E, sum_upper, sum_lower, bits, [low] * (n - 1)),
+               lambda: _add_columns(E, sum_upper, sum_lower, bits,
+                                    [high] * (n - 1) + [range(nblocks)]))
     singles = 1 << np.arange(n)
     sum_upper[singles] = 1.0  # lone member appraises itself at 1 by convention
     sum_lower[singles] = 1.0
     return sum_upper, sum_lower
 
 
-def _player_sums(E, sum_upper, sum_lower, weights, tol, players):
-    """Share sums of ``players``: a (3, len(players)) array of (phi, phi_upper,
-    phi_lower) rows, and the first offender (player, mask) or (-1, -1).
+def _player_sums(E, sum_upper, sum_lower, weights, tol, players, out):
+    """Share sums of ``players`` into columns of ``out``, a (3, n) array of
+    (phi, phi_upper, phi_lower) rows; returns the first offender (player,
+    mask) or (-1, -1).
 
     Stops at the first offender, leaving the later columns zero.
     """
@@ -253,8 +254,7 @@ def _player_sums(E, sum_upper, sum_lower, weights, tol, players):
     blocks = _ColumnBlocks(E, bits)
     tmax, tmin, w_e = blocks.tmax, blocks.tmin, np.empty(size)
     den_mid, den_up, den_lo = np.empty(size), np.empty(size), np.empty(size)
-    out = np.zeros((3, len(players)))
-    for col, i in enumerate(players):
+    for i in players:
         shape = (-1, 1 << i) if i < bits else (size,)
         tmax_v, tmin_v = tmax.reshape(shape), tmin.reshape(shape)
         mid, up, lo = den_mid.reshape(shape), den_up.reshape(shape), den_lo.reshape(shape)
@@ -279,15 +279,15 @@ def _player_sums(E, sum_upper, sum_lower, weights, tol, players):
             # sum_upper[S], and rounding is monotone, so den_lo needs no scan
             if min(dm.min(), du.min()) <= tol:
                 k = k0 + first + int(np.argmax((dm <= tol) | (du <= tol)))
-                return out, (i, _unsqueeze(k, i))
+                return i, _unsqueeze(k, i)
             w, e = w[first:], w_e[first:]
             np.multiply(w, tmax[first:], out=e)
             mid_acc += np.divide(e, dm, out=dm).sum()
             up_acc += np.divide(e, du, out=du).sum()
             np.multiply(w, tmin[first:], out=e)
             lo_acc += np.divide(e, dl, out=dl).sum()
-        out[:, col] = mid_acc, up_acc, lo_acc
-    return out, (-1, -1)
+        out[:, i] = mid_acc, up_acc, lo_acc
+    return -1, -1
 
 
 def shapley_sums(E, sum_upper, sum_lower, weights, tol):
@@ -299,23 +299,11 @@ def shapley_sums(E, sum_upper, sum_lower, weights, tol):
     empty coalition contributes nothing here.
     """
     n = E.shape[0]
-    args = (E, sum_upper, sum_lower, weights, tol)
-    if not _forks(1 << (n - 1 - min(_BLOCK_BITS, n - 1))):
-        out, bad = _player_sums(*args, range(n))
-        return (*out, *bad)
-    # even players here, odd ones in the helper, which replies with its
-    # 3 sums per player and then its first offender as int64
-    odd = range(1, n, 2)
+    out = _shared(n, (3, n))
+    bad = _shared(n, (2, 2), np.int64)   # each half's first offender
 
-    def helper():
-        out, bad = _player_sums(*args, odd)
-        return out.tobytes() + np.array(bad, dtype=np.int64).tobytes()
+    def half(k):   # k = 0: the even players, k = 1: the odd ones
+        bad[k] = _player_sums(E, sum_upper, sum_lower, weights, tol, range(k, n, 2), out)
 
-    (out_even, bad_even), reply = _in_two_processes(
-        lambda: _player_sums(*args, range(0, n, 2)), helper, 8 * (3 * len(odd) + 2))
-    out = np.empty((3, n))
-    out[:, 0::2] = out_even
-    out[:, 1::2] = np.frombuffer(reply[:-16]).reshape(3, -1)
-    bad_odd = tuple(int(x) for x in np.frombuffer(reply[-16:], dtype=np.int64))
-    bad = min((b for b in (bad_even, bad_odd) if b[0] >= 0), default=(-1, -1))
-    return (*out, *bad)
+    _in_halves(n, lambda: half(0), lambda: half(1))
+    return (*out, *min(((int(i), int(m)) for i, m in bad if i >= 0), default=(-1, -1)))

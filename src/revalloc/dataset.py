@@ -155,6 +155,9 @@ def normalize(raw_inputs, raw_outputs):
 
 
 def _check_unique_names(names: list[str]) -> None:
+    blank = [k for k, name in enumerate(names, start=1) if not name.strip()]
+    if blank:
+        raise ValidationError(f"DMU {blank[0]} of {len(names)} has a blank name")
     if len(set(names)) != len(names):
         dupes = sorted({x for x in names if names.count(x) > 1})
         raise ValidationError(f"duplicate DMU names: {dupes}")

@@ -95,7 +95,7 @@ def build_coalition_table(E) -> CoalitionTable:
     """Build the per-coalition sums with the blocked column kernel.
 
     Memory is the two length-2^n sums plus block buffers: at n = 24 the
-    peak is 256 MB of sums, down from 384 MB with full-length column tables.
+    peak is 256 MB of sums.
     """
     values = matrix_values(E)
     check_coalition_cap(values.shape[0])

@@ -56,6 +56,8 @@ def cases() -> dict[str, list[str]]:
     runs["zero-cells-crosseff"] = ["crosseff", "--input", "tests/data/zero_cells.csv",
                                    "--clusters", "2", "--no-timestamp",
                                    "--out", "zero-cells-crosseff.matrix.csv"]
+    # the first DMU has no name (exit 3)
+    runs["blank-name-ccr"] = ["ccr", "--input", "tests/data/blank_name.csv", "--no-timestamp"]
     # one DMU over the coalition cap of 24 (exit 3)
     runs["over-cap-shapley"] = ["shapley", "--matrix", "tests/data/matrix_25.csv",
                                 "--no-timestamp"]

@@ -114,6 +114,11 @@ def test_duplicate_names_rejected():
         load_matrix(make_csv("dmu,A,A\nA,1,0.5\nA,0.5,1"))
 
 
+def test_blank_name_in_matrix_header_rejected():
+    with pytest.raises(ValidationError, match="DMU 2 of 2 has a blank name"):
+        load_matrix(make_csv("dmu,A, \nA,1,0.5\n ,0.5,1"))
+
+
 @pytest.mark.parametrize("cell", ["-1", "nan", "inf", "oops"])
 def test_bad_cells_are_parse_errors(cell):
     with pytest.raises(ParseError):

@@ -163,6 +163,8 @@ def test_two_player_bounds_collapse():
 def test_matches_naive_enumeration(include_empty, block_bits, monkeypatch):
     if block_bits is not None:
         monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
+        # the same halves, with no helper forked per small game
+        monkeypatch.setattr(_kernels, "_forks", lambda nblocks: False)
     rng = np.random.default_rng(17)
     convention = "unit" if include_empty else "exclude"
     for n in range(1, 10):

@@ -2,6 +2,7 @@
 
 import errno
 import os
+import signal
 import time
 import tracemalloc
 
@@ -48,6 +49,8 @@ def first_degenerate_term(E):
 def test_numpy_tables_match_slim_sums(block_bits, monkeypatch):
     if block_bits is not None:
         monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
+        # the same halves, with no helper forked per small game
+        monkeypatch.setattr(_kernels, "_forks", lambda nblocks: False)
     # dense n x 2^n member tables, summed member by member in ascending
     # order, give the same bits as the blocked column kernel
     rng = np.random.default_rng(2)
@@ -99,6 +102,8 @@ def game_shares(E, convention):
 def test_degenerate_location_is_first_offender(convention, block_bits, monkeypatch):
     if block_bits is not None:
         monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
+        # the same halves, with no helper forked per small game
+        monkeypatch.setattr(_kernels, "_forks", lambda nblocks: False)
     # entries from a small set, so no denominator lands near the tolerance:
     # zeros and 1e-10 make |S| = 1 terms vanish, and entries above 1 drive
     # |S| >= 2 terms negative in the kernel (the game refuses such entries)
@@ -178,6 +183,17 @@ def test_table_pass_holds_only_the_sums_and_block_buffers():
 
 
 # ------------------------------------------------------- the forked helper
+
+def test_forks_needs_two_blocks_two_cpus_and_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _kernels._forks(2)
+    assert not _kernels._forks(1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not _kernels._forks(2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, "fork")
+    assert not _kernels._forks(2)
+
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
@@ -306,11 +322,19 @@ def fail():
     raise ValueError("helper fault")
 
 
+def killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 @pytest.mark.parametrize("name, action, status", [
     pytest.param("_add_columns", fail, 1, id="table-raises"),
     pytest.param("_player_sums", fail, 1, id="shares-raise"),
-    # exits cleanly without a reply: the short reply alone is the fault
-    pytest.param("_player_sums", lambda: os._exit(0), 0, id="shares-short-reply"),
+    # exits cleanly before its half is done: the unset done flag alone is
+    # the fault
+    pytest.param("_add_columns", lambda: os._exit(0), 0, id="table-early-exit"),
+    pytest.param("_player_sums", lambda: os._exit(0), 0, id="shares-early-exit"),
+    pytest.param("_add_columns", killed, -signal.SIGKILL, id="table-killed"),
+    pytest.param("_player_sums", killed, -signal.SIGKILL, id="shares-killed"),
 ])
 def test_helper_fault_raises_after_reaping(name, action, status, forks, monkeypatch):
     E = random_game(16, 97)
