@@ -37,39 +37,52 @@ the member bounds, with singletons pinned to 1 by convention.
 another, so every entry sums its columns in ascending order; max and min
 are exact, so the sums match full-length column tables bit for bit.
 
-The shares walk the same blocks.  Per-block partial sums are added per
-player in ascending block order, so the shares are deterministic and the
-first degenerate term found is still the lowest player's lowest mask.
+The shares walk the same blocks.  Each block's three partial sums are
+stored per (player, block), and the caller adds them per player in
+ascending block order, so the shares are deterministic and the first
+degenerate term found is still the lowest player's lowest mask.
 
-Each pass does the same two disjoint halves of work, in the same order:
+A game runs as two disjoint halves of the coalitions.  For j < n - 1 the
+top bit of a block number is mask bit n - 1, so block half A,
+[0, nblocks / 2), of any column j < n - 1 holds masks without player
+n - 1 and block half B, [nblocks / 2, nblocks), masks with it:
 
-* table pass: for j < n - 1 the top bit of a block number is mask bit
-  n - 1.  The first half adds the first half of every such column's blocks
-  (the masks without player n - 1); the second adds the other half and
-  then all of column n - 1, so each mask still gets its columns in
-  ascending order.  With one block per column the first half is empty;
-* share pass: the first half takes the even players and the second the
-  odd ones, so the costly low-bit players fall on both sides.  Each half
-  stores its 3 sums per player and its first offender; the lower
-  (player, mask) of the two is reported.
+* table stage: side A adds half A of every column j < n - 1; side B adds
+  half B and then all of column n - 1, so each mask still gets its
+  columns in ascending order and each side writes one half of the sums;
+* own share stage: each side walks its block half of players 0..n - 2,
+  whose S and S | {i} both lie in the half of the sums it wrote;
+* paired share stage: player n - 1 joins S from half A to form S | {n - 1}
+  in half B, so each side takes its block half of player n - 1 only once
+  both table stages are in.
 
-Both halves write into shared anonymous mappings (``mmap``), which
-tracemalloc does not see: at n = 20 the table pass's traced peak is
-0.63 MiB of block buffers.  ``_in_halves`` runs the second half in one
-forked helper process while the first runs in the caller, where ``_forks``
-allows it (2 or more blocks per column, ``os.fork``, and 2 or more CPUs in
-the affinity mask); otherwise, or if the fork fails, the caller runs it
-right after the first.  Each entry is computed as in one process, so the
-bits do not depend on the CPU count.  The helper runs only numpy code,
-sets a shared done flag once its half returns, and leaves through
-``os._exit``.  At n = 21 the table pass takes 0.127 s against 0.210 s in
-one process, and the share pass 0.274 s against 0.506 s (medians of 16
-alternating runs on ``perfbench/inputs.appraisal_matrix(1)``, 2-vCPU Xeon
-at 2.1 GHz).
+Each side stores its first offender (player, mask), and the lower of the
+two is reported; a side that finds one skips its paired stage.  With one
+block per column, half A is empty.  The arrays are shared anonymous
+mappings (``mmap``), which tracemalloc does not see: at n = 20 the table
+stage's traced peak is 0.63 MiB of block buffers.
+
+``_in_halves`` runs side A in the caller and side B in one forked helper
+process, where ``_forks`` allows it (2 or more blocks per column,
+``os.fork``, and 2 or more CPUs in the affinity mask).  A one-byte,
+two-way barrier of two pipes orders the stages: each side writes its byte
+once its table stage is in and reads the other's just before its paired
+stage.  Without a helper, or if the fork fails, the caller runs table A,
+table B, own A, own B, paired A and paired B in turn.  Each entry is
+computed as in one process, so the bits do not depend on the CPU count.
+The helper runs only numpy code, sets a shared done flag once its side
+returns, and leaves through ``os._exit``.  Each process touches only the
+sums it reads, three quarters of them.
+
+The views of players 1 and 2 below the block bits run 2 or 4 entries
+contiguous; numpy walks them column by column (``order="F"``) in both
+passes, several times faster than row by row.  From player 3 on the rows
+are long enough that row order is faster.
 """
 
 from __future__ import annotations
 
+import itertools
 import mmap
 import os
 
@@ -132,6 +145,8 @@ class _ColumnBlocks:
         self.high_max, self.high_min = np.empty(self.nblocks), np.empty(self.nblocks)
 
     def walk(self, j: int, hs: range):
+        if not hs:
+            return
         others = np.delete(self.E[:, j], j)
         _subset_bounds(others[:self.bits], self.low_max, self.low_min)
         _subset_bounds(others[self.bits:], self.high_max, self.high_min)
@@ -141,14 +156,20 @@ class _ColumnBlocks:
             yield h
 
 
+def _order(i: int) -> str:
+    """Iteration order for the views of player i: runs of 2 or 4 entries
+    (i = 1, 2) go several times faster column by column."""
+    return "F" if i in (1, 2) else "K"
+
+
 def _forks(nblocks: int) -> bool:
-    """Whether a pass of ``nblocks`` blocks per column runs half in a helper."""
+    """Whether a game of ``nblocks`` blocks per column runs a side in a helper."""
     return (nblocks >= 2 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2)
 
 
 def _shared(n: int, shape, dtype=np.float64) -> np.ndarray:
-    """A zero-filled array of a pass over n players, in a shared anonymous
+    """A zero-filled array of a game over n players, in a shared anonymous
     mapping, so that a forked helper's writes land in it."""
     try:
         buf = mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize)
@@ -157,90 +178,108 @@ def _shared(n: int, shape, dtype=np.float64) -> np.ndarray:
     return np.frombuffer(buf, dtype).reshape(shape)
 
 
-def _in_halves(n: int, first, second) -> None:
-    """Run ``first()`` here and ``second()`` in a forked helper, or here
-    right after ``first()`` where ``_forks`` allows no helper or fork fails.
+def _run_side(side, send: int, receive: int) -> bool:
+    """Run the generator ``side`` across the barrier: one byte to ``send``
+    at its first yield, and one read from ``receive`` at its second.
+
+    Returns False, leaving the rest of ``side`` unrun, if the other side
+    has closed its end of either pipe: it is gone.
+    """
+    try:
+        for stage, _ in enumerate(side):
+            if stage == 0:
+                os.write(send, b"\1")
+            elif not os.read(receive, 1):
+                return False
+    except BrokenPipeError:
+        return False
+    return True
+
+
+def _in_halves(n: int, half) -> None:
+    """Run side A, ``half(0)``, here and side B, ``half(1)``, in a forked
+    helper, or both here where ``_forks`` allows no helper or fork fails.
+
+    ``half(k)`` is a generator: its first yield says side k's table stage
+    is in, and it resumes from its second only once the other side's is in
+    too.  Without a helper the two sides run here in lockstep, one stage of
+    each in turn.
 
     The helper leaves through ``os._exit`` and is always reaped; an
     exception here, ``KeyboardInterrupt`` included, kills it first.  A
-    helper that exits nonzero or before ``second()`` returns raises
+    helper that exits nonzero or before its side is done raises
     ``RuntimeError``.
     """
     pid = -1
     if _forks(1 << (n - 1 - min(_BLOCK_BITS, n - 1))):
         done = _shared(n, 1, np.uint8)   # mapped before the fork, so both see it
+        to_caller, to_helper = os.pipe(), os.pipe()   # (read end, write end)
         try:
             pid = os.fork()
-        except OSError:   # EAGAIN or ENOMEM: no helper, the same halves here
-            pass
+        except OSError:   # EAGAIN or ENOMEM: no helper, the same stages here
+            for fd in (*to_caller, *to_helper):
+                os.close(fd)
     if pid < 0:
-        first()
-        second()
+        for _ in itertools.zip_longest(half(0), half(1)):
+            pass
         return
     if pid == 0:
         code = 1
         try:
-            second()
-            done[0] = 1
+            os.close(to_caller[0])
+            os.close(to_helper[1])
+            done[0] = _run_side(half(1), to_caller[1], to_helper[0])
             code = 0
         except Exception:
             import traceback   # only a failing helper loads it
             traceback.print_exc()
         finally:
             os._exit(code)
+    # the helper's ends are closed here, so its exit reads as EOF
+    os.close(to_caller[1])
+    os.close(to_helper[0])
     try:
-        first()
+        _run_side(half(0), to_helper[1], to_caller[0])   # a lost helper shows below
     except BaseException:
-        import signal   # only a failing pass loads it
+        import signal   # only a failing game loads it
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        os.close(to_caller[0])
+        os.close(to_helper[1])
         status = os.waitpid(pid, 0)[1]
     if status != 0 or not done[0]:
         raise RuntimeError(f"coalition helper failed with exit status "
-                           f"{os.waitstatus_to_exitcode(status)} before its half was done")
+                           f"{os.waitstatus_to_exitcode(status)} before its side was done")
 
 
 def _add_columns(E, sum_upper, sum_lower, bits: int, block_ranges) -> None:
-    """Add column j's blocks ``block_ranges[j]`` into the S | {j} views, j ascending."""
+    """Add column j's blocks ``block_ranges[j]`` into the S | {j} views, j ascending.
+
+    The singleton {j} gets column j alone, in block 0, and is then pinned
+    to 1.
+    """
     size = 1 << bits
     blocks = _ColumnBlocks(E, bits)
     for j, hs in enumerate(block_ranges):
-        if not hs:
-            continue
         shape = (-1, 1 << j) if j < bits else (size,)
         tmax_v, tmin_v = blocks.tmax.reshape(shape), blocks.tmin.reshape(shape)
+        order = _order(j)
         for h in blocks.walk(j, hs):
             upper_t = _halves(sum_upper, j, h * size, size)[1]
             lower_t = _halves(sum_lower, j, h * size, size)[1]
-            upper_t += tmax_v
-            lower_t += tmin_v
+            np.add(upper_t, tmax_v, out=upper_t, order=order)
+            np.add(lower_t, tmin_v, out=lower_t, order=order)
+        if 0 in hs:   # block 0 holds {j}: a lone member appraises itself at 1
+            sum_upper[1 << j] = sum_lower[1 << j] = 1.0
 
 
-def coalition_sums(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coalition totals of member bounds: (sum_upper, sum_lower), length 2^n."""
-    n = E.shape[0]
-    bits = min(_BLOCK_BITS, n - 1)
-    nblocks = 1 << (n - 1 - bits)
-    sum_upper, sum_lower = _shared(n, (2, 1 << n))
-    # for j < n - 1 the top block bit is mask bit n - 1: masks without it
-    # first, then masks with it and all of column n - 1
-    low, high = range(nblocks // 2), range(nblocks // 2, nblocks)
-    _in_halves(n, lambda: _add_columns(E, sum_upper, sum_lower, bits, [low] * (n - 1)),
-               lambda: _add_columns(E, sum_upper, sum_lower, bits,
-                                    [high] * (n - 1) + [range(nblocks)]))
-    singles = 1 << np.arange(n)
-    sum_upper[singles] = 1.0  # lone member appraises itself at 1 by convention
-    sum_lower[singles] = 1.0
-    return sum_upper, sum_lower
+def _player_sums(E, sum_upper, sum_lower, weights, tol, players, hs, parts):
+    """Share sums of ``players`` over their blocks ``hs`` into ``parts``, a
+    (3, n, nblocks) array of (phi, phi_upper, phi_lower) partial sums per
+    player and block; returns the first offender (player, mask) or (-1, -1).
 
-
-def _player_sums(E, sum_upper, sum_lower, weights, tol, players, out):
-    """Share sums of ``players`` into columns of ``out``, a (3, n) array of
-    (phi, phi_upper, phi_lower) rows; returns the first offender (player,
-    mask) or (-1, -1).
-
-    Stops at the first offender, leaving the later columns zero.
+    Stops at the first offender, leaving the later entries zero.
     """
     n = E.shape[0]
     bits = min(_BLOCK_BITS, n - 1)
@@ -258,21 +297,21 @@ def _player_sums(E, sum_upper, sum_lower, weights, tol, players, out):
         shape = (-1, 1 << i) if i < bits else (size,)
         tmax_v, tmin_v = tmax.reshape(shape), tmin.reshape(shape)
         mid, up, lo = den_mid.reshape(shape), den_up.reshape(shape), den_lo.reshape(shape)
-        mid_acc = up_acc = lo_acc = 0.0
-        for h in blocks.walk(i, range(blocks.nblocks)):
+        order = _order(i)
+        for h in blocks.walk(i, hs):
             k0 = h * size
             upper_s, upper_t = _halves(sum_upper, i, k0, size)
             lower_s, lower_t = _halves(sum_lower, i, k0, size)
             s, w = s_rows[pc_high[h]], w_rows[pc_high[h]]
             # den_mid = |S| + (sum_upper[T] - eU) - sum_upper[S]; den_up and
             # den_lo take the lower totals of T and of S in its place
-            np.subtract(upper_t, tmax_v, out=mid)
+            np.subtract(upper_t, tmax_v, out=mid, order=order)
             den_mid += s
-            np.subtract(mid, lower_s, out=lo)
-            mid -= upper_s
-            np.subtract(lower_t, tmin_v, out=up)
+            np.subtract(mid, lower_s, out=lo, order=order)
+            np.subtract(mid, upper_s, out=mid, order=order)
+            np.subtract(lower_t, tmin_v, out=up, order=order)
             den_up += s
-            up -= upper_s
+            np.subtract(up, upper_s, out=up, order=order)
             first = 1 if h == 0 else 0   # skip the empty coalition, index 0
             dm, du, dl = den_mid[first:], den_up[first:], den_lo[first:]
             # den_lo >= den_mid exactly: the same minuend less sum_lower[S] <=
@@ -282,15 +321,48 @@ def _player_sums(E, sum_upper, sum_lower, weights, tol, players, out):
                 return i, _unsqueeze(k, i)
             w, e = w[first:], w_e[first:]
             np.multiply(w, tmax[first:], out=e)
-            mid_acc += np.divide(e, dm, out=dm).sum()
-            up_acc += np.divide(e, du, out=du).sum()
+            parts[0, i, h] = np.divide(e, dm, out=dm).sum()
+            parts[1, i, h] = np.divide(e, du, out=du).sum()
             np.multiply(w, tmin[first:], out=e)
-            lo_acc += np.divide(e, dl, out=dl).sum()
-        out[:, i] = mid_acc, up_acc, lo_acc
+            parts[2, i, h] = np.divide(e, dl, out=dl).sum()
     return -1, -1
 
 
-def shapley_sums(E, sum_upper, sum_lower, weights, tol):
+def _game(E: np.ndarray, weights=None, tol=None):
+    """Run one game in two sides (see the module docstring): the sums, and
+    with ``weights`` the share parts and each side's first offender."""
+    n = E.shape[0]
+    bits = min(_BLOCK_BITS, n - 1)
+    nblocks = 1 << (n - 1 - bits)
+    sums = _shared(n, (2, 1 << n))
+    shares = weights is not None
+    parts = _shared(n, (3, n, nblocks)) if shares else None
+    bad = _shared(n, (2, 2), np.int64) if shares else None   # each side's first offender
+    args = (E, *sums, weights, tol)
+
+    def half(k):
+        hs = (range(nblocks // 2), range(nblocks // 2, nblocks))[k]
+        last = (range(0), range(nblocks))[k]   # column n - 1 lies in half B
+        _add_columns(E, *sums, bits, [hs] * (n - 1) + [last])
+        if not shares:
+            return
+        yield   # this side's sums are in
+        bad[k] = _player_sums(*args, range(n - 1), hs, parts)
+        yield   # both sides' sums are in
+        if bad[k, 0] < 0:
+            bad[k] = _player_sums(*args, [n - 1], hs, parts)
+
+    _in_halves(n, half)
+    return sums, parts, bad
+
+
+def coalition_sums(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coalition totals of member bounds: (sum_upper, sum_lower), length 2^n."""
+    sum_upper, sum_lower = _game(E)[0]
+    return sum_upper, sum_lower
+
+
+def shapley_sums(E, weights, tol):
     """Per-player share sums over every nonempty coalition S the player can join.
 
     Returns (phi, phi_upper, phi_lower, bad_player, bad_mask); bad_player is
@@ -298,12 +370,8 @@ def shapley_sums(E, sum_upper, sum_lower, weights, tol):
     the first offender (lowest player, then lowest mask) is reported.  The
     empty coalition contributes nothing here.
     """
-    n = E.shape[0]
-    out = _shared(n, (3, n))
-    bad = _shared(n, (2, 2), np.int64)   # each half's first offender
-
-    def half(k):   # k = 0: the even players, k = 1: the odd ones
-        bad[k] = _player_sums(E, sum_upper, sum_lower, weights, tol, range(k, n, 2), out)
-
-    _in_halves(n, lambda: half(0), lambda: half(1))
+    _, parts, bad = _game(E, weights, tol)
+    out = np.zeros(parts.shape[:2])
+    for h in range(parts.shape[2]):   # ascending blocks, as in one process
+        out += parts[..., h]
     return (*out, *min(((int(i), int(m)) for i, m in bad if i >= 0), default=(-1, -1)))

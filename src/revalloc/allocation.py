@@ -41,9 +41,14 @@ def check_revenue(revenue: float) -> None:
 
 def _validated(triple: ShapleyTriple, revenue: float) -> ShapleyTriple:
     check_revenue(revenue)
-    arrays = (triple.phi_lower, triple.phi, triple.phi_upper)
+    arrays = [np.asarray(a) for a in (triple.phi_lower, triple.phi, triple.phi_upper)]
+    if any(arr.shape != (triple.n,) for arr in arrays):
+        raise AllocationError("share rows must be vectors of one length, got shapes "
+                              + ", ".join(str(arr.shape) for arr in arrays))
     for arr in arrays:
-        if (np.asarray(arr) <= 0).any():
+        if not np.isfinite(arr).all():
+            raise AllocationError("shares must be finite")
+        if (arr <= 0).any():
             raise AllocationError("shares must be strictly positive")
     if ((triple.phi_lower > triple.phi + ORDER_TOL)
             | (triple.phi > triple.phi_upper + ORDER_TOL)).any():

@@ -4,9 +4,10 @@ Coalitions are bitmasks over DMU indices (bit i = DMU i).  A member's
 in-coalition upper/lower bound is the max/min appraisal it receives from
 the other members; a lone member scores exactly 1 by convention.  The
 coalition worth (the characteristic function) is the sum of member upper
-bounds.  ``build_coalition_table`` is the one place both totals are
-computed: ``sum_upper[mask]`` is the worth v(mask) and ``sum_lower[mask]``
-the sum of member lower bounds, for every mask at once.
+bounds.  One kernel game computes both totals, for every mask at once:
+``build_coalition_table`` returns them, with ``sum_upper[mask]`` the worth
+v(mask) and ``sum_lower[mask]`` the sum of member lower bounds, and
+``shapley_triples`` computes the shares over them in the same game.
 
 The per-player share replaces the classic marginal-contribution difference
 with a ratio: joining coalition S, player i contributes its own received
@@ -117,7 +118,8 @@ def include_empty_coalition(triple: ShapleyTriple) -> ShapleyTriple:
 
 
 def shapley_triples(E, empty_coalition: str = DEFAULT_EMPTY_COALITION) -> ShapleyTriple:
-    """Lower/central/upper shares in one pass over the coalition table."""
+    """Lower/central/upper shares in one game: the coalition sums, then the
+    shares over them."""
     values = matrix_values(E)
     n = values.shape[0]
     if empty_coalition not in EMPTY_CONVENTIONS:
@@ -126,10 +128,8 @@ def shapley_triples(E, empty_coalition: str = DEFAULT_EMPTY_COALITION) -> Shaple
         # a lone DMU owns its whole (unit) worth; the coalition sum is vacuous
         one = np.ones(1)
         return ShapleyTriple(phi_lower=one.copy(), phi=one.copy(), phi_upper=one.copy())
-    table = build_coalition_table(values)
-    phi, up, lo, bad_i, bad_mask = _kernels.shapley_sums(
-        values, table.sum_upper, table.sum_lower, coalition_weights(n), DENOM_TOL,
-    )
+    check_coalition_cap(n)
+    phi, up, lo, bad_i, bad_mask = _kernels.shapley_sums(values, coalition_weights(n), DENOM_TOL)
     if bad_i >= 0:
         raise DegenerateDenominatorError(int(bad_i), int(bad_mask), getattr(E, "names", None))
     triple = ShapleyTriple(phi_lower=lo, phi=phi, phi_upper=up)

@@ -79,6 +79,19 @@ def no_child_process_left():
     pytest.fail(f"the test left child process {pid} unreaped (wait status {status})")
 
 
+@pytest.fixture(autouse=True)
+def no_file_descriptor_left():
+    """Fail a test that leaves a file descriptor open, such as a pipe end."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = set(os.listdir("/proc/self/fd"))
+    yield
+    left = sorted(set(os.listdir("/proc/self/fd")) - before, key=int)
+    if left:
+        pytest.fail(f"the test left file descriptors {', '.join(left)} open")
+
+
 @pytest.fixture(scope="session")
 def toy_dataset():
     return revalloc.load_dataset(TOY_DATA)

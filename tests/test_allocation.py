@@ -126,6 +126,25 @@ def test_rejects_nonpositive_shares():
         allocate(triple_of([0.1, 0.1], [-0.1, 0.2], [0.2, 0.3]), 10.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_nonfinite_shares(bad):
+    for row in range(3):
+        rows = [[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]]
+        rows[row][1] = bad
+        with pytest.raises(AllocationError, match="finite"):
+            allocate(triple_of(*rows), 10.0)
+
+
+@pytest.mark.parametrize("rows", [
+    ([0.1, 0.1], [0.2, 0.2, 0.2], [0.3, 0.3]),
+    ([0.1], [0.2, 0.2], [0.3, 0.3]),     # one entry would broadcast
+    ([0.1, 0.1], [0.2, 0.2], [[0.3, 0.3]]),
+])
+def test_rejects_share_rows_of_unequal_shape(rows):
+    with pytest.raises(AllocationError, match="one length"):
+        allocate(triple_of(*rows), 10.0)
+
+
 def test_rejects_a_name_count_that_does_not_match_the_shares():
     tri = triple_of([0.1, 0.1], [0.2, 0.2], [0.3, 0.3])
     for names in (["A"], ["A", "B", "C"]):

@@ -84,9 +84,7 @@ def game_shares(E, convention):
         return shapley_triples(E, empty_coalition=convention)
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         shapley_triples(E, empty_coalition=convention)
-    sum_upper, sum_lower = _kernels.coalition_sums(E)
-    *shares, bad_i, bad_mask = _kernels.shapley_sums(
-        E, sum_upper, sum_lower, coalition_weights(len(E)), DENOM_TOL)
+    *shares, bad_i, bad_mask = _kernels.shapley_sums(E, coalition_weights(len(E)), DENOM_TOL)
     if bad_i >= 0:
         raise DegenerateDenominatorError(int(bad_i), int(bad_mask))
     return shares
@@ -144,18 +142,17 @@ def test_table_holds_only_the_two_sums():
 
 
 def test_shares_use_block_sized_buffers():
-    # the share pass works in 2^_BLOCK_BITS-entry blocks, so at n = 20 its
-    # peak stays below one 2^19-entry float64 buffer
+    # the game works in 2^_BLOCK_BITS-entry blocks and keeps its sums and
+    # share parts in shared mappings, so at n = 20 its peak stays below one
+    # 2^19-entry float64 buffer
     n = 20
     rng = np.random.default_rng(67)
     E = rng.uniform(0.05, 1.0, (n, n))
     np.fill_diagonal(E, 1.0)
-    table = build_coalition_table(E)
     weights = coalition_weights(n)
     tracemalloc.start()
     try:
-        bad_player = _kernels.shapley_sums(E, table.sum_upper, table.sum_lower,
-                                           weights, DENOM_TOL)[3]
+        bad_player = _kernels.shapley_sums(E, weights, DENOM_TOL)[3]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -208,18 +205,19 @@ def random_game(n, seed):
 
 
 def kernel_passes(E):
-    """Both kernel passes on E: the two sums, then the shares and offender."""
+    """Both kernel games on E: the table stage alone for the two sums, then
+    the whole game for the shares and offender."""
     sums = _kernels.coalition_sums(E)
     assert_no_child_left()
-    shares = _kernels.shapley_sums(E, *sums, coalition_weights(len(E)), DENOM_TOL)
+    shares = _kernels.shapley_sums(E, coalition_weights(len(E)), DENOM_TOL)
     assert_no_child_left()
     return sums, shares
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """``forks(flag)`` makes every pass split (True) or not (False); the
-    returned list counts the helpers started."""
+    """``forks(flag)`` makes every game fork a helper (True) or not (False);
+    the returned list counts the helpers started."""
     started = []
     real_fork = os.fork
 
@@ -250,36 +248,69 @@ def test_split_passes_give_the_same_bits(n, block_bits, forks, monkeypatch):
     (su, sl), shares = kernel_passes(E)
     assert started == []
     forks(True)
-    (su2, sl2), shares2 = kernel_passes(E)
+    su2, sl2 = _kernels.coalition_sums(E)
+    assert len(started) == 1   # one helper per game
+    shares2 = _kernels.shapley_sums(E, coalition_weights(n), DENOM_TOL)
     assert len(started) == 2
+    assert_no_child_left()
     assert np.array_equal(su, su2) and np.array_equal(sl, sl2)
     for a, b in zip(shares[:3], shares2[:3]):
         assert np.array_equal(a, b)
     assert shares[3:] == shares2[3:] == (-1, -1)
 
 
-@pytest.mark.parametrize("zeros, player", [
-    pytest.param([(3, 1)], 3, id="odd"),
-    pytest.param([(2, 5)], 2, id="even"),
-    pytest.param([(3, 1), (2, 5)], 2, id="both-even-first"),
-    pytest.param([(1, 4), (4, 0)], 1, id="both-odd-first"),
+def side_of(player, mask, n):
+    """The side whose blocks hold ``player``'s term for joining ``mask``:
+    the top block bit is mask bit n - 1, or n - 2 for player n - 1."""
+    return "helper" if mask >> (n - 1 - (player == n - 1)) & 1 else "caller"
+
+
+@pytest.mark.parametrize("zeros, expected, side", [
+    pytest.param([(2, 1)], (2, 0b10), "caller", id="caller-only"),
+    pytest.param([(1, 5)], (1, 0b100000), "helper", id="helper-only"),
+    pytest.param([(3, 5), (3, 0)], (3, 0b1), "caller", id="both-caller-first"),
+    pytest.param([(5, 1)], (5, 0b10), "caller", id="last-player-caller"),
+    pytest.param([(5, 4)], (5, 0b10000), "helper", id="last-player-helper"),
 ])
-def test_split_shares_report_the_first_offender(zeros, player, forks, monkeypatch):
+def test_split_shares_report_the_first_offender(zeros, expected, side, forks, monkeypatch):
     # E[i, d] = 0 sends player i's term for joining {d} to 0; 2-bit blocks
     # give 8 blocks per column at n = 6
     monkeypatch.setattr(_kernels, "_BLOCK_BITS", 2)
-    E = random_game(6, 91)
+    n = 6
+    E = random_game(n, 91)
     for i, d in zeros:
         E[i, d] = 0.0
-    expected = first_degenerate_term(E)
-    assert expected[0] == player
+    assert first_degenerate_term(E) == expected
+    assert side_of(*expected, n) == side
     for flag in (False, True):
         started = forks(flag)
         with pytest.raises(DegenerateDenominatorError) as err:
             shapley_triples(E)
         assert (err.value.player, err.value.mask) == expected
         assert_no_child_left()
-    assert len(started) == 2
+    assert len(started) == 1
+
+
+@pytest.mark.parametrize("slow", ["caller", "helper"])
+def test_paired_stage_waits_for_the_other_table(slow, forks, monkeypatch):
+    # player n - 1 reads both sides' sums: with one side's table stage
+    # delayed, the other must wait at the barrier, not read zeros
+    E = random_game(16, 93)
+    forks(False)
+    expected = _kernels.shapley_sums(E, coalition_weights(16), DENOM_TOL)
+    started = forks(True)
+    parent, real = os.getpid(), _kernels._add_columns
+
+    def delayed(*args):
+        if (os.getpid() == parent) == (slow == "caller"):
+            time.sleep(0.3)
+        return real(*args)
+    monkeypatch.setattr(_kernels, "_add_columns", delayed)
+    shares = _kernels.shapley_sums(E, coalition_weights(16), DENOM_TOL)
+    assert len(started) == 1
+    for a, b in zip(shares[:3], expected[:3]):
+        assert np.array_equal(a, b)
+    assert shares[3:] == expected[3:] == (-1, -1)
 
 
 def test_failed_fork_runs_both_halves_here(forks, monkeypatch):
@@ -307,15 +338,15 @@ def test_unmappable_sums_are_out_of_memory(monkeypatch):
         _kernels.coalition_sums(random_game(16, 96))
 
 
-def in_helper_only(monkeypatch, name, action):
-    """Wrap ``_kernels.<name>`` so that it runs ``action()`` first in a helper."""
-    parent, real = os.getpid(), getattr(_kernels, name)
+def in_helper_only(monkeypatch, owner, name, action):
+    """Wrap ``owner.<name>`` so that it runs ``action()`` first in a helper."""
+    parent, real = os.getpid(), getattr(owner, name)
 
     def wrapped(*args):
         if os.getpid() != parent:
             action()
         return real(*args)
-    monkeypatch.setattr(_kernels, name, wrapped)
+    monkeypatch.setattr(owner, name, wrapped)
 
 
 def fail():
@@ -326,22 +357,37 @@ def killed():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-@pytest.mark.parametrize("name, action, status", [
-    pytest.param("_add_columns", fail, 1, id="table-raises"),
-    pytest.param("_player_sums", fail, 1, id="shares-raise"),
-    # exits cleanly before its half is done: the unset done flag alone is
+BARRIER_WAIT = 0.5
+
+
+def killed_later():
+    time.sleep(BARRIER_WAIT)   # the caller reaches the barrier meanwhile
+    killed()
+
+
+@pytest.mark.parametrize("owner, name, action, status", [
+    pytest.param(_kernels, "_add_columns", fail, 1, id="table-raises"),
+    pytest.param(_kernels, "_player_sums", fail, 1, id="shares-raise"),
+    # exits cleanly before its side is done: the unset done flag alone is
     # the fault
-    pytest.param("_add_columns", lambda: os._exit(0), 0, id="table-early-exit"),
-    pytest.param("_player_sums", lambda: os._exit(0), 0, id="shares-early-exit"),
-    pytest.param("_add_columns", killed, -signal.SIGKILL, id="table-killed"),
-    pytest.param("_player_sums", killed, -signal.SIGKILL, id="shares-killed"),
+    pytest.param(_kernels, "_add_columns", lambda: os._exit(0), 0, id="table-early-exit"),
+    pytest.param(_kernels, "_player_sums", lambda: os._exit(0), 0, id="shares-early-exit"),
+    pytest.param(_kernels, "_add_columns", killed, -signal.SIGKILL, id="table-killed"),
+    pytest.param(_kernels, "_player_sums", killed, -signal.SIGKILL, id="shares-killed"),
+    # the helper's one os.write is its barrier byte: it dies in its place,
+    # and the caller reads EOF at the barrier
+    pytest.param(os, "write", lambda: os._exit(0), 0, id="barrier-early-exit"),
+    pytest.param(os, "write", killed_later, -signal.SIGKILL, id="barrier-killed"),
 ])
-def test_helper_fault_raises_after_reaping(name, action, status, forks, monkeypatch):
+def test_helper_fault_raises_after_reaping(owner, name, action, status, forks, monkeypatch):
     E = random_game(16, 97)
     forks(True)
-    in_helper_only(monkeypatch, name, action)
+    in_helper_only(monkeypatch, owner, name, action)
+    start = time.monotonic()
     with pytest.raises(RuntimeError, match=f"exit status {status} "):
         kernel_passes(E)
+    if action is killed_later:   # the caller waited for the helper's byte
+        assert time.monotonic() - start >= BARRIER_WAIT
     assert_no_child_left()
 
 
@@ -350,7 +396,6 @@ def test_helper_fault_raises_after_reaping(name, action, status, forks, monkeypa
 def test_parent_fault_kills_the_helper(name, error, forks, monkeypatch):
     E = random_game(16, 99)
     forks(True)
-    sums = _kernels.coalition_sums(E)
     parent, real = os.getpid(), getattr(_kernels, name)
 
     def wrapped(*args):
@@ -364,6 +409,46 @@ def test_parent_fault_kills_the_helper(name, error, forks, monkeypatch):
         if name == "_add_columns":
             _kernels.coalition_sums(E)
         else:
-            _kernels.shapley_sums(E, *sums, coalition_weights(len(E)), DENOM_TOL)
+            _kernels.shapley_sums(E, coalition_weights(len(E)), DENOM_TOL)
     assert time.monotonic() - start < 30
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("n, block_bits", [
+    *[pytest.param(n, None, id=f"n{n}") for n in range(16, 22)],
+    # 2-bit blocks: 4 to 128 blocks per column
+    *[pytest.param(n, 2, id=f"n{n}-2bit") for n in range(4, 10)],
+])
+def test_sides_split_every_player_block_once(n, block_bits, forks, monkeypatch):
+    # recorded, not run: with no helper the two sides run in lockstep, so
+    # the calls alternate side A (the caller's), side B (the helper's)
+    if block_bits is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
+    started = forks(False)
+    table_calls, share_calls = [], []
+
+    def add_columns(E, sum_upper, sum_lower, bits, block_ranges):
+        table_calls.append([list(hs) for hs in block_ranges])
+
+    def player_sums(E, sum_upper, sum_lower, weights, tol, players, hs, parts):
+        share_calls.append((list(players), list(hs)))
+        return -1, -1
+    monkeypatch.setattr(_kernels, "_add_columns", add_columns)
+    monkeypatch.setattr(_kernels, "_player_sums", player_sums)
+    _kernels.shapley_sums(random_game(n, 100 + n), coalition_weights(n), DENOM_TOL)
+    assert started == []
+    nblocks = 1 << (n - 1 - min(_kernels._BLOCK_BITS, n - 1))
+    every = sorted((i, h) for i in range(n) for h in range(nblocks))
+    # the table: side A, then side B, each column's blocks once
+    assert len(table_calls) == 2
+    assert sorted((j, h) for call in table_calls for j, hs in enumerate(call)
+                  for h in hs) == every
+    # the shares: own A, own B, then behind the barrier player n - 1 alone
+    assert [players for players, _ in share_calls] == [list(range(n - 1))] * 2 + [[n - 1]] * 2
+    covered = [(i, h) for players, hs in share_calls for i in players for h in hs]
+    assert sorted(covered) == every
+    per_side = [sum(len(players) * len(hs) for players, hs in share_calls[k::2]) for k in (0, 1)]
+    assert per_side[0] == per_side[1] == n * nblocks // 2
+    # each side's own stage reads only the half of the sums its table wrote
+    for k in (0, 1):
+        assert share_calls[k][1] == table_calls[k][0]
