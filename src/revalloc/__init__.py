@@ -7,13 +7,7 @@ per-DMU shares with optimistic/pessimistic brackets, and split a fixed
 revenue proportionally.
 """
 
-from .allocation import (
-    AllocationError,
-    AllocationPlan,
-    allocate,
-    optimistic_allocation,
-    pessimistic_allocation,
-)
+from .allocation import AllocationError, AllocationPlan, allocate
 from .dataset import (
     CrossEfficiencyMatrix,
     DataError,
@@ -43,6 +37,7 @@ from .game import (
     DegenerateDenominatorError,
     ShapleyTriple,
     build_coalition_table,
+    include_empty_coalition,
     shapley_triples,
 )
 from .report import TOOL_VERSION as __version__
@@ -67,13 +62,12 @@ __all__ = [
     "ccr_efficiency",
     "cluster_groups",
     "cross_efficiency_matrix",
+    "include_empty_coalition",
     "load_dataset",
     "load_groups",
     "load_matrix",
     "load_reference",
     "normalize",
-    "optimistic_allocation",
-    "pessimistic_allocation",
     "secondary_goal_weights",
     "shapley_triples",
     "write_dataset",

@@ -33,16 +33,18 @@ first b other players and the block number holds the rest:
 
 ``sum_upper[mask]`` / ``sum_lower[mask]`` are the per-coalition totals of
 the member bounds, with singletons pinned to 1 by convention.
-``coalition_sums`` adds each block into its S | {j} view, one column after
+``_add_columns`` adds each block into its S | {j} view, one column after
 another, so every entry sums its columns in ascending order; max and min
 are exact, so the sums match full-length column tables bit for bit.
+``coalition_sums`` adds every block of every column in the calling
+process and forks nothing.
 
 The shares walk the same blocks.  Each block's three partial sums are
 stored per (player, block), and the caller adds them per player in
 ascending block order, so the shares are deterministic and the first
 degenerate term found is still the lowest player's lowest mask.
 
-A game runs as two disjoint halves of the coalitions.  For j < n - 1 the
+``shapley_sums`` runs its game as two disjoint halves of the coalitions.  For j < n - 1 the
 top bit of a block number is mask bit n - 1, so block half A,
 [0, nblocks / 2), of any column j < n - 1 holds masks without player
 n - 1 and block half B, [nblocks / 2, nblocks), masks with it:
@@ -58,9 +60,9 @@ n - 1 and block half B, [nblocks / 2, nblocks), masks with it:
 
 Each side stores its first offender (player, mask), and the lower of the
 two is reported; a side that finds one skips its paired stage.  With one
-block per column, half A is empty.  The arrays are shared anonymous
-mappings (``mmap``), which tracemalloc does not see: at n = 20 the table
-stage's traced peak is 0.63 MiB of block buffers.
+block per column, half A is empty.  The arrays of both functions are
+shared anonymous mappings (``mmap``), which tracemalloc does not see: at
+n = 20 ``coalition_sums``' traced peak is 0.63 MiB of block buffers.
 
 ``_in_halves`` runs side A in the caller and side B in one forked helper
 process, where ``_forks`` allows it (2 or more blocks per column,
@@ -328,37 +330,13 @@ def _player_sums(E, sum_upper, sum_lower, weights, tol, players, hs, parts):
     return -1, -1
 
 
-def _game(E: np.ndarray, weights=None, tol=None):
-    """Run one game in two sides (see the module docstring): the sums, and
-    with ``weights`` the share parts and each side's first offender."""
+def coalition_sums(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coalition totals of member bounds: (sum_upper, sum_lower), length
+    2^n, with every block of every column added here."""
     n = E.shape[0]
     bits = min(_BLOCK_BITS, n - 1)
-    nblocks = 1 << (n - 1 - bits)
-    sums = _shared(n, (2, 1 << n))
-    shares = weights is not None
-    parts = _shared(n, (3, n, nblocks)) if shares else None
-    bad = _shared(n, (2, 2), np.int64) if shares else None   # each side's first offender
-    args = (E, *sums, weights, tol)
-
-    def half(k):
-        hs = (range(nblocks // 2), range(nblocks // 2, nblocks))[k]
-        last = (range(0), range(nblocks))[k]   # column n - 1 lies in half B
-        _add_columns(E, *sums, bits, [hs] * (n - 1) + [last])
-        if not shares:
-            return
-        yield   # this side's sums are in
-        bad[k] = _player_sums(*args, range(n - 1), hs, parts)
-        yield   # both sides' sums are in
-        if bad[k, 0] < 0:
-            bad[k] = _player_sums(*args, [n - 1], hs, parts)
-
-    _in_halves(n, half)
-    return sums, parts, bad
-
-
-def coalition_sums(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coalition totals of member bounds: (sum_upper, sum_lower), length 2^n."""
-    sum_upper, sum_lower = _game(E)[0]
+    sum_upper, sum_lower = _shared(n, (2, 1 << n))
+    _add_columns(E, sum_upper, sum_lower, bits, [range(1 << (n - 1 - bits))] * n)
     return sum_upper, sum_lower
 
 
@@ -370,8 +348,26 @@ def shapley_sums(E, weights, tol):
     the first offender (lowest player, then lowest mask) is reported.  The
     empty coalition contributes nothing here.
     """
-    _, parts, bad = _game(E, weights, tol)
+    n = E.shape[0]
+    bits = min(_BLOCK_BITS, n - 1)
+    nblocks = 1 << (n - 1 - bits)
+    sums = _shared(n, (2, 1 << n))
+    parts = _shared(n, (3, n, nblocks))
+    bad = _shared(n, (2, 2), np.int64)   # each side's first offender
+    args = (E, *sums, weights, tol)
+
+    def half(k):
+        hs = (range(nblocks // 2), range(nblocks // 2, nblocks))[k]
+        last = (range(0), range(nblocks))[k]   # column n - 1 lies in half B
+        _add_columns(E, *sums, bits, [hs] * (n - 1) + [last])
+        yield   # this side's sums are in
+        bad[k] = _player_sums(*args, range(n - 1), hs, parts)
+        yield   # both sides' sums are in
+        if bad[k, 0] < 0:
+            bad[k] = _player_sums(*args, [n - 1], hs, parts)
+
+    _in_halves(n, half)
     out = np.zeros(parts.shape[:2])
-    for h in range(parts.shape[2]):   # ascending blocks, as in one process
+    for h in range(nblocks):   # ascending blocks, as in one process
         out += parts[..., h]
     return (*out, *min(((int(i), int(m)) for i, m in bad if i >= 0), default=(-1, -1)))

@@ -3,7 +3,8 @@
 The central allocation splits R proportionally to the central shares.  The
 optimistic figure for a DMU pits its upper share against everybody else's
 lower share; the pessimistic figure is the mirror image.  Together they
-bracket the central allocation DMU by DMU.
+bracket the central allocation DMU by DMU.  ``allocate`` returns all three:
+the brackets are its plan's ``upper`` and ``lower``.
 """
 
 from __future__ import annotations
@@ -54,16 +55,6 @@ def _validated(triple: ShapleyTriple, revenue: float) -> ShapleyTriple:
             | (triple.phi > triple.phi_upper + ORDER_TOL)).any():
         raise AllocationError("share triples must satisfy lower <= central <= upper")
     return triple
-
-
-def optimistic_allocation(triple: ShapleyTriple, revenue: float) -> np.ndarray:
-    """Each DMU's upper share against everyone else's lower shares."""
-    return allocate(triple, revenue).upper
-
-
-def pessimistic_allocation(triple: ShapleyTriple, revenue: float) -> np.ndarray:
-    """Each DMU's lower share against everyone else's upper shares."""
-    return allocate(triple, revenue).lower
 
 
 def allocate(triple: ShapleyTriple, revenue: float,

@@ -64,22 +64,31 @@ def build_parser() -> _Parser:
         ("pipeline", "dataset -> matrix -> shares -> allocation in one run"),
     ):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--input", help="dataset CSV path")
-        p.add_argument("--matrix", help="cross-efficiency matrix CSV path")
-        p.add_argument("--groups", help="explicit ally groups CSV (not with --clusters)")
+        p.add_argument("--input", type=_path, help="dataset CSV path")
+        p.add_argument("--matrix", type=_path, help="cross-efficiency matrix CSV path")
+        p.add_argument("--groups", type=_path,
+                       help="explicit ally groups CSV (not with --clusters)")
         p.add_argument("--clusters", type=int, help="cluster the DMUs into H ally groups")
         p.add_argument("--revenue", type=float, help="common revenue to allocate")
         p.add_argument("--empty-coalition", choices=("exclude", "unit", "calibrate"),
                        default=game.DEFAULT_EMPTY_COALITION,
                        help="handling of the undefined empty-coalition share term")
-        p.add_argument("--reference", help="per-DMU reference shares CSV for calibrate")
+        p.add_argument("--reference", type=_path,
+                       help="per-DMU reference shares CSV for calibrate")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--precision", type=_decimals, default=2,
                        help="display decimals in CSV reports")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte-identical reruns")
-        p.add_argument("--out", help="artifact path (matrix for crosseff, report otherwise)")
+        p.add_argument("--out", type=_path,
+                       help="artifact path (matrix for crosseff, report otherwise)")
     return parser
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError(f"expected a file path, got {text!r}")
+    return text
 
 
 def _decimals(text: str) -> int:
@@ -142,7 +151,7 @@ def _run(args) -> report.Report:
         if flag == "source":
             if bool(args.input) == bool(args.matrix):
                 raise _UsageError(f"{args.command} requires exactly one of --input or --matrix")
-        elif getattr(args, flag) in (None, ""):
+        elif getattr(args, flag) is None:
             raise _UsageError(f"{args.command} requires --{flag}")
     _check_unread(args, reads)
     data = load_dataset(args.input) if args.input else None
@@ -161,6 +170,9 @@ def _run(args) -> report.Report:
         game.check_coalition_cap(len(names))
     if "allocation" in stages:
         allocation.check_revenue(args.revenue)
+    # hashed before any stage runs, so an --out over an input cannot change it
+    provenance = report.build_provenance({role: getattr(args, role) for role in INPUT_FILES},
+                                         timestamp=not args.no_timestamp)
     sections, ledger = {}, []
     matrix = fixture
 
@@ -202,8 +214,7 @@ def _run(args) -> report.Report:
     return report.Report(
         command=args.command,
         config={"command": args.command, **{key: getattr(args, key) for key in CONFIG_KEYS}},
-        provenance=report.build_provenance({role: getattr(args, role) for role in INPUT_FILES},
-                                           timestamp=not args.no_timestamp),
+        provenance=provenance,
         results={stage: sections[stage] for stage in STAGES if stage in sections},
         discrepancies=ledger,
     )
@@ -215,7 +226,7 @@ def _check_unread(args, reads) -> None:
              "reference": (args.empty_coalition == "calibrate", "--empty-coalition calibrate")}
     for flag, unset in INPUT_FLAGS.items():
         name = "--" + flag.replace("_", "-")
-        if getattr(args, flag) in (unset, ""):
+        if getattr(args, flag) == unset:
             continue
         if flag not in reads:
             raise _UsageError(f"{args.command} does not read {name}")
@@ -256,16 +267,12 @@ def _fixture_notes(fixture, matrix, theta, names) -> list[str]:
 
 
 def _compute_triples(args, matrix: CrossEfficiencyMatrix, reference):
-    """Apply the empty-coalition flag, calibrating against ``reference`` if given.
-
-    Calibration runs the game once: the ``unit`` triple is the ``exclude``
-    triple plus the empty-coalition term.
-    """
-    calibrate = reference is not None
-    triple = game.shapley_triples(matrix, "exclude" if calibrate else args.empty_coalition)
-    if not calibrate:
-        return triple, args.empty_coalition, []
-    triples = {"exclude": triple, "unit": game.include_empty_coalition(triple)}
+    """Both conventions' triples from one game, and the one that the
+    empty-coalition flag, or calibration against ``reference``, picks."""
+    exclude = game.shapley_triples(matrix)
+    triples = {"exclude": exclude, "unit": game.include_empty_coalition(exclude)}
+    if reference is None:
+        return triples[args.empty_coalition], args.empty_coalition, []
     fits = {c: float(np.abs(triples[c].phi - reference).max()) for c in game.EMPTY_CONVENTIONS}
     winner = min(game.EMPTY_CONVENTIONS, key=lambda c: fits[c])
     note = (

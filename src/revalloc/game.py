@@ -4,19 +4,20 @@ Coalitions are bitmasks over DMU indices (bit i = DMU i).  A member's
 in-coalition upper/lower bound is the max/min appraisal it receives from
 the other members; a lone member scores exactly 1 by convention.  The
 coalition worth (the characteristic function) is the sum of member upper
-bounds.  One kernel game computes both totals, for every mask at once:
-``build_coalition_table`` returns them, with ``sum_upper[mask]`` the worth
-v(mask) and ``sum_lower[mask]`` the sum of member lower bounds, and
-``shapley_triples`` computes the shares over them in the same game.
+bounds.  ``build_coalition_table`` returns both totals for every mask,
+with ``sum_upper[mask]`` the worth v(mask) and ``sum_lower[mask]`` the sum
+of member lower bounds; it runs in the calling process.
+``shapley_triples`` builds the same totals in its own game and computes
+the shares over them.
 
 The per-player share replaces the classic marginal-contribution difference
 with a ratio: joining coalition S, player i contributes its own received
 upper bound against the shift it causes in the members' totals.  The
 optimistic (pessimistic) variants put the player's upper (lower) received
 bound over the least (most) favorable total shift.  The ratio is undefined
-at S = empty; both conventions for that term are implemented (drop it, or
-count it as the classic worth-of-singleton 1) and ``exclude`` is the
-calibrated default.
+at S = empty.  ``shapley_triples`` drops that term (the ``exclude``
+convention, the calibrated default); ``include_empty_coalition`` adds it
+back as the classic worth-of-singleton 1 (the ``unit`` convention).
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def check_coalition_cap(n: int) -> None:
 
 
 def build_coalition_table(E) -> CoalitionTable:
-    """Build the per-coalition sums with the blocked column kernel.
+    """Build the per-coalition sums with the blocked column kernel, in this process.
 
     Memory is the two length-2^n sums plus block buffers: at n = 24 the
     peak is 256 MB of sums.
@@ -117,13 +118,11 @@ def include_empty_coalition(triple: ShapleyTriple) -> ShapleyTriple:
                          phi_upper=triple.phi_upper + w0)
 
 
-def shapley_triples(E, empty_coalition: str = DEFAULT_EMPTY_COALITION) -> ShapleyTriple:
-    """Lower/central/upper shares in one game: the coalition sums, then the
-    shares over them."""
+def shapley_triples(E) -> ShapleyTriple:
+    """Lower/central/upper ``exclude`` shares in one game: the coalition
+    sums, then the shares over them."""
     values = matrix_values(E)
     n = values.shape[0]
-    if empty_coalition not in EMPTY_CONVENTIONS:
-        raise ValueError(f"empty_coalition must be one of {EMPTY_CONVENTIONS}")
     if n == 1:
         # a lone DMU owns its whole (unit) worth; the coalition sum is vacuous
         one = np.ones(1)
@@ -132,5 +131,4 @@ def shapley_triples(E, empty_coalition: str = DEFAULT_EMPTY_COALITION) -> Shaple
     phi, up, lo, bad_i, bad_mask = _kernels.shapley_sums(values, coalition_weights(n), DENOM_TOL)
     if bad_i >= 0:
         raise DegenerateDenominatorError(int(bad_i), int(bad_mask), getattr(E, "names", None))
-    triple = ShapleyTriple(phi_lower=lo, phi=phi, phi_upper=up)
-    return include_empty_coalition(triple) if empty_coalition == "unit" else triple
+    return ShapleyTriple(phi_lower=lo, phi=phi, phi_upper=up)

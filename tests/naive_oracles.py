@@ -4,17 +4,13 @@ Everything here is written set-wise and formula-by-formula, with no
 bitmask dynamic programming, no tableau, and no shared code with the
 package internals.  The slack-variable tie-break LP is solved with scipy's
 HiGHS, so a comparison checks both how the package states that LP and how
-it solves it.  One reference is the exception on purpose: the row-loop
-pivot is the one-tableau loop form of the simplex's stacked pivot and
-shares its PIVOT_TOL.
+it solves it.  Nothing here imports the package.
 """
 
 import itertools
 import math
 
 import numpy as np
-
-from revalloc import simplex
 
 
 # ----------------------------------------------------------- coalition game
@@ -112,29 +108,6 @@ def vertex_enumeration_solve(objective, sense, constraints, upper_box):
     values = points[feasible] @ objective
     best = values.max() if sense == "max" else values.min()
     return "optimal", float(best)
-
-
-def row_loop_pivot(T, row, col):
-    """Pivot on T[row, col] of one compact tableau, one row at a time (modifies T).
-
-    The tableau holds a column per nonbasic variable, so column col holds
-    the entering variable before the pivot and the leaving one after it.
-    The full tableau gives the leaving variable's unit column 1/p in the
-    pivot row, -(f * (1/p)) in each row it eliminates (factor f above
-    PIVOT_TOL in magnitude) and 0 in the others.
-    """
-    p = T[row, col]
-    entering = T[:, col].copy()
-    T[row] /= p
-    for i in range(T.shape[0]):
-        f = entering[i]
-        if i == row:
-            T[i, col] = 1.0 / p
-        elif abs(f) > simplex.PIVOT_TOL:
-            T[i] -= f * T[row]
-            T[i, col] = -(f * (1.0 / p))
-        else:
-            T[i, col] = 0.0
 
 
 def slack_tie_break(X, Y, d, allies, theta_d):

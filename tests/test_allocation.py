@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from revalloc.allocation import (
-    AllocationError,
-    allocate,
-    optimistic_allocation,
-    pessimistic_allocation,
-)
+from revalloc.allocation import AllocationError, allocate
 from revalloc.game import ShapleyTriple, shapley_triples
 
 
@@ -105,8 +100,8 @@ def test_bracket_arithmetic_from_rounded_bank_triples():
     from conftest import BANK_REF_PHI, BANK_REF_PHI_LOWER, BANK_REF_PHI_UPPER
 
     tri = triple_of(BANK_REF_PHI_LOWER, BANK_REF_PHI, BANK_REF_PHI_UPPER)
-    up = optimistic_allocation(tri, 2900.0)
-    lo = pessimistic_allocation(tri, 2900.0)
+    plan = allocate(tri, 2900.0)
+    up, lo = plan.upper, plan.lower
     # DMU_1: 2900 * 0.24 / (0.24 + 1.68) and 2900 * 0.08 / (0.08 + 3.96)
     assert abs(up[0] - 2900 * 0.24 / 1.92) < 1e-9
     assert abs(lo[0] - 2900 * 0.08 / 4.04) < 1e-9

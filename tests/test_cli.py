@@ -1,6 +1,7 @@
 """CLI behavior: commands, exit codes, determinism, and report contracts."""
 
 import csv
+import hashlib
 import io
 import json
 import time
@@ -344,6 +345,41 @@ def test_negative_precision_is_usage_error(capsys):
                        "--precision", -1)
     assert code == 3
     assert "--precision" in err
+
+
+def test_unknown_convention_is_usage_error(capsys):
+    code, out, err = run(capsys, "shapley", "--matrix", TOY_MATRIX, "--empty-coalition", "bogus")
+    assert code == 3
+    assert "--empty-coalition" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["ccr", "--input", ""],
+    ["ccr", "--input", TOY_DATA, "--matrix", ""],
+    ["ccr", "--input", TOY_DATA, "--groups", ""],
+    ["shapley", "--matrix", TOY_MATRIX, "--empty-coalition", "calibrate", "--reference", ""],
+    ["crosseff", "--input", TOY_DATA, "--out", ""],
+], ids=["input", "matrix", "groups", "reference", "out"])
+def test_empty_path_flag_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)   # a crosseff that ignored --out '' writes matrix.csv here
+    code, out, err = run(capsys, *argv)
+    flag = argv[argv.index("") - 1]
+    assert code == 3
+    assert f"argument {flag}: expected a file path, got ''" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_provenance_hashes_the_input_an_out_overwrites(capsys, tmp_path):
+    data = tmp_path / "t.csv"
+    data.write_bytes(TOY_DATA.read_bytes())
+    code, out, _ = run(capsys, "crosseff", "--input", data, "--out", data, "--format", "json",
+                       "--no-timestamp")
+    assert code == 0
+    assert data.read_bytes() != TOY_DATA.read_bytes()   # the matrix is written over it
+    provenance = json.loads(out)["provenance"]
+    assert provenance["input_sha256"] == hashlib.sha256(TOY_DATA.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("bad_row", ["DMU_2,abc", "DMU_2", "DMU_2,nan",

@@ -1,5 +1,8 @@
 """Coalition bounds, worths, the share formulas, and their oracles."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +13,7 @@ from revalloc.game import (
     DegenerateDenominatorError,
     build_coalition_table,
     coalition_weights,
+    include_empty_coalition,
     shapley_triples,
 )
 
@@ -166,10 +170,11 @@ def test_matches_naive_enumeration(include_empty, block_bits, monkeypatch):
         # the same halves, with no helper forked per small game
         monkeypatch.setattr(_kernels, "_forks", lambda nblocks: False)
     rng = np.random.default_rng(17)
-    convention = "unit" if include_empty else "exclude"
     for n in range(1, 10):
         E = random_matrix(rng, n)
-        triple = shapley_triples(E, empty_coalition=convention)
+        triple = shapley_triples(E)
+        if include_empty:
+            triple = include_empty_coalition(triple)
         # a lone DMU's share is 1 under either convention; the oracle's
         # exclude sum over coalitions is empty there
         lo, mid, up = naive_oracles.shapley_triple(E, include_empty=include_empty or n == 1)
@@ -190,16 +195,11 @@ def test_unit_convention_adds_first_weight_exactly():
     rng = np.random.default_rng(23)
     E = random_matrix(rng, 5)
     w0 = coalition_weights(5)[0]
-    a = shapley_triples(E, empty_coalition="exclude")
-    b = shapley_triples(E, empty_coalition="unit")
+    a = shapley_triples(E)
+    b = include_empty_coalition(a)
     assert_allclose(b.phi - a.phi, w0, rtol=0, atol=1e-15)
     assert_allclose(b.phi_upper - a.phi_upper, w0, rtol=0, atol=1e-15)
     assert_allclose(b.phi_lower - a.phi_lower, w0, rtol=0, atol=1e-15)
-
-
-def test_unknown_convention_rejected(toy_matrix):
-    with pytest.raises(ValueError, match="empty_coalition"):
-        shapley_triples(toy_matrix, empty_coalition="bogus")
 
 
 def test_ordering_holds_on_random_matrices():
@@ -306,3 +306,15 @@ def test_shapley_shares_sum_near_relative_worth(bank_matrix):
     triple = shapley_triples(bank_matrix)
     assert triple.phi.sum() > 1.0
     assert triple.phi.max() / triple.phi.min() < 10
+
+
+# ------------------------------------------------------------------- oracles
+
+def test_oracles_import_nothing_from_the_package():
+    # an oracle that borrowed package code would agree with the package's bugs
+    tree = ast.parse(Path(naive_oracles.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "revalloc"]

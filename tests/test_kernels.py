@@ -16,6 +16,7 @@ from revalloc.game import (
     DegenerateDenominatorError,
     build_coalition_table,
     coalition_weights,
+    include_empty_coalition,
     shapley_triples,
 )
 
@@ -49,8 +50,6 @@ def first_degenerate_term(E):
 def test_numpy_tables_match_slim_sums(block_bits, monkeypatch):
     if block_bits is not None:
         monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
-        # the same halves, with no helper forked per small game
-        monkeypatch.setattr(_kernels, "_forks", lambda nblocks: False)
     # dense n x 2^n member tables, summed member by member in ascending
     # order, give the same bits as the blocked column kernel
     rng = np.random.default_rng(2)
@@ -78,12 +77,14 @@ def test_numpy_tables_match_slim_sums(block_bits, monkeypatch):
 
 
 def game_shares(E, convention):
-    """``shapley_triples`` on E; for a matrix with entries above 1, which it
-    refuses, the kernel pass it would run, raising as it would."""
+    """``shapley_triples`` on E, under ``convention``; for a matrix with
+    entries above 1, which it refuses, the kernel pass it would run, raising
+    as it would."""
     if E.max() <= 1.0:
-        return shapley_triples(E, empty_coalition=convention)
+        triple = shapley_triples(E)
+        return include_empty_coalition(triple) if convention == "unit" else triple
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-        shapley_triples(E, empty_coalition=convention)
+        shapley_triples(E)
     *shares, bad_i, bad_mask = _kernels.shapley_sums(E, coalition_weights(len(E)), DENOM_TOL)
     if bad_i >= 0:
         raise DegenerateDenominatorError(int(bad_i), int(bad_mask))
@@ -123,12 +124,14 @@ def test_degenerate_location_is_first_offender(convention, block_bits, monkeypat
     assert 50 < raised < 130  # both outcomes are exercised
 
 
-def test_table_holds_only_the_two_sums():
+def test_table_holds_only_the_two_sums(forks):
     n = 16
     rng = np.random.default_rng(61)
     E = rng.uniform(0.05, 1.0, (n, n))
     np.fill_diagonal(E, 1.0)
+    started = forks(True)
     table = build_coalition_table(E)
+    assert started == []   # the table runs in the calling process
     arrays = {k: v for k, v in vars(table).items() if isinstance(v, np.ndarray)}
     assert sorted(arrays) == ["E", "sum_lower", "sum_upper"]
     assert table.sum_upper.shape == table.sum_lower.shape == (1 << n,)
@@ -205,7 +208,7 @@ def random_game(n, seed):
 
 
 def kernel_passes(E):
-    """Both kernel games on E: the table stage alone for the two sums, then
+    """Both kernel passes on E: the table alone, here, for the two sums, then
     the whole game for the shares and offender."""
     sums = _kernels.coalition_sums(E)
     assert_no_child_left()
@@ -249,9 +252,9 @@ def test_split_passes_give_the_same_bits(n, block_bits, forks, monkeypatch):
     assert started == []
     forks(True)
     su2, sl2 = _kernels.coalition_sums(E)
-    assert len(started) == 1   # one helper per game
+    assert started == []   # the table alone runs here
     shares2 = _kernels.shapley_sums(E, coalition_weights(n), DENOM_TOL)
-    assert len(started) == 2
+    assert len(started) == 1   # one helper per game
     assert_no_child_left()
     assert np.array_equal(su, su2) and np.array_equal(sl, sl2)
     for a, b in zip(shares[:3], shares2[:3]):
@@ -406,10 +409,7 @@ def test_parent_fault_kills_the_helper(name, error, forks, monkeypatch):
     monkeypatch.setattr(_kernels, name, wrapped)
     start = time.monotonic()
     with pytest.raises(error):
-        if name == "_add_columns":
-            _kernels.coalition_sums(E)
-        else:
-            _kernels.shapley_sums(E, coalition_weights(len(E)), DENOM_TOL)
+        _kernels.shapley_sums(E, coalition_weights(len(E)), DENOM_TOL)
     assert time.monotonic() - start < 30
     assert_no_child_left()
 

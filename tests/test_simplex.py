@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from revalloc import simplex
 from revalloc.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve
 
-from naive_oracles import row_loop_pivot, vertex_enumeration_solve
+from naive_oracles import vertex_enumeration_solve
 
 
 def lp(c, sense, rows):
@@ -173,6 +173,29 @@ def test_determinism_bit_for_bit():
     assert a[:2] == b[:2]
     if a[0] == OPTIMAL:
         assert a[2].tobytes() == b[2].tobytes()
+
+
+def row_loop_pivot(T, row, col):
+    """Pivot on T[row, col] of one compact tableau, one row at a time (modifies T).
+
+    The tableau holds a column per nonbasic variable, so column col holds
+    the entering variable before the pivot and the leaving one after it.
+    The full tableau gives the leaving variable's unit column 1/p in the
+    pivot row, -(f * (1/p)) in each row it eliminates (factor f above
+    PIVOT_TOL in magnitude) and 0 in the others.
+    """
+    p = T[row, col]
+    entering = T[:, col].copy()
+    T[row] /= p
+    for i in range(T.shape[0]):
+        f = entering[i]
+        if i == row:
+            T[i, col] = 1.0 / p
+        elif abs(f) > simplex.PIVOT_TOL:
+            T[i] -= f * T[row]
+            T[i, col] = -(f * (1.0 / p))
+        else:
+            T[i, col] = 0.0
 
 
 def test_pivot_matches_row_loop_bit_for_bit():
