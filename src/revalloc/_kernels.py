@@ -52,29 +52,29 @@ n - 1 and block half B, [nblocks / 2, nblocks), masks with it:
 * table stage: side A adds half A of every column j < n - 1; side B adds
   half B and then all of column n - 1, so each mask still gets its
   columns in ascending order and each side writes one half of the sums;
-* own share stage: each side walks its block half of players 0..n - 2,
-  whose S and S | {i} both lie in the half of the sums it wrote;
-* paired share stage: player n - 1 joins S from half A to form S | {n - 1}
-  in half B, so each side takes its block half of player n - 1 only once
-  both table stages are in.
+* share stage: each side walks its block half of every player.  Players
+  0..n - 2 read S and S | {i} in the half of the sums that side wrote.
+  Player n - 1's blocks split at mask bit n - 2 instead, and on either
+  side it joins S from half A to form S | {n - 1} in half B, so a side
+  starts its shares only once both table stages are in.
 
 Each side stores its first offender (player, mask), and the lower of the
-two is reported; a side that finds one skips its paired stage.  With one
-block per column, half A is empty.  The arrays of both functions are
-shared anonymous mappings (``mmap``), which tracemalloc does not see: at
-n = 20 ``coalition_sums``' traced peak is 0.63 MiB of block buffers.
+two is reported.  With one block per column, half A is empty.  The arrays
+of both functions are shared anonymous mappings (``mmap``), which
+tracemalloc does not see: at n = 20 ``coalition_sums``' traced peak is
+0.63 MiB of block buffers.
 
 ``_in_halves`` runs side A in the caller and side B in one forked helper
 process, where ``_forks`` allows it (2 or more blocks per column,
-``os.fork``, and 2 or more CPUs in the affinity mask).  A one-byte,
-two-way barrier of two pipes orders the stages: each side writes its byte
-once its table stage is in and reads the other's just before its paired
-stage.  Without a helper, or if the fork fails, the caller runs table A,
-table B, own A, own B, paired A and paired B in turn.  Each entry is
-computed as in one process, so the bits do not depend on the CPU count.
-The helper runs only numpy code, sets a shared done flag once its side
-returns, and leaves through ``os._exit``.  Each process touches only the
-sums it reads, three quarters of them.
+``os.fork``, and 2 or more CPUs in the affinity mask).  One barrier of
+two pipes orders the stages: each side writes one byte once its table
+stage is in and reads the other's before its share stage.  Without a
+helper, or if a pipe or the fork fails, the caller runs table A, table B,
+shares A and shares B in turn.  Each entry is computed as in one process,
+so the bits do not depend on the CPU count.  The helper runs only numpy
+code, sets a shared done flag once its side returns, and leaves through
+``os._exit``.  Each process touches only the sums it reads, three
+quarters of them.
 
 The views of players 1 and 2 below the block bits run 2 or 4 entries
 contiguous; numpy walks them column by column (``order="F"``) in both
@@ -84,7 +84,6 @@ are long enough that row order is faster.
 
 from __future__ import annotations
 
-import itertools
 import mmap
 import os
 
@@ -180,57 +179,56 @@ def _shared(n: int, shape, dtype=np.float64) -> np.ndarray:
     return np.frombuffer(buf, dtype).reshape(shape)
 
 
-def _run_side(side, send: int, receive: int) -> bool:
-    """Run the generator ``side`` across the barrier: one byte to ``send``
-    at its first yield, and one read from ``receive`` at its second.
-
-    Returns False, leaving the rest of ``side`` unrun, if the other side
-    has closed its end of either pipe: it is gone.
-    """
+def _barrier(send: int, receive: int) -> bool:
+    """Write one byte to ``send``, then read one from ``receive``; False if
+    the other side has closed its end of either pipe: it is gone."""
     try:
-        for stage, _ in enumerate(side):
-            if stage == 0:
-                os.write(send, b"\1")
-            elif not os.read(receive, 1):
-                return False
+        os.write(send, b"\1")
+        return bool(os.read(receive, 1))
     except BrokenPipeError:
         return False
-    return True
 
 
-def _in_halves(n: int, half) -> None:
-    """Run side A, ``half(0)``, here and side B, ``half(1)``, in a forked
-    helper, or both here where ``_forks`` allows no helper or fork fails.
+def _in_halves(n: int, table, shares) -> None:
+    """Run side A, ``table(0)`` then ``shares(0)``, here and side B,
+    ``table(1)`` then ``shares(1)``, in a forked helper, or both here where
+    ``_forks`` allows no helper or a pipe or the fork fails.
 
-    ``half(k)`` is a generator: its first yield says side k's table stage
-    is in, and it resumes from its second only once the other side's is in
-    too.  Without a helper the two sides run here in lockstep, one stage of
-    each in turn.
+    Neither side starts its shares before both tables are in: each side
+    crosses ``_barrier`` between its two calls, and without a helper the
+    caller runs table 0, table 1, shares 0 and shares 1 in turn.
 
     The helper leaves through ``os._exit`` and is always reaped; an
     exception here, ``KeyboardInterrupt`` included, kills it first.  A
     helper that exits nonzero or before its side is done raises
     ``RuntimeError``.
     """
-    pid = -1
+    pid, fds = -1, []
     if _forks(1 << (n - 1 - min(_BLOCK_BITS, n - 1))):
         done = _shared(n, 1, np.uint8)   # mapped before the fork, so both see it
-        to_caller, to_helper = os.pipe(), os.pipe()   # (read end, write end)
         try:
+            fds += os.pipe()   # helper to caller: (read end, write end)
+            fds += os.pipe()   # caller to helper
             pid = os.fork()
-        except OSError:   # EAGAIN or ENOMEM: no helper, the same stages here
-            for fd in (*to_caller, *to_helper):
+        except OSError:   # EMFILE, EAGAIN or ENOMEM: no helper, both sides here
+            for fd in fds:
                 os.close(fd)
     if pid < 0:
-        for _ in itertools.zip_longest(half(0), half(1)):
-            pass
+        table(0)
+        table(1)
+        shares(0)
+        shares(1)
         return
+    caller_in, helper_out, helper_in, caller_out = fds
     if pid == 0:
         code = 1
         try:
-            os.close(to_caller[0])
-            os.close(to_helper[1])
-            done[0] = _run_side(half(1), to_caller[1], to_helper[0])
+            os.close(caller_in)
+            os.close(caller_out)
+            table(1)
+            if _barrier(helper_out, helper_in):
+                shares(1)
+                done[0] = 1
             code = 0
         except Exception:
             import traceback   # only a failing helper loads it
@@ -238,17 +236,19 @@ def _in_halves(n: int, half) -> None:
         finally:
             os._exit(code)
     # the helper's ends are closed here, so its exit reads as EOF
-    os.close(to_caller[1])
-    os.close(to_helper[0])
+    os.close(helper_out)
+    os.close(helper_in)
     try:
-        _run_side(half(0), to_helper[1], to_caller[0])   # a lost helper shows below
+        table(0)
+        if _barrier(caller_out, caller_in):   # a lost helper shows below
+            shares(0)
     except BaseException:
         import signal   # only a failing game loads it
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        os.close(to_caller[0])
-        os.close(to_helper[1])
+        os.close(caller_in)
+        os.close(caller_out)
         status = os.waitpid(pid, 0)[1]
     if status != 0 or not done[0]:
         raise RuntimeError(f"coalition helper failed with exit status "
@@ -354,19 +354,16 @@ def shapley_sums(E, weights, tol):
     sums = _shared(n, (2, 1 << n))
     parts = _shared(n, (3, n, nblocks))
     bad = _shared(n, (2, 2), np.int64)   # each side's first offender
-    args = (E, *sums, weights, tol)
+    halves = (range(nblocks // 2), range(nblocks // 2, nblocks))
 
-    def half(k):
-        hs = (range(nblocks // 2), range(nblocks // 2, nblocks))[k]
+    def table(k):
         last = (range(0), range(nblocks))[k]   # column n - 1 lies in half B
-        _add_columns(E, *sums, bits, [hs] * (n - 1) + [last])
-        yield   # this side's sums are in
-        bad[k] = _player_sums(*args, range(n - 1), hs, parts)
-        yield   # both sides' sums are in
-        if bad[k, 0] < 0:
-            bad[k] = _player_sums(*args, [n - 1], hs, parts)
+        _add_columns(E, *sums, bits, [halves[k]] * (n - 1) + [last])
 
-    _in_halves(n, half)
+    def shares(k):
+        bad[k] = _player_sums(E, *sums, weights, tol, range(n), halves[k], parts)
+
+    _in_halves(n, table, shares)
     out = np.zeros(parts.shape[:2])
     for h in range(nblocks):   # ascending blocks, as in one process
         out += parts[..., h]

@@ -12,13 +12,14 @@ File formats:
   is evaluator d's score of target j.
 
 Blank lines are skipped everywhere, also before the header, and so is a
-UTF-8 byte-order mark at the start of a file.  The groups and
+UTF-8 byte-order mark at the start of a file or text stream.  The groups and
 reference files name every DMU exactly once and no other DMU.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -198,11 +199,15 @@ def _parse_cell(text: str, where: str) -> float:
 
 
 def _read_rows(source) -> list[tuple[int, list[str]]]:
-    """The non-blank rows of a CSV path or open text stream, with their line numbers."""
+    """The non-blank rows of a CSV path or open text stream, with their line
+    numbers; one byte-order mark at the start of the text is skipped."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+        with open(source, "r", encoding="utf-8", newline="") as fh:
             return _read_rows(fh)
-    return [(lineno, row) for lineno, row in enumerate(csv.reader(source), start=1)
+    lines = iter(source)
+    first = next(lines, "").removeprefix("\ufeff")
+    return [(lineno, row) for lineno, row in
+            enumerate(csv.reader(itertools.chain([first], lines)), start=1)
             if any(c.strip() for c in row)]
 
 

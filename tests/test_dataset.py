@@ -11,6 +11,7 @@ from revalloc.dataset import (
     GroupAssignment,
     ParseError,
     ValidationError,
+    check_scores,
     load_dataset,
     load_groups,
     load_matrix,
@@ -250,3 +251,66 @@ def test_byte_order_mark_is_skipped(tmp_path, load, path):
         return {key: np.asarray(value).tolist() for key, value in items}
 
     assert fields(load(bom)) == fields(load(path))
+    with open(bom, encoding="utf-8", newline="") as stream:   # the mark stays in the text
+        assert fields(load(stream)) == fields(load(path))
+
+
+def dataset(**changes):
+    """A two-DMU Dataset built directly, with ``changes`` to its fields."""
+    fields = dict(names=["A", "B"], input_names=["x"], output_names=["y"],
+                  raw_inputs=[[1.0], [2.0]], raw_outputs=[[3.0], [4.0]])
+    return revalloc.Dataset(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: dataset(names=[], raw_inputs=np.empty((0, 1)),
+                                 raw_outputs=np.empty((0, 1))),
+                 ValidationError, "dataset needs at least one DMU", id="no-dmu"),
+    pytest.param(lambda: dataset(raw_inputs=[1.0, 2.0]),
+                 ValidationError, "input/output data must be 2-dimensional", id="1d-data"),
+    pytest.param(lambda: dataset(raw_outputs=[[3.0]]),
+                 ValidationError, "row count does not match number of DMU names",
+                 id="row-count"),
+    pytest.param(lambda: dataset(input_names=[], raw_inputs=np.empty((2, 0))),
+                 ValidationError, "need at least one input and one output column",
+                 id="no-input-column"),
+    pytest.param(lambda: dataset(input_names=["x", "z"]),
+                 ValidationError, "input name count does not match input columns",
+                 id="input-names"),
+    pytest.param(lambda: dataset(output_names=[]),
+                 ValidationError, "output name count does not match output columns",
+                 id="output-names"),
+    pytest.param(lambda: dataset(raw_inputs=[[1.0], [np.inf]]),
+                 ParseError, "non-finite input value", id="non-finite"),
+    pytest.param(lambda: dataset(raw_outputs=[[3.0], [-4.0]]),
+                 ParseError, "negative output value", id="negative"),
+    pytest.param(lambda: revalloc.CrossEfficiencyMatrix(names=["A"], values=np.eye(2)),
+                 ValidationError, "matrix shape (2, 2) does not match 1 names",
+                 id="matrix-names"),
+    pytest.param(lambda: check_scores(np.ones((2, 3))),
+                 ValidationError, "matrix must be square, got shape (2, 3)", id="scores-shape"),
+    pytest.param(lambda: check_scores([[1.0, np.nan], [0.5, 1.0]]),
+                 ParseError, "matrix contains non-finite entries", id="scores-nan"),
+    pytest.param(lambda: load_dataset(io.StringIO("")),
+                 ParseError, "empty dataset file", id="empty-dataset"),
+    pytest.param(lambda: load_dataset(make_csv("x:a,y:b\n1,2")),
+                 ParseError, "header must contain exactly one 'dmu' column", id="no-dmu-column"),
+    pytest.param(lambda: load_dataset(make_csv("dmu,x:a,y:b\nA,1")),
+                 ParseError, "line 2: expected 3 fields, got 2", id="field-count"),
+    pytest.param(lambda: load_groups(make_csv("dmu,grp\nA,1"), ["A"]),
+                 ParseError, "groups file must have header 'dmu,group'", id="keyed-header"),
+    pytest.param(lambda: load_groups(make_csv("dmu,group\nA,one"), ["A"]),
+                 ParseError, "groups line 2: group id 'one' is not an integer",
+                 id="group-id"),
+    pytest.param(lambda: load_matrix(io.StringIO("")),
+                 ParseError, "empty matrix file", id="empty-matrix"),
+    pytest.param(lambda: load_matrix(make_csv("dmu,A,B\nA,1,0.5\nB,0.5")),
+                 ValidationError, "matrix is not square: row 2 has 1 cells", id="short-row"),
+    pytest.param(lambda: load_matrix(make_csv("dmu,A,B\nA,1,0.5\nC,0.5,1")),
+                 ValidationError, "row name 'C' does not match column name 'B'",
+                 id="row-name"),
+])
+def test_each_check_names_its_fault(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message

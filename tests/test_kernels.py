@@ -295,7 +295,7 @@ def test_split_shares_report_the_first_offender(zeros, expected, side, forks, mo
 
 
 @pytest.mark.parametrize("slow", ["caller", "helper"])
-def test_paired_stage_waits_for_the_other_table(slow, forks, monkeypatch):
+def test_shares_wait_for_the_other_table(slow, forks, monkeypatch):
     # player n - 1 reads both sides' sums: with one side's table stage
     # delayed, the other must wait at the barrier, not read zeros
     E = random_game(16, 93)
@@ -330,6 +330,29 @@ def test_failed_fork_runs_both_halves_here(forks, monkeypatch):
     assert np.array_equal(su, expected[0][0]) and np.array_equal(sl, expected[0][1])
     for a, b in zip(shares[:3], expected[1][:3]):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_failed_pipe_runs_both_halves_here(failing_call, forks, monkeypatch):
+    # out of descriptors at either pipe: the one made is closed again (the
+    # autouse fixture sees none left) and no helper is forked
+    E = random_game(16, 94)
+    forks(False)
+    expected = _kernels.shapley_sums(E, coalition_weights(16), DENOM_TOL)
+    started = forks(True)
+    calls, real_pipe = [], os.pipe
+
+    def pipe():
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real_pipe()
+    monkeypatch.setattr(os, "pipe", pipe)
+    shares = _kernels.shapley_sums(E, coalition_weights(16), DENOM_TOL)
+    assert len(calls) == failing_call and started == []
+    for a, b in zip(shares[:3], expected[:3]):
+        assert np.array_equal(a, b)
+    assert shares[3:] == expected[3:] == (-1, -1)
 
 
 def test_unmappable_sums_are_out_of_memory(monkeypatch):
@@ -420,8 +443,8 @@ def test_parent_fault_kills_the_helper(name, error, forks, monkeypatch):
     *[pytest.param(n, 2, id=f"n{n}-2bit") for n in range(4, 10)],
 ])
 def test_sides_split_every_player_block_once(n, block_bits, forks, monkeypatch):
-    # recorded, not run: with no helper the two sides run in lockstep, so
-    # the calls alternate side A (the caller's), side B (the helper's)
+    # recorded, not run: with no helper the caller runs table A, table B,
+    # shares A, shares B, side A being the caller's and side B the helper's
     if block_bits is not None:
         monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
     started = forks(False)
@@ -443,12 +466,13 @@ def test_sides_split_every_player_block_once(n, block_bits, forks, monkeypatch):
     assert len(table_calls) == 2
     assert sorted((j, h) for call in table_calls for j, hs in enumerate(call)
                   for h in hs) == every
-    # the shares: own A, own B, then behind the barrier player n - 1 alone
-    assert [players for players, _ in share_calls] == [list(range(n - 1))] * 2 + [[n - 1]] * 2
+    # the shares: one call per side, behind the barrier, for every player
+    assert [players for players, _ in share_calls] == [list(range(n))] * 2
     covered = [(i, h) for players, hs in share_calls for i in players for h in hs]
     assert sorted(covered) == every
-    per_side = [sum(len(players) * len(hs) for players, hs in share_calls[k::2]) for k in (0, 1)]
+    per_side = [len(players) * len(hs) for players, hs in share_calls]
     assert per_side[0] == per_side[1] == n * nblocks // 2
-    # each side's own stage reads only the half of the sums its table wrote
+    # each side's shares walk the block half its table wrote, so players
+    # 0..n - 2 read only that half of the sums
     for k in (0, 1):
         assert share_calls[k][1] == table_calls[k][0]
