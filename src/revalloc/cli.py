@@ -70,7 +70,7 @@ def build_parser() -> _Parser:
                        help="explicit ally groups CSV (not with --clusters)")
         p.add_argument("--clusters", type=int, help="cluster the DMUs into H ally groups")
         p.add_argument("--revenue", type=float, help="common revenue to allocate")
-        p.add_argument("--empty-coalition", choices=("exclude", "unit", "calibrate"),
+        p.add_argument("--empty-coalition", choices=(*game.EMPTY_CONVENTIONS, "calibrate"),
                        default=game.DEFAULT_EMPTY_COALITION,
                        help="handling of the undefined empty-coalition share term")
         p.add_argument("--reference", type=_path,

@@ -176,14 +176,14 @@ def cross_efficiency_matrix(
 def cluster_groups(data: Dataset, H: int) -> GroupAssignment:
     """Agglomerative average-linkage clustering into exactly H ally groups.
 
-    Feature vectors are the concatenated normalized inputs and outputs;
-    distances are Euclidean.  The cluster distances live in one n x n
-    matrix indexed by each cluster's lowest member; a merge of b into a
-    applies the Lance-Williams average-linkage update
-    ``(n_a d_a + n_b d_b) / (n_a + n_b)`` to row and column a and retires
-    b.  The pair to merge is the row-major argmin of the upper triangle, so
-    exact ties go to the pair with the lowest DMU indices; group ids are
-    numbered by lowest member.
+    Features are the normalized inputs and outputs; distances are Euclidean,
+    in one n x n matrix indexed by each cluster's lowest member, with inf on
+    the diagonal and for retired clusters.  A merge of b into a writes the
+    Lance-Williams update ``(n_a d_a + n_b d_b) / (n_a + n_b)`` to row and
+    column a together and retires b, so the matrix stays exactly symmetric
+    (``f_i - f_j`` negates ``f_j - f_i`` exactly).  Its row-major argmin is
+    then the lower index a of a closest pair and a's lowest such partner b:
+    exact ties merge the lowest DMU indices.  Group ids follow lowest members.
     """
     n = data.n
     if not 1 <= H <= n:
@@ -191,11 +191,11 @@ def cluster_groups(data: Dataset, H: int) -> GroupAssignment:
     feats = data.features()
     diff = feats[:, None, :] - feats[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
-    below = np.where(np.triu(np.ones((n, n), dtype=bool), k=1), 0.0, np.inf)
+    np.fill_diagonal(dist, np.inf)
     size = np.ones(n)
     root = np.arange(n)
     for _ in range(n - H):
-        a, b = divmod(int(np.argmin(dist + below)), n)
+        a, b = divmod(int(np.argmin(dist)), n)
         merged = (size[a] * dist[a] + size[b] * dist[b]) / (size[a] + size[b])
         dist[a] = dist[:, a] = merged
         dist[b] = dist[:, b] = np.inf

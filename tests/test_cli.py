@@ -100,11 +100,11 @@ def test_crosseff_bank_under_five_seconds(capsys, tmp_path):
 
 
 def test_shapley_needs_exactly_one_source(capsys):
-    code, _, err = run(capsys, "shapley")
-    assert code == 3
-    code, _, err = run(capsys, "shapley", "--input", TOY_DATA, "--matrix", TOY_MATRIX)
-    assert code == 3
-    assert "exactly one" in err
+    for sources in ((), ("--input", TOY_DATA, "--matrix", TOY_MATRIX)):
+        code, out, err = run(capsys, "shapley", *sources)
+        assert code == 3
+        assert err.splitlines()[0] == "error: shapley requires exactly one of --input or --matrix"
+        assert out == ""
 
 
 def test_shapley_from_dataset(capsys):
@@ -341,10 +341,13 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_negative_precision_is_usage_error(capsys):
-    code, _, err = run(capsys, "allocate", "--matrix", TOY_MATRIX, "--revenue", 100,
-                       "--precision", -1)
-    assert code == 3
-    assert "--precision" in err
+    for precision in ("-1", "x"):
+        code, out, err = run(capsys, "allocate", "--matrix", TOY_MATRIX, "--revenue", 100,
+                             "--precision", precision)
+        assert code == 3
+        assert err.splitlines()[0] == (
+            f"error: argument --precision: expected a nonnegative integer, got '{precision}'")
+        assert out == ""
 
 
 def test_unknown_convention_is_usage_error(capsys):

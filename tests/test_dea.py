@@ -96,7 +96,7 @@ def test_theta_range(bank_dataset):
 
 
 def test_index_out_of_range(toy_dataset):
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="^DMU index 5 out of range$"):
         dea.ccr_efficiency(toy_dataset, 5)
 
 
@@ -311,16 +311,16 @@ def test_tie_break_matches_slack_variable_oracle(toy_dataset, bank_dataset):
 
 
 def test_group_assignment_size_checked(toy_dataset):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^group assignment does not match dataset size$"):
         dea.cross_efficiency_matrix(toy_dataset, GroupAssignment(groups=np.array([1, 1]), H=1))
 
 
 def test_cluster_trivial_cuts(toy_dataset):
     assert dea.cluster_groups(toy_dataset, 1).groups.tolist() == [1] * 5
     assert dea.cluster_groups(toy_dataset, 5).groups.tolist() == [1, 2, 3, 4, 5]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^cluster count 0 out of range 1\.\.5$"):
         dea.cluster_groups(toy_dataset, 0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^cluster count 6 out of range 1\.\.5$"):
         dea.cluster_groups(toy_dataset, 6)
 
 

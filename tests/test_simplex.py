@@ -76,13 +76,17 @@ def test_degenerate_vertex():
     assert_allclose(obj, 5.0, atol=1e-9)
 
 
-def test_klee_minty_style_cycling_guard():
+def test_klee_minty_style_cycling_guard(monkeypatch):
     status, obj, _ = lp(
         [100, 10, 1], "max",
         [([1, 0, 0], "<=", 1), ([20, 1, 0], "<=", 100), ([200, 20, 1], "<=", 10000)],
     )
     assert status == OPTIMAL
     assert_allclose(obj, 10000.0, atol=1e-6)
+    # the guard itself: a run out of pivots raises rather than returning a non-optimum
+    monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
+    with pytest.raises(RuntimeError, match=r"^simplex did not terminate \(pivot limit reached\)$"):
+        solve([-1.0], [[1.0]], [1.0], ["<="])
 
 
 def test_non_finite_rejected():
