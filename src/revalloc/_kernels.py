@@ -17,9 +17,12 @@ column table adds straight into the coalition totals, and player j reads
 S and S | {j} side by side, without any gather.
 
 The column table is never stored whole.  ``_ColumnBlocks`` walks it in
-blocks of 2^b = 2^_BLOCK_BITS entries (one block when n - 1 <= b), so the
-working buffers stay in L2.  The low b bits of a squeezed index are the
-first b other players and the block number holds the rest:
+blocks of 2^b entries, b = min(_BLOCK_BITS, n - 1), so the working
+buffers stay in L2.  It holds the one block layout both passes walk: b,
+the block size and count, the two sums, each column's view shape and
+iteration order, and each block's S and S | {j} views.  The low b bits
+of a squeezed index are the first b other players and the block number
+holds the rest:
 
 * a block's column table is the *low* table (the bounds over every subset
   of the first b other players) maxed / minned with one scalar, the
@@ -44,10 +47,10 @@ stored per (player, block), and the caller adds them per player in
 ascending block order, so the shares are deterministic and the first
 degenerate term found is still the lowest player's lowest mask.
 
-``shapley_sums`` runs its game as two disjoint halves of the coalitions.  For j < n - 1 the
-top bit of a block number is mask bit n - 1, so block half A,
-[0, nblocks / 2), of any column j < n - 1 holds masks without player
-n - 1 and block half B, [nblocks / 2, nblocks), masks with it:
+``shapley_sums`` runs its game as two disjoint halves of the coalitions.
+For j < n - 1 the top bit of a block number is mask bit n - 1, so block
+half A, [0, nblocks / 2), of any column j < n - 1 holds masks without
+player n - 1 and block half B, [nblocks / 2, nblocks), masks with it:
 
 * table stage: side A adds half A of every column j < n - 1; side B adds
   half B and then all of column n - 1, so each mask still gets its
@@ -77,9 +80,9 @@ code, sets a shared done flag once its side returns, and leaves through
 quarters of them.
 
 The views of players 1 and 2 below the block bits run 2 or 4 entries
-contiguous; numpy walks them column by column (``order="F"``) in both
-passes, several times faster than row by row.  From player 3 on the rows
-are long enough that row order is faster.
+contiguous; numpy walks them column by column (``order="F"``, from
+``_ColumnBlocks.order``) in both passes, several times faster than row by
+row.  From player 3 on the rows are long enough that row order is faster.
 """
 
 from __future__ import annotations
@@ -119,31 +122,47 @@ def _unsqueeze(k: int, i: int) -> int:
     return ((k >> i) << (i + 1)) | (k & ((1 << i) - 1))
 
 
-def _halves(a: np.ndarray, i: int, k0: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of ``a`` at S and at S | {i} for the squeezed indices [k0, k0 + size)."""
-    step = 1 << i
-    m0 = _unsqueeze(k0, i)
-    if step < size:
-        pair = a[m0:m0 + 2 * size].reshape(-1, 2, step)
-        return pair[:, 0, :], pair[:, 1, :]
-    return a[m0:m0 + size], a[m0 + step:m0 + step + size]
-
-
 class _ColumnBlocks:
-    """Member bounds of one column at a time, in blocks of 2^bits entries.
+    """The block layout of a game over the n players of E, its two sums, and
+    the member bounds of one column at a time.
 
-    ``walk(j, hs)`` fills column j's low and high tables, then yields each
-    block h of ``hs`` once ``tmax``/``tmin`` hold the max/min of ``E[d, j]``
-    over the block's subsets.  The buffers are allocated once, for every
-    column.
+    Each column's table runs in ``nblocks`` blocks of ``size`` = 2^``bits``
+    entries.  ``sums`` holds ``sum_upper`` and ``sum_lower`` in a shared
+    mapping.  ``walk(j, hs)`` fills column j's low and high tables, then
+    yields each block h of ``hs`` with the S and S | {j} views of both
+    sums, ``(h, upper_s, upper_t, lower_s, lower_t)``, once
+    ``tmax``/``tmin`` hold the max/min of ``E[d, j]`` over the block's
+    subsets.  ``views(j, ...)`` shapes block buffers like those views, and
+    ``order(j)`` is the order numpy walks them in.  The buffers are
+    allocated once, for every column.
     """
 
-    def __init__(self, E: np.ndarray, bits: int):
-        self.E, self.bits = E, bits
-        size, self.nblocks = 1 << bits, 1 << (E.shape[0] - 1 - bits)
-        self.tmax, self.tmin = np.empty(size), np.empty(size)
-        self.low_max, self.low_min = np.empty(size), np.empty(size)
+    def __init__(self, E: np.ndarray):
+        n = E.shape[0]
+        self.E, self.bits = E, min(_BLOCK_BITS, n - 1)
+        self.size, self.nblocks = 1 << self.bits, 1 << (n - 1 - self.bits)
+        self.sums = _shared(n, (2, 1 << n))
+        self.tmax, self.tmin = np.empty(self.size), np.empty(self.size)
+        self.low_max, self.low_min = np.empty(self.size), np.empty(self.size)
         self.high_max, self.high_min = np.empty(self.nblocks), np.empty(self.nblocks)
+
+    def views(self, j: int, *bufs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Block buffers in column j's view shape: rows of 2^j entries below the block bits."""
+        shape = (-1, 1 << j) if j < self.bits else (self.size,)
+        return tuple(buf.reshape(shape) for buf in bufs)
+
+    @staticmethod
+    def order(j: int) -> str:
+        """Runs of 2 or 4 entries (j = 1, 2) go several times faster column by column."""
+        return "F" if j in (1, 2) else "K"
+
+    def _halves(self, a: np.ndarray, j: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of ``a`` at S and at S | {j} for the squeezed indices of block h."""
+        step, m0 = 1 << j, _unsqueeze(h * self.size, j)
+        if step < self.size:
+            pair = a[m0:m0 + 2 * self.size].reshape(-1, 2, step)
+            return pair[:, 0, :], pair[:, 1, :]
+        return a[m0:m0 + self.size], a[m0 + step:m0 + step + self.size]
 
     def walk(self, j: int, hs: range):
         if not hs:
@@ -154,13 +173,7 @@ class _ColumnBlocks:
         for h in hs:
             np.maximum(self.low_max, self.high_max[h], out=self.tmax)
             np.minimum(self.low_min, self.high_min[h], out=self.tmin)
-            yield h
-
-
-def _order(i: int) -> str:
-    """Iteration order for the views of player i: runs of 2 or 4 entries
-    (i = 1, 2) go several times faster column by column."""
-    return "F" if i in (1, 2) else "K"
+            yield h, *self._halves(self.sums[0], j, h), *self._halves(self.sums[1], j, h)
 
 
 def _forks(nblocks: int) -> bool:
@@ -189,7 +202,7 @@ def _barrier(send: int, receive: int) -> bool:
         return False
 
 
-def _in_halves(n: int, table, shares) -> None:
+def _in_halves(blocks: _ColumnBlocks, table, shares) -> None:
     """Run side A, ``table(0)`` then ``shares(0)``, here and side B,
     ``table(1)`` then ``shares(1)``, in a forked helper, or both here where
     ``_forks`` allows no helper or a pipe or the fork fails.
@@ -204,8 +217,8 @@ def _in_halves(n: int, table, shares) -> None:
     ``RuntimeError``.
     """
     pid, fds = -1, []
-    if _forks(1 << (n - 1 - min(_BLOCK_BITS, n - 1))):
-        done = _shared(n, 1, np.uint8)   # mapped before the fork, so both see it
+    if _forks(blocks.nblocks):
+        done = _shared(len(blocks.E), 1, np.uint8)   # mapped before the fork, so both see it
         try:
             fds += os.pipe()   # helper to caller: (read end, write end)
             fds += os.pipe()   # caller to helper
@@ -255,55 +268,42 @@ def _in_halves(n: int, table, shares) -> None:
                            f"{os.waitstatus_to_exitcode(status)} before its side was done")
 
 
-def _add_columns(E, sum_upper, sum_lower, bits: int, block_ranges) -> None:
+def _add_columns(blocks: _ColumnBlocks, block_ranges) -> None:
     """Add column j's blocks ``block_ranges[j]`` into the S | {j} views, j ascending.
 
     The singleton {j} gets column j alone, in block 0, and is then pinned
     to 1.
     """
-    size = 1 << bits
-    blocks = _ColumnBlocks(E, bits)
     for j, hs in enumerate(block_ranges):
-        shape = (-1, 1 << j) if j < bits else (size,)
-        tmax_v, tmin_v = blocks.tmax.reshape(shape), blocks.tmin.reshape(shape)
-        order = _order(j)
-        for h in blocks.walk(j, hs):
-            upper_t = _halves(sum_upper, j, h * size, size)[1]
-            lower_t = _halves(sum_lower, j, h * size, size)[1]
-            np.add(upper_t, tmax_v, out=upper_t, order=order)
-            np.add(lower_t, tmin_v, out=lower_t, order=order)
+        tmax, tmin = blocks.views(j, blocks.tmax, blocks.tmin)
+        order = blocks.order(j)
+        for _, _, upper_t, _, lower_t in blocks.walk(j, hs):
+            np.add(upper_t, tmax, out=upper_t, order=order)
+            np.add(lower_t, tmin, out=lower_t, order=order)
         if 0 in hs:   # block 0 holds {j}: a lone member appraises itself at 1
-            sum_upper[1 << j] = sum_lower[1 << j] = 1.0
+            blocks.sums[:, 1 << j] = 1.0
 
 
-def _player_sums(E, sum_upper, sum_lower, weights, tol, players, hs, parts):
+def _player_sums(blocks: _ColumnBlocks, weights, tol, players, hs, parts):
     """Share sums of ``players`` over their blocks ``hs`` into ``parts``, a
     (3, n, nblocks) array of (phi, phi_upper, phi_lower) partial sums per
     player and block; returns the first offender (player, mask) or (-1, -1).
 
     Stops at the first offender, leaving the later entries zero.
     """
-    n = E.shape[0]
-    bits = min(_BLOCK_BITS, n - 1)
-    size = 1 << bits
-    pc_low = _popcounts(size)
-    pc_high = _popcounts(1 << (n - 1 - bits))
+    size = blocks.size
     # |S| and w[|S|] within a block, one row per count of high members
-    counts = np.add.outer(np.arange(n - bits, dtype=np.int8), pc_low)
+    highs = np.arange(len(blocks.E) - blocks.bits, dtype=np.int8)
+    counts = np.add.outer(highs, _popcounts(size))
     s_rows = counts.astype(float)
     w_rows = weights[counts]
-    blocks = _ColumnBlocks(E, bits)
+    pc_high = _popcounts(blocks.nblocks)
     tmax, tmin, w_e = blocks.tmax, blocks.tmin, np.empty(size)
     den_mid, den_up, den_lo = np.empty(size), np.empty(size), np.empty(size)
     for i in players:
-        shape = (-1, 1 << i) if i < bits else (size,)
-        tmax_v, tmin_v = tmax.reshape(shape), tmin.reshape(shape)
-        mid, up, lo = den_mid.reshape(shape), den_up.reshape(shape), den_lo.reshape(shape)
-        order = _order(i)
-        for h in blocks.walk(i, hs):
-            k0 = h * size
-            upper_s, upper_t = _halves(sum_upper, i, k0, size)
-            lower_s, lower_t = _halves(sum_lower, i, k0, size)
+        tmax_v, tmin_v, mid, up, lo = blocks.views(i, tmax, tmin, den_mid, den_up, den_lo)
+        order = blocks.order(i)
+        for h, upper_s, upper_t, lower_s, lower_t in blocks.walk(i, hs):
             s, w = s_rows[pc_high[h]], w_rows[pc_high[h]]
             # den_mid = |S| + (sum_upper[T] - eU) - sum_upper[S]; den_up and
             # den_lo take the lower totals of T and of S in its place
@@ -319,7 +319,7 @@ def _player_sums(E, sum_upper, sum_lower, weights, tol, players, hs, parts):
             # den_lo >= den_mid exactly: the same minuend less sum_lower[S] <=
             # sum_upper[S], and rounding is monotone, so den_lo needs no scan
             if min(dm.min(), du.min()) <= tol:
-                k = k0 + first + int(np.argmax((dm <= tol) | (du <= tol)))
+                k = h * size + first + int(np.argmax((dm <= tol) | (du <= tol)))
                 return i, _unsqueeze(k, i)
             w, e = w[first:], w_e[first:]
             np.multiply(w, tmax[first:], out=e)
@@ -333,11 +333,9 @@ def _player_sums(E, sum_upper, sum_lower, weights, tol, players, hs, parts):
 def coalition_sums(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-coalition totals of member bounds: (sum_upper, sum_lower), length
     2^n, with every block of every column added here."""
-    n = E.shape[0]
-    bits = min(_BLOCK_BITS, n - 1)
-    sum_upper, sum_lower = _shared(n, (2, 1 << n))
-    _add_columns(E, sum_upper, sum_lower, bits, [range(1 << (n - 1 - bits))] * n)
-    return sum_upper, sum_lower
+    blocks = _ColumnBlocks(E)
+    _add_columns(blocks, [range(blocks.nblocks)] * len(E))
+    return tuple(blocks.sums)
 
 
 def shapley_sums(E, weights, tol):
@@ -349,21 +347,20 @@ def shapley_sums(E, weights, tol):
     empty coalition contributes nothing here.
     """
     n = E.shape[0]
-    bits = min(_BLOCK_BITS, n - 1)
-    nblocks = 1 << (n - 1 - bits)
-    sums = _shared(n, (2, 1 << n))
+    blocks = _ColumnBlocks(E)
+    nblocks = blocks.nblocks
     parts = _shared(n, (3, n, nblocks))
     bad = _shared(n, (2, 2), np.int64)   # each side's first offender
     halves = (range(nblocks // 2), range(nblocks // 2, nblocks))
 
     def table(k):
         last = (range(0), range(nblocks))[k]   # column n - 1 lies in half B
-        _add_columns(E, *sums, bits, [halves[k]] * (n - 1) + [last])
+        _add_columns(blocks, [halves[k]] * (n - 1) + [last])
 
     def shares(k):
-        bad[k] = _player_sums(E, *sums, weights, tol, range(n), halves[k], parts)
+        bad[k] = _player_sums(blocks, weights, tol, range(n), halves[k], parts)
 
-    _in_halves(n, table, shares)
+    _in_halves(blocks, table, shares)
     out = np.zeros(parts.shape[:2])
     for h in range(nblocks):   # ascending blocks, as in one process
         out += parts[..., h]

@@ -36,6 +36,8 @@ class AllocationPlan:
 
 def check_revenue(revenue: float) -> None:
     """Refuse a revenue that is not a positive finite number."""
+    if np.shape(revenue) != () or np.asarray(revenue).dtype.kind not in "iuf":
+        raise AllocationError(f"revenue must be a number, got {revenue!r}")
     if not np.isfinite(revenue) or revenue <= 0:
         raise AllocationError(f"revenue must be positive, got {revenue!r}")
 

@@ -87,12 +87,15 @@ class GroupAssignment:
     H: int
 
     def __post_init__(self):
-        self.groups = np.asarray(self.groups, dtype=int)
-        used = set(self.groups.tolist())
+        labels = np.asarray(self.groups)
+        if labels.ndim != 1:
+            raise ValidationError(f"group ids must form a vector, got shape {labels.shape}")
+        used = set(labels.tolist())   # 1.0 counts as 1, and 1.5 as no id
         if self.H < 1 or used != set(range(1, self.H + 1)):
             raise ValidationError(
                 f"group ids must cover 1..{self.H} exactly, got {sorted(used)}"
             )
+        self.groups = labels.astype(int)
 
     @classmethod
     def single_group(cls, n: int) -> "GroupAssignment":
@@ -129,7 +132,10 @@ class CrossEfficiencyMatrix:
 
 def check_scores(values) -> np.ndarray:
     """An appraisal matrix as floats: square, nonempty, finite, in [0, 1 + SCORE_UPPER_TOL]."""
-    values = np.asarray(values, dtype=float)
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError("matrix entries must be numbers") from None
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {values.shape}")
     if values.size == 0:
@@ -156,6 +162,9 @@ def normalize(raw_inputs, raw_outputs):
 
 
 def _check_unique_names(names: list[str]) -> None:
+    odd = [name for name in names if not isinstance(name, str)]
+    if odd:
+        raise ValidationError(f"DMU names must be strings, got {odd[0]!r}")
     blank = [k for k, name in enumerate(names, start=1) if not name.strip()]
     if blank:
         raise ValidationError(f"DMU {blank[0]} of {len(names)} has a blank name")

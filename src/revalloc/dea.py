@@ -9,14 +9,15 @@ secondary-goal model of Sexton, Silkman & Hogan 1986 and Doyle & Green
 1994): the columns that would lower the self-score are barred, and the
 tie-break runs as one more phase 2 from the self-score's final basis.
 
-Every evaluator's LP has the same shape, so ``ccr_all`` and
-``cross_efficiency_matrix`` solve all n self-score LPs as one
-``simplex.Stack`` and then all n tie-breaks on its optimal faces;
-``ccr_efficiency`` and ``secondary_goal_weights`` are a stack of one.
-Scores are fixed-order sums with no BLAS, so each evaluator's bits are the
-same in any batch and on any CPU.  A failure names the first evaluator in
-DMU order: its self-score LP, then its tie-break LP, then a DMU its
-weights give zero virtual input.
+Every evaluator's LP has the same shape, so one driver, ``_scores``,
+solves the self-score LPs of any list of evaluators as one
+``simplex.Stack`` and, given ally groups, their tie-breaks on its optimal
+faces.  ``ccr_all`` and ``cross_efficiency_matrix`` pass it all n
+evaluators, ``ccr_efficiency`` and ``secondary_goal_weights`` one; none of
+them takes or returns a stack.  Scores are fixed-order sums with no
+BLAS, so each evaluator's bits are the same in any batch and on any CPU.
+A failure names the first evaluator in DMU order: its self-score LP, then
+its tie-break LP, then a DMU its weights give zero virtual input.
 """
 
 from __future__ import annotations
@@ -44,14 +45,20 @@ class CcrResult:
     weights_v: np.ndarray  # n x m, input multipliers
 
 
-def _self_scores(data: Dataset, evaluators):
-    """Solve the evaluators' ratio models as one stack; returns (theta, x, stack).
+def _scores(data: Dataset, evaluators, groups: GroupAssignment | None = None):
+    """Solve the evaluators' self-score LPs as one stack and, given ``groups``,
+    their tie-breaks on its optimal faces; returns (theta, x, self-score
+    statuses, tie-break statuses).
 
     Variables are u_1..u_s, v_1..v_m; evaluator d's rows are
     Y_j u - X_j v <= 0 for every DMU j and X_d v = 1.  Row l of x holds
-    (u, v) of ``evaluators[l]``; theta and x mean nothing for an LP whose
-    status in the stack is not optimal.
+    (u, v) of ``evaluators[l]``: its tie-break weights given ``groups``,
+    else its self-score weights.  theta and x mean nothing for an LP whose
+    status is not optimal; with no ``groups`` every tie-break status is
+    OPTIMAL.
     """
+    if groups is not None and groups.groups.size != data.n:
+        raise ValidationError("group assignment does not match dataset size")
     X, Y = data.norm_inputs, data.norm_outputs
     A = np.zeros((len(evaluators), data.n + 1, data.s + data.m))
     A[:, :-1] = np.hstack([Y, -X])
@@ -63,7 +70,12 @@ def _self_scores(data: Dataset, evaluators):
     x = stack.point()
     theta = _products(Y[evaluators], x[:, :data.s])
     theta[(theta > 1.0) & (theta <= 1.0 + _DUST)] = 1.0
-    return theta, x, stack
+    tie_break = simplex.OPTIMAL
+    if groups is not None:
+        face = stack.optimal_face()
+        tie_break = face.optimize(_tie_break_costs(data, evaluators, groups))
+        x = face.point()
+    return theta, x, stack.status, tie_break
 
 
 def _tie_break_costs(data: Dataset, evaluators, groups: GroupAssignment) -> np.ndarray:
@@ -109,34 +121,35 @@ def _check(data: Dataset, evaluators, self_score, tie_break=simplex.OPTIMAL, den
         raise SolverFailure(f"evaluator {name!r} gives DMU {j!r} zero virtual input")
 
 
-def ccr_efficiency(data: Dataset, d: int):
-    """Solve DMU d's ratio model; returns (theta, u, v, stack of one LP at the optimum)."""
+def _one(data: Dataset, d: int, groups: GroupAssignment | None = None):
+    """DMU d's (theta, u, v): its self-score weights, or given ``groups`` its
+    tie-break weights."""
     if not 0 <= d < data.n:
         raise IndexError(f"DMU index {d} out of range")
-    theta, x, stack = _self_scores(data, [d])
-    _check(data, [d], stack.status)
-    return float(theta[0]), x[0, :data.s], x[0, data.s:], stack
+    theta, x, self_score, tie_break = _scores(data, [d], groups)
+    _check(data, [d], self_score, tie_break)
+    return float(theta[0]), x[0, :data.s], x[0, data.s:]
+
+
+def ccr_efficiency(data: Dataset, d: int):
+    """Solve DMU d's ratio model; returns (theta, u, v)."""
+    return _one(data, d)
 
 
 def ccr_all(data: Dataset) -> CcrResult:
     """Self-efficiencies for every DMU, in DMU order."""
-    theta, x, stack = _self_scores(data, np.arange(data.n))
-    _check(data, np.arange(data.n), stack.status)
+    theta, x, self_score, _ = _scores(data, np.arange(data.n))
+    _check(data, np.arange(data.n), self_score)
     return CcrResult(theta=theta, weights_u=x[:, :data.s], weights_v=x[:, data.s:])
 
 
-def secondary_goal_weights(data: Dataset, d: int, groups: GroupAssignment, tableau):
+def secondary_goal_weights(data: Dataset, d: int, groups: GroupAssignment):
     """Weights for evaluator d that favor allies and penalize adversaries.
 
     Minimizes sum of ally slacks minus sum of adversary slacks over the
-    evaluator's optimal self-score weights; returns (u, v).  The objective
-    runs on the optimal face of ``tableau``, the one-LP stack
-    ``ccr_efficiency`` returned for d, which is left as it was.
+    evaluator's optimal self-score weights; returns (u, v).
     """
-    face = tableau.optimal_face()
-    _check(data, [d], tableau.status, face.optimize(_tie_break_costs(data, [d], groups)))
-    x = face.point()[0]
-    return x[:data.s], x[data.s:]
+    return _one(data, d, groups)[1:]
 
 
 def cross_efficiency_rows(data: Dataset, evaluators, u: np.ndarray, v: np.ndarray,
@@ -151,23 +164,15 @@ def cross_efficiency_rows(data: Dataset, evaluators, u: np.ndarray, v: np.ndarra
     return _products(data.norm_outputs, u[:, None]) / den
 
 
-def cross_efficiency_matrix(
-    data: Dataset,
-    groups: GroupAssignment | None = None,
-) -> CrossEfficiencyMatrix:
+def cross_efficiency_matrix(data: Dataset,
+                            groups: GroupAssignment | None = None) -> CrossEfficiencyMatrix:
     """Full peer-appraisal matrix; diagonal entries are the CCR scores."""
     if groups is None:
         groups = GroupAssignment.single_group(data.n)
-    if groups.groups.size != data.n:
-        raise ValidationError("group assignment does not match dataset size")
-
     evaluators = np.arange(data.n)
-    theta, _, stack = _self_scores(data, evaluators)
-    face = stack.optimal_face()
-    face.optimize(_tie_break_costs(data, evaluators, groups))
-    x = face.point()
+    theta, x, self_score, tie_break = _scores(data, evaluators, groups)
     E = cross_efficiency_rows(data, evaluators, x[:, :data.s], x[:, data.s:],
-                              stack.status, face.status)
+                              self_score, tie_break)
     E[evaluators, evaluators] = theta  # the self-score itself, as ccr_all gives it
     E[(E > 1.0) & (E <= 1.0 + _DUST)] = 1.0
     return CrossEfficiencyMatrix(names=list(data.names), values=E)

@@ -19,6 +19,15 @@ from datetime import datetime, timezone
 TOOL_NAME = "revalloc"
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 2
+# The CSV rows of each results section, in CSV order: (scalar keys, one
+# "<section>_meta" row each; per-DMU keys, whose entries for one DMU, a
+# number or a row of them, fill that DMU's "<section>" row)
+CSV_SECTIONS = {
+    "theta": ((), ("values",)),
+    "matrix": ((), ("values",)),
+    "shapley": (("empty_coalition",), ("phi_lower", "phi", "phi_upper")),
+    "allocation": (("revenue",), ("lower", "central", "upper")),
+}
 
 
 @dataclass(eq=False)
@@ -53,31 +62,18 @@ class Report:
         for idx, note in enumerate(self.discrepancies):
             w.writerow(["discrepancy", idx, note])
 
-        fmt = lambda v: f"{float(v):.{precision}f}"
-        results = self.results
-        if "theta" in results:
-            for name, value in zip(results["theta"]["names"], results["theta"]["values"]):
-                w.writerow(["theta", name, fmt(value)])
-        if "matrix" in results:
-            names = results["matrix"]["names"]
-            for name, row in zip(names, results["matrix"]["values"]):
-                w.writerow(["matrix", name] + [fmt(v) for v in row])
-        if "shapley" in results:
-            sh = results["shapley"]
-            w.writerow(["shapley_meta", "empty_coalition", sh["empty_coalition"]])
-            for i, name in enumerate(sh["names"]):
-                w.writerow([
-                    "shapley", name,
-                    fmt(sh["phi_lower"][i]), fmt(sh["phi"][i]), fmt(sh["phi_upper"][i]),
-                ])
-        if "allocation" in results:
-            al = results["allocation"]
-            w.writerow(["allocation_meta", "revenue", _scalar(al["revenue"])])
-            for i, name in enumerate(al["names"]):
-                w.writerow([
-                    "allocation", name,
-                    fmt(al["lower"][i]), fmt(al["central"][i]), fmt(al["upper"][i]),
-                ])
+        for section, (scalars, per_dmu) in CSV_SECTIONS.items():
+            if section not in self.results:
+                continue
+            part = self.results[section]
+            for key in scalars:
+                w.writerow([f"{section}_meta", key, _scalar(part[key])])
+            for i, name in enumerate(part["names"]):
+                row = []
+                for key in per_dmu:
+                    entry = part[key][i]   # a number, or a matrix row of them
+                    row += entry if isinstance(entry, list) else [entry]
+                w.writerow([section, name] + [f"{float(v):.{precision}f}" for v in row])
         return out.getvalue()
 
 

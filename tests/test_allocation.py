@@ -112,6 +112,11 @@ def test_rejects_bad_revenue():
     for bad in (0.0, -5.0, float("nan")):
         with pytest.raises(AllocationError, match="revenue"):
             allocate(tri, bad)
+    for bad, message in (("5", "revenue must be a number, got '5'"),
+                         (None, "revenue must be a number, got None")):
+        with pytest.raises(AllocationError) as err:
+            allocate(tri, bad)
+        assert str(err.value) == message
 
 
 def test_rejects_nonpositive_shares():

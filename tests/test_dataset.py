@@ -287,6 +287,16 @@ def dataset(**changes):
     pytest.param(lambda: revalloc.CrossEfficiencyMatrix(names=["A"], values=np.eye(2)),
                  ValidationError, "matrix shape (2, 2) does not match 1 names",
                  id="matrix-names"),
+    pytest.param(lambda: dataset(names=[1, 2]),
+                 ValidationError, "DMU names must be strings, got 1", id="name-type"),
+    pytest.param(lambda: GroupAssignment(groups=[1.5, 1.0], H=1),
+                 ValidationError, "group ids must cover 1..1 exactly, got [1.0, 1.5]",
+                 id="group-fraction"),
+    pytest.param(lambda: GroupAssignment(groups=[[1], [1]], H=1),
+                 ValidationError, "group ids must form a vector, got shape (2, 1)",
+                 id="group-2d"),
+    pytest.param(lambda: revalloc.shapley_triples("abc"),
+                 ParseError, "matrix entries must be numbers", id="scores-text"),
     pytest.param(lambda: check_scores(np.ones((2, 3))),
                  ValidationError, "matrix must be square, got shape (2, 3)", id="scores-shape"),
     pytest.param(lambda: check_scores([[1.0, np.nan], [0.5, 1.0]]),

@@ -96,8 +96,12 @@ def test_theta_range(bank_dataset):
 
 
 def test_index_out_of_range(toy_dataset):
-    with pytest.raises(IndexError, match="^DMU index 5 out of range$"):
-        dea.ccr_efficiency(toy_dataset, 5)
+    groups = GroupAssignment.single_group(toy_dataset.n)
+    for d in (5, -1):
+        with pytest.raises(IndexError, match=f"^DMU index {d} out of range$"):
+            dea.ccr_efficiency(toy_dataset, d)
+        with pytest.raises(IndexError, match=f"^DMU index {d} out of range$"):
+            dea.secondary_goal_weights(toy_dataset, d, groups)
 
 
 def test_two_dmu_matrix_closed_form():
@@ -137,8 +141,8 @@ def test_rows_recompute_from_tie_break_weights(toy_dataset):
     groups = dea.cluster_groups(toy_dataset, 2)
     M = dea.cross_efficiency_matrix(toy_dataset, groups)
     for d in range(toy_dataset.n):
-        theta, _, _, tab = dea.ccr_efficiency(toy_dataset, d)
-        u, v = dea.secondary_goal_weights(toy_dataset, d, groups, tab)
+        theta = dea.ccr_efficiency(toy_dataset, d)[0]
+        u, v = dea.secondary_goal_weights(toy_dataset, d, groups)
         row = one_row(toy_dataset, d, u, v)
         row[d] = theta
         assert_allclose(row, M.values[d], rtol=0, atol=1e-7)
@@ -174,7 +178,7 @@ def test_seeded_matrix_stays_in_range_with_nonnegative_weights(seed):
     M = dea.cross_efficiency_matrix(ds, groups)
     assert M.values.max() <= 1.0 + 1e-12
     for d in range(ds.n):
-        u, v = dea.secondary_goal_weights(ds, d, groups, dea.ccr_efficiency(ds, d)[3])
+        u, v = dea.secondary_goal_weights(ds, d, groups)
         assert min(u.min(), v.min()) >= -1e-9, d
 
 
@@ -199,12 +203,12 @@ def one_evaluator_at_a_time(ds, groups):
     """ccr_all's fields and the matrix, built evaluator by evaluator through
     ``ccr_efficiency`` and ``secondary_goal_weights`` (stacks of one LP)."""
     solves = [dea.ccr_efficiency(ds, d) for d in range(ds.n)]
-    theta = np.array([t for t, _, _, _ in solves])
-    E = np.vstack([one_row(ds, d, *dea.secondary_goal_weights(ds, d, groups, tab))
-                   for d, (_, _, _, tab) in enumerate(solves)])
+    theta = np.array([t for t, _, _ in solves])
+    E = np.vstack([one_row(ds, d, *dea.secondary_goal_weights(ds, d, groups))
+                   for d in range(ds.n)])
     E[np.diag_indices(ds.n)] = theta
     E[(E > 1.0) & (E <= 1.0 + 1e-12)] = 1.0
-    return theta, np.vstack([u for _, u, _, _ in solves]), np.vstack([v for _, _, v, _ in solves]), E
+    return theta, np.vstack([u for _, u, _ in solves]), np.vstack([v for _, _, v in solves]), E
 
 
 def test_stacked_solves_match_one_evaluator_at_a_time(toy_dataset, bank_dataset):
@@ -251,7 +255,7 @@ def test_failure_names_the_first_evaluator_in_dmu_order(monkeypatch):
     failing = []
     for d in range(ds.n):
         try:
-            dea.secondary_goal_weights(ds, d, groups, dea.ccr_efficiency(ds, d)[3])
+            dea.secondary_goal_weights(ds, d, groups)
         except dea.SolverFailure:
             failing.append(d)
     assert failing == [2, 3, 4]
@@ -276,8 +280,8 @@ def test_zero_virtual_input_comes_before_a_later_evaluators_lp_failure():
     for name in ("B", "C"):
         d = ds.names.index(name)
         with pytest.raises(dea.SolverFailure, match=f"tie-break LP for evaluator '{name}'"):
-            dea.secondary_goal_weights(ds, d, groups, dea.ccr_efficiency(ds, d)[3])
-    u, v = dea.secondary_goal_weights(ds, 0, groups, dea.ccr_efficiency(ds, 0)[3])
+            dea.secondary_goal_weights(ds, d, groups)
+    u, v = dea.secondary_goal_weights(ds, 0, groups)
     assert v[0] > 0 and v[1] == 0  # all of A's input weight is on a, which B lacks
     for build in (lambda: one_row(ds, 0, u, v), lambda: dea.cross_efficiency_matrix(ds, groups)):
         with pytest.raises(dea.SolverFailure, match="evaluator 'A' gives DMU 'B' zero virtual input"):
@@ -295,8 +299,8 @@ def test_tie_break_matches_slack_variable_oracle(toy_dataset, bank_dataset):
         groups = dea.cluster_groups(ds, H)
         rows = []
         for d in range(ds.n):
-            theta, _, _, tab = dea.ccr_efficiency(ds, d)
-            u, v = dea.secondary_goal_weights(ds, d, groups, tab)
+            theta = dea.ccr_efficiency(ds, d)[0]
+            u, v = dea.secondary_goal_weights(ds, d, groups)
             ref, ref_u, ref_v = slack_tie_break(X, Y, d, groups.allies(d), theta)
             sign = np.where(groups.allies(d), 1.0, -1.0)
             sign[d] = 0.0
@@ -311,8 +315,12 @@ def test_tie_break_matches_slack_variable_oracle(toy_dataset, bank_dataset):
 
 
 def test_group_assignment_size_checked(toy_dataset):
-    with pytest.raises(ValidationError, match="^group assignment does not match dataset size$"):
-        dea.cross_efficiency_matrix(toy_dataset, GroupAssignment(groups=np.array([1, 1]), H=1))
+    groups = GroupAssignment(groups=np.array([1, 1]), H=1)
+    for call in (lambda: dea.cross_efficiency_matrix(toy_dataset, groups),
+                 lambda: dea.secondary_goal_weights(toy_dataset, 0, groups)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == "group assignment does not match dataset size"
 
 
 def test_cluster_trivial_cuts(toy_dataset):

@@ -450,10 +450,10 @@ def test_sides_split_every_player_block_once(n, block_bits, forks, monkeypatch):
     started = forks(False)
     table_calls, share_calls = [], []
 
-    def add_columns(E, sum_upper, sum_lower, bits, block_ranges):
+    def add_columns(blocks, block_ranges):
         table_calls.append([list(hs) for hs in block_ranges])
 
-    def player_sums(E, sum_upper, sum_lower, weights, tol, players, hs, parts):
+    def player_sums(blocks, weights, tol, players, hs, parts):
         share_calls.append((list(players), list(hs)))
         return -1, -1
     monkeypatch.setattr(_kernels, "_add_columns", add_columns)

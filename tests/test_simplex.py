@@ -43,6 +43,11 @@ def test_no_constraints():
     assert lp([1], "max", [])[0] == UNBOUNDED
     status, obj, _ = lp([1], "min", [])
     assert status == OPTIMAL and obj == 0.0
+    # no variables at all: no column can enter, so the slack's basis stands
+    # and the artificial's stays infeasible
+    status, x = solve([], np.zeros((1, 0)), [1.0], ["<="])
+    assert status == OPTIMAL and x.shape == (0,)
+    assert solve([], np.zeros((1, 0)), [1.0], ["="]) == (INFEASIBLE, None)
 
 
 def test_equality_constraint():
