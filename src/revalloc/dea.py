@@ -14,8 +14,12 @@ solves the self-score LPs of any list of evaluators as one
 ``simplex.Stack`` and, given ally groups, their tie-breaks on its optimal
 faces.  ``ccr_all`` and ``cross_efficiency_matrix`` pass it all n
 evaluators, ``ccr_efficiency`` and ``secondary_goal_weights`` one; none of
-them takes or returns a stack.  Scores are fixed-order sums with no
-BLAS, so each evaluator's bits are the same in any batch and on any CPU.
+them takes or returns a stack.  Every LP of a stack carries one shared
+set of DMU rows, ``_frontier_rows``: a DMU that another beats after
+scaling (Barr & Durchholz 1997; Dulá & Thrall 2001) has a row that never
+binds, and it is left out with no change to any pivot or bit.  Scores are
+fixed-order sums with no BLAS, so each evaluator's bits are the same in
+any batch and on any CPU.
 A failure names the first evaluator in DMU order: its self-score LP, then
 its tie-break LP, then a DMU its weights give zero virtual input.
 """
@@ -30,6 +34,7 @@ from . import simplex
 from .dataset import CrossEfficiencyMatrix, Dataset, GroupAssignment, ValidationError
 
 _DUST = 1e-12  # the <= rows keep every score <= 1; above 1 by this much is rounding
+_MARGIN = 1e-6  # a DMU's row goes only if another beats it, scaled, by this factor
 
 
 class SolverFailure(RuntimeError):
@@ -51,21 +56,24 @@ def _scores(data: Dataset, evaluators, groups: GroupAssignment | None = None):
     statuses, tie-break statuses).
 
     Variables are u_1..u_s, v_1..v_m; evaluator d's rows are
-    Y_j u - X_j v <= 0 for every DMU j and X_d v = 1.  Row l of x holds
-    (u, v) of ``evaluators[l]``: its tie-break weights given ``groups``,
-    else its self-score weights.  theta and x mean nothing for an LP whose
-    status is not optimal; with no ``groups`` every tie-break status is
-    OPTIMAL.
+    Y_j u - X_j v <= 0 for every DMU j of ``_frontier_rows`` and X_d v = 1.
+    Row l of x holds (u, v) of ``evaluators[l]``: its tie-break weights
+    given ``groups``, else its self-score weights.  theta and x mean nothing
+    for an LP whose status is not optimal; with no ``groups`` every
+    tie-break status is OPTIMAL.
     """
+    if groups is not None and not isinstance(groups, GroupAssignment):
+        raise ValidationError(f"groups must be a GroupAssignment, got {type(groups).__name__}")
     if groups is not None and groups.groups.size != data.n:
         raise ValidationError("group assignment does not match dataset size")
     X, Y = data.norm_inputs, data.norm_outputs
-    A = np.zeros((len(evaluators), data.n + 1, data.s + data.m))
-    A[:, :-1] = np.hstack([Y, -X])
+    rows = _frontier_rows(data)
+    A = np.zeros((len(evaluators), rows.size + 1, data.s + data.m))
+    A[:, :-1] = np.hstack([Y[rows], -X[rows]])
     A[:, -1, data.s:] = X[evaluators]
-    b = np.zeros(data.n + 1)
+    b = np.zeros(rows.size + 1)
     b[-1] = 1.0
-    stack = simplex.phase_one(A, b, ["<="] * data.n + ["="])
+    stack = simplex.phase_one(A, b, ["<="] * rows.size + ["="])
     stack.optimize(np.hstack([-Y[evaluators], np.zeros((len(evaluators), data.m))]))
     x = stack.point()
     theta = _products(Y[evaluators], x[:, :data.s])
@@ -76,6 +84,35 @@ def _scores(data: Dataset, evaluators, groups: GroupAssignment | None = None):
         tie_break = face.optimize(_tie_break_costs(data, evaluators, groups))
         x = face.point()
     return theta, x, stack.status, tie_break
+
+
+def _frontier_rows(data: Dataset) -> np.ndarray:
+    """The DMUs whose row Y_j u - X_j v <= 0 every evaluator LP keeps, in DMU order.
+
+    DMU j's row goes when X_j > 0 and some other DMU k, with
+    c = max_i X_ki / X_ji > 0, has Y_k >= (1 + _MARGIN) c Y_j.  Wherever
+    row k holds, Y_j u <= Y_k u / ((1 + _MARGIN) c) <= X_k v / ((1 + _MARGIN) c)
+    <= X_j v / (1 + _MARGIN), and X_d v = 1 with v >= 0 makes X_j v > 0.  So
+    row j's slack is positive at every feasible point of every self-score
+    and tie-break LP: it never wins a ratio test and stays basic, so
+    Bland's rule takes the same pivots, with the same bits, as on all n
+    rows.  A row with a zero input stays, and so does every DMU with
+    theta = 1.  Elementwise divides, maxima and compares, one input or
+    output at a time: no BLAS and no n x n x (m + s) array.
+    """
+    X, Y = data.norm_inputs, data.norm_outputs
+    screened = np.flatnonzero((X > 0).all(axis=1))
+    c = np.zeros((data.n, screened.size))  # c[k, l] = max_i X_ki / X_ji for j = screened[l]
+    for i in range(data.m):
+        np.maximum(c, X[:, i, None] / X[screened, i], out=c)
+    beaten = c > 0
+    c *= 1.0 + _MARGIN
+    for r in range(data.s):
+        beaten &= Y[:, r, None] >= c * Y[screened, r]
+    beaten[screened, np.arange(screened.size)] = False  # k is another DMU
+    keep = np.ones(data.n, dtype=bool)
+    keep[screened] = ~beaten.any(axis=0)
+    return np.flatnonzero(keep)
 
 
 def _tie_break_costs(data: Dataset, evaluators, groups: GroupAssignment) -> np.ndarray:
@@ -191,6 +228,8 @@ def cluster_groups(data: Dataset, H: int) -> GroupAssignment:
     exact ties merge the lowest DMU indices.  Group ids follow lowest members.
     """
     n = data.n
+    if not isinstance(H, (int, np.integer)):
+        raise ValidationError(f"cluster count must be an integer, got {H!r}")
     if not 1 <= H <= n:
         raise ValidationError(f"cluster count {H} out of range 1..{n}")
     feats = data.features()

@@ -1,6 +1,7 @@
 """Self-efficiency, tie-break weights, matrix properties, and clustering."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -21,18 +22,28 @@ def two_dmu_dataset():
     return load_dataset(io.StringIO("dmu,x:a,y:b\nA,1,1\nB,1,2\n"))
 
 
+def each(f, a):
+    """f applied to every element as a Python float: the C library's exp and
+    log, which the SIMD level numpy picks at import does not touch."""
+    return np.array([f(t) for t in a.ravel().tolist()]).reshape(a.shape)
+
+
 def production_dataset(seed, n=80):
     """Seeded DMUs in three size classes: log-normal inputs, Cobb-Douglas
-    outputs times a half-normal inefficiency (the benchmark's appraisal data)."""
+    outputs times a half-normal inefficiency (the benchmark's appraisal
+    technology).  Products and sums are in input order with no BLAS, and
+    exp and log go through ``each``, so a seed names the same dataset at
+    every numpy SIMD level; ``tests/test_portable_bits.py`` checks it at
+    the baseline level."""
     rng = np.random.default_rng(seed)
     size = np.array([20.0, 60.0, 180.0])[rng.permutation(np.arange(n) % 3)]
-    X = size[:, None] * np.exp(rng.normal(0.0, 0.3, (n, 3)))
+    X = size[:, None] * each(math.exp, rng.normal(0.0, 0.3, (n, 3)))
     log_frontier = np.zeros((n, 2))
-    for k in range(3):  # in input order, no BLAS: the same bits on any CPU
-        log_frontier += np.log(X[:, k, None]) * ELASTICITY[:, k]
-    frontier = np.exp(log_frontier) * OUTPUT_SCALE
-    efficiency = np.exp(-np.abs(rng.normal(0.0, 0.3, (n, 1))))
-    mix = np.exp(rng.normal(0.0, 0.15, (n, 2)))
+    for k in range(3):
+        log_frontier += each(math.log, X[:, k, None]) * ELASTICITY[:, k]
+    frontier = each(math.exp, log_frontier) * OUTPUT_SCALE
+    efficiency = each(math.exp, -np.abs(rng.normal(0.0, 0.3, (n, 1))))
+    mix = each(math.exp, rng.normal(0.0, 0.15, (n, 2)))
     return revalloc.Dataset(
         names=[f"D{i + 1:02d}" for i in range(n)],
         input_names=["in1", "in2", "in3"],
@@ -170,9 +181,11 @@ def test_units_invariance_under_column_scaling(toy_dataset, tmp_path):
 
 @pytest.mark.parametrize("seed", [[66792959, 2], [406, 0]] + [[s, 0] for s in range(10)])
 def test_seeded_matrix_stays_in_range_with_nonnegative_weights(seed):
-    # the simplex's rounding once put entry (37, 7) of the first dataset
-    # 6.8e-9 above 1, and a tie-break weight of the second at -1.2e-7;
-    # the weights are read off the final tableau with no refit
+    # when the data were drawn with numpy's SIMD exp and log, the simplex's
+    # rounding once put entry (37, 7) of the first seed's dataset 6.8e-9
+    # above 1, and a tie-break weight of the second's at -1.2e-7.  Those
+    # datasets went with that draw, and the seeds stay as two more.  The
+    # weights are read off the final tableau with no refit
     ds = production_dataset(seed)
     groups = dea.cluster_groups(ds, 3)
     M = dea.cross_efficiency_matrix(ds, groups)
@@ -314,6 +327,123 @@ def test_tie_break_matches_slack_variable_oracle(toy_dataset, bank_dataset):
             assert_allclose(M.values, np.vstack(rows), rtol=0, atol=1e-12)
 
 
+def make_dataset(X, Y, prefix="D"):
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    return revalloc.Dataset(
+        names=[f"{prefix}{i + 1:02d}" for i in range(len(X))],
+        input_names=[f"in{k + 1}" for k in range(X.shape[1])],
+        output_names=[f"out{k + 1}" for k in range(Y.shape[1])],
+        raw_inputs=X,
+        raw_outputs=Y,
+    )
+
+
+def row_order_case(permuted):
+    """The benchmark's row-order data: integer cells 1..3 (many tied LP
+    optima), n = 40, three fixed groups, in CSV order or row-permuted."""
+    rng = np.random.default_rng(0)
+    X = rng.integers(1, 4, (40, 3)).astype(float)
+    Y = rng.integers(1, 4, (40, 2)).astype(float)
+    order = rng.permutation(40) if permuted else np.arange(40)
+    ds = make_dataset(X[order], Y[order], "R")
+    return ds, GroupAssignment(groups=(np.arange(40) % 3 + 1)[order], H=3)
+
+
+def pairs_dataset():
+    # D01 and D02 are one DMU twice, D04 is D03 doubled; all four are
+    # efficient, and without the margin each member of a pair would beat
+    # the other.  D05 is beaten by D01, scaled.
+    return make_dataset([[1, 2], [1, 2], [2, 1], [4, 2], [3, 3]], [[1], [1], [1], [2], [1]])
+
+
+def zero_input_dataset():
+    # on input a alone Z02 would beat Z01, but Z01's row binds wherever
+    # v_a is small: it has a zero input, so it stays.  Z03 is beaten by Z02.
+    return make_dataset([[1, 0], [1, 1], [2, 2]], [[1], [3], [1]], "Z")
+
+
+def full_row_scores(ds, groups=None):
+    """``dea._scores`` over all n evaluators, built here on a row for every DMU."""
+    X, Y, n = ds.norm_inputs, ds.norm_outputs, ds.n
+    A = np.zeros((n, n + 1, ds.s + ds.m))
+    A[:, :-1] = np.hstack([Y, -X])
+    A[:, -1, ds.s:] = X
+    b = np.zeros(n + 1)
+    b[-1] = 1.0
+    stack = simplex.phase_one(A, b, ["<="] * n + ["="])
+    stack.optimize(np.hstack([-Y, np.zeros((n, ds.m))]))
+    x = stack.point()
+    theta = dea._products(Y, x[:, :ds.s])
+    theta[(theta > 1.0) & (theta <= 1.0 + 1e-12)] = 1.0
+    tie_break = simplex.OPTIMAL
+    if groups is not None:
+        face = stack.optimal_face()
+        tie_break = face.optimize(dea._tie_break_costs(ds, np.arange(n), groups))
+        x = face.point()
+    return theta, x, stack.status, tie_break
+
+
+def matrix_outcome(build):
+    """The matrix's bytes, or the SolverFailure message in its place."""
+    try:
+        return build().tobytes()
+    except dea.SolverFailure as err:
+        return str(err)
+
+
+def full_row_matrix(ds, groups):
+    theta, x, self_score, tie_break = full_row_scores(ds, groups)
+    E = dea.cross_efficiency_rows(ds, np.arange(ds.n), x[:, :ds.s], x[:, ds.s:],
+                                  self_score, tie_break)
+    E[np.diag_indices(ds.n)] = theta
+    E[(E > 1.0) & (E <= 1.0 + 1e-12)] = 1.0
+    return E
+
+
+def screened_cases(toy_dataset, bank_dataset):
+    """(dataset, groups): the case studies, the zero-cell, pair and zero-input
+    datasets and seeded production data at H = 1 and 3, and the row-order
+    data in both orders."""
+    datasets = [toy_dataset, bank_dataset, zero_cell_dataset(), pairs_dataset(),
+                zero_input_dataset()] + [production_dataset([n, 0], n) for n in (18, 80, 240)]
+    cases = [(ds, dea.cluster_groups(ds, H)) for ds in datasets for H in (1, 3)]
+    return cases + [row_order_case(permuted) for permuted in (False, True)]
+
+
+def test_screened_rows_give_the_full_row_bits(toy_dataset, bank_dataset):
+    # a screened-out row's slack is positive at every feasible point, so it
+    # never wins a ratio test: the pivots, weights and statuses are those
+    # of the stack with a row for every DMU, and so is any failure
+    for ds, groups in screened_cases(toy_dataset, bank_dataset):
+        evaluators = np.arange(ds.n)
+        for g in (None, groups):
+            ours, ref = dea._scores(ds, evaluators, g), full_row_scores(ds, g)
+            assert all(np.array_equal(a, b) for a, b in zip(ours, ref)), (ds.names[0], ds.n, g)
+        assert (matrix_outcome(lambda: dea.cross_efficiency_matrix(ds, groups).values)
+                == matrix_outcome(lambda: full_row_matrix(ds, groups))), (ds.names[0], ds.n)
+    # the zero-cell dataset fails as before: Z03's tie-break first
+    ds, groups = zero_cell_dataset(), dea.cluster_groups(zero_cell_dataset(), 3)
+    assert matrix_outcome(lambda: full_row_matrix(ds, groups)).startswith(
+        "tie-break LP for evaluator 'Z03'")
+
+
+def test_screen_keeps_every_efficient_dmu_and_every_zero_input_row(toy_dataset, bank_dataset):
+    for ds, _ in screened_cases(toy_dataset, bank_dataset):
+        kept = np.zeros(ds.n, dtype=bool)
+        kept[dea._frontier_rows(ds)] = True
+        theta = full_row_scores(ds)[0]
+        assert kept[theta == 1.0].all(), (ds.names[0], ds.n)
+        assert kept[(ds.norm_inputs == 0).any(axis=1)].all(), (ds.names[0], ds.n)
+        assert (theta[~kept] < 1.0 - 1e-7).all(), (ds.names[0], ds.n)  # at most 1/(1 + margin)
+        if ds.n >= 80:
+            assert kept.sum() < ds.n / 2, (ds.names[0], ds.n)  # the screen pays
+    assert dea._frontier_rows(zero_input_dataset()).tolist() == [0, 1]
+
+
+def test_screen_keeps_both_members_of_identical_and_proportional_pairs():
+    assert dea._frontier_rows(pairs_dataset()).tolist() == [0, 1, 2, 3]
+
+
 def test_group_assignment_size_checked(toy_dataset):
     groups = GroupAssignment(groups=np.array([1, 1]), H=1)
     for call in (lambda: dea.cross_efficiency_matrix(toy_dataset, groups),
@@ -321,6 +451,13 @@ def test_group_assignment_size_checked(toy_dataset):
         with pytest.raises(ValidationError) as err:
             call()
         assert str(err.value) == "group assignment does not match dataset size"
+
+
+def test_library_inputs_of_the_wrong_kind_raise_validation_error(toy_dataset):
+    with pytest.raises(ValidationError, match=r"^groups must be a GroupAssignment, got list$"):
+        dea.cross_efficiency_matrix(toy_dataset, [1, 1, 1, 1, 1])
+    with pytest.raises(ValidationError, match=r"^cluster count must be an integer, got 2\.0$"):
+        dea.cluster_groups(toy_dataset, 2.0)
 
 
 def test_cluster_trivial_cuts(toy_dataset):

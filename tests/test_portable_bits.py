@@ -3,16 +3,28 @@
 OpenBLAS picks its kernel by CPU when it loads, and its kernels add the
 terms of a product in different orders.  ``OPENBLAS_CORETYPE`` forces a
 kernel for one process, so child processes under two other kernels stand
-in for other machines.
+in for other machines.  numpy picks its own SIMD loops at import, and
+``NPY_DISABLE_CPU_FEATURES`` turns every level above the baseline off for
+one more child, which stands in for the oldest CPU this numpy build runs
+on.
 """
 
 import ast
+import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+from test_dea import production_dataset
 
 TESTS = Path(__file__).parent
 SRC = TESTS.parent / "src"
@@ -61,10 +73,42 @@ def test_package_has_no_blas_products():
 CHILD = "import golden; print(*golden.compare(golden.run_all()), sep='\\n', end='')"
 
 
+def run_child(code, tmp_path, **env):
+    path = os.pathsep.join(filter(None, [str(SRC), str(TESTS), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
 def test_reports_have_the_same_bytes_under_every_openblas_kernel(kernel, tmp_path):
-    path = os.pathsep.join(filter(None, [str(SRC), str(TESTS), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=path)
-    child = subprocess.run([sys.executable, "-c", CHILD], cwd=tmp_path, env=env,
-                           capture_output=True, text=True, timeout=120)
+    child = run_child(CHILD, tmp_path, OPENBLAS_CORETYPE=kernel)
     assert (child.returncode, child.stdout) == (0, ""), child.stderr
+
+
+def dispatched_on() -> list[str]:
+    """numpy's SIMD levels above the baseline that this process uses."""
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
+def seeded_data_digest() -> str:
+    """One hash over the raw arrays of the seeded datasets ``tests/test_dea.py`` draws."""
+    digest = hashlib.sha256()
+    for seed in range(10):
+        for n in (18, 24, 80, 240):
+            ds = production_dataset([seed, 0], n)
+            digest.update(ds.raw_inputs.tobytes() + ds.raw_outputs.tobytes())
+    return digest.hexdigest()
+
+
+BASELINE_CHILD = """import json, golden, test_portable_bits as t
+print(json.dumps([t.dispatched_on(), golden.compare(golden.run_all()), t.seeded_data_digest()]))"""
+
+
+def test_reports_and_test_data_have_the_same_bytes_at_the_baseline_simd_level(tmp_path):
+    child = run_child(BASELINE_CHILD, tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(dispatched_on()))
+    assert child.returncode == 0, child.stderr
+    on, changed, data = json.loads(child.stdout)
+    assert on == []
+    assert changed == []
+    assert data == seeded_data_digest()
