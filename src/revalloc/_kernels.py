@@ -76,8 +76,17 @@ helper, or if a pipe or the fork fails, the caller runs table A, table B,
 shares A and shares B in turn.  Each entry is computed as in one process,
 so the bits do not depend on the CPU count.  The helper runs only numpy
 code, sets a shared done flag once its side returns, and leaves through
-``os._exit``.  Each process touches only the sums it reads, three
-quarters of them.
+``os._exit``.
+
+Mask bits n - 1 and n - 2 cut the sums into quarters Q0..Q3.  Side A
+reads Q0 and Q1 for players 0..n - 2, then Q0 and Q2 for player n - 1;
+side B reads Q2 and Q3, then Q1 and Q3.  So once a helper runs, each side
+releases the quarter of both sums it has finished with (Q1 on side A, Q2
+on side B) just before player n - 1's blocks, and holds half the sums at
+a time instead of three quarters.  ``_release`` drops whole pages only,
+from this process's page tables: the data stays in the shared mapping,
+and a later read would map it back.  Without a helper the caller reads
+every quarter and releases nothing.
 
 The views of players 1 and 2 below the block bits run 2 or 4 entries
 contiguous; numpy walks them column by column (``order="F"``, from
@@ -134,7 +143,8 @@ class _ColumnBlocks:
     ``tmax``/``tmin`` hold the max/min of ``E[d, j]`` over the block's
     subsets.  ``views(j, ...)`` shapes block buffers like those views, and
     ``order(j)`` is the order numpy walks them in.  The buffers are
-    allocated once, for every column.
+    allocated once, for every column.  ``helper`` is set once a helper
+    runs side B; ``release(hs)`` then drops side ``hs``'s finished quarter.
     """
 
     def __init__(self, E: np.ndarray):
@@ -142,6 +152,7 @@ class _ColumnBlocks:
         self.E, self.bits = E, min(_BLOCK_BITS, n - 1)
         self.size, self.nblocks = 1 << self.bits, 1 << (n - 1 - self.bits)
         self.sums = _shared(n, (2, 1 << n))
+        self.helper = False
         self.tmax, self.tmin = np.empty(self.size), np.empty(self.size)
         self.low_max, self.low_min = np.empty(self.size), np.empty(self.size)
         self.high_max, self.high_min = np.empty(self.nblocks), np.empty(self.nblocks)
@@ -175,6 +186,14 @@ class _ColumnBlocks:
             np.minimum(self.low_min, self.high_min[h], out=self.tmin)
             yield h, *self._halves(self.sums[0], j, h), *self._halves(self.sums[1], j, h)
 
+    def release(self, hs: range) -> None:
+        """Release the quarter of both sums that side ``hs`` reads for players
+        0..n - 2 and not for player n - 1: Q1 for half A, Q2 for half B."""
+        quarter = self.sums.shape[1] // 4
+        q = 2 if hs.start else 1
+        for a in self.sums:
+            _release(a[q * quarter:(q + 1) * quarter])
+
 
 def _forks(nblocks: int) -> bool:
     """Whether a game of ``nblocks`` blocks per column runs a side in a helper."""
@@ -190,6 +209,20 @@ def _shared(n: int, shape, dtype=np.float64) -> np.ndarray:
     except OSError as err:   # ENOMEM: out of memory, as np.zeros would report it
         raise MemoryError(f"cannot map the coalition arrays for {n} players") from err
     return np.frombuffer(buf, dtype).reshape(shape)
+
+
+def _release(a: np.ndarray) -> None:
+    """Drop this process's pages of ``a``, a contiguous slice of a ``_shared``
+    array, whole pages only.  The data stays in the shared mapping, and a
+    later read maps it back."""
+    root = a
+    while isinstance(root.base, np.ndarray):
+        root = root.base   # np.frombuffer's array, at the start of the mapping
+    start = a.__array_interface__["data"][0] - root.__array_interface__["data"][0]
+    page = mmap.PAGESIZE
+    lo, hi = -(-start // page) * page, (start + a.nbytes) // page * page
+    if lo < hi:
+        root.base.obj.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 def _barrier(send: int, receive: int) -> bool:
@@ -232,6 +265,7 @@ def _in_halves(blocks: _ColumnBlocks, table, shares) -> None:
         shares(0)
         shares(1)
         return
+    blocks.helper = True   # in both processes, so that each side releases its finished quarter
     caller_in, helper_out, helper_in, caller_out = fds
     if pid == 0:
         code = 1
@@ -289,7 +323,9 @@ def _player_sums(blocks: _ColumnBlocks, weights, tol, players, hs, parts):
     (3, n, nblocks) array of (phi, phi_upper, phi_lower) partial sums per
     player and block; returns the first offender (player, mask) or (-1, -1).
 
-    Stops at the first offender, leaving the later entries zero.
+    Stops at the first offender, leaving the later entries zero.  With a
+    helper running, releases the quarter of the sums side ``hs`` has
+    finished with just before player n - 1's blocks.
     """
     size = blocks.size
     # |S| and w[|S|] within a block, one row per count of high members
@@ -301,6 +337,8 @@ def _player_sums(blocks: _ColumnBlocks, weights, tol, players, hs, parts):
     tmax, tmin, w_e = blocks.tmax, blocks.tmin, np.empty(size)
     den_mid, den_up, den_lo = np.empty(size), np.empty(size), np.empty(size)
     for i in players:
+        if i == len(blocks.E) - 1 and blocks.helper:
+            blocks.release(hs)
         tmax_v, tmin_v, mid, up, lo = blocks.views(i, tmax, tmin, den_mid, den_up, den_lo)
         order = blocks.order(i)
         for h, upper_s, upper_t, lower_s, lower_t in blocks.walk(i, hs):

@@ -43,9 +43,15 @@ def check_revenue(revenue: float) -> None:
 
 
 def _validated(triple: ShapleyTriple, revenue: float) -> ShapleyTriple:
+    """``triple`` with float rows, once they and ``revenue`` pass every check."""
     check_revenue(revenue)
-    arrays = [np.asarray(a) for a in (triple.phi_lower, triple.phi, triple.phi_upper)]
-    if any(arr.shape != (triple.n,) for arr in arrays):
+    try:
+        arrays = [np.asarray(a, dtype=float)
+                  for a in (triple.phi_lower, triple.phi, triple.phi_upper)]
+    except (TypeError, ValueError):
+        raise AllocationError("shares must be numbers") from None
+    lower, phi, upper = arrays
+    if any(arr.shape != (phi.size,) for arr in arrays):
         raise AllocationError("share rows must be vectors of one length, got shapes "
                               + ", ".join(str(arr.shape) for arr in arrays))
     for arr in arrays:
@@ -53,16 +59,15 @@ def _validated(triple: ShapleyTriple, revenue: float) -> ShapleyTriple:
             raise AllocationError("shares must be finite")
         if (arr <= 0).any():
             raise AllocationError("shares must be strictly positive")
-    if ((triple.phi_lower > triple.phi + ORDER_TOL)
-            | (triple.phi > triple.phi_upper + ORDER_TOL)).any():
+    if ((lower > phi + ORDER_TOL) | (phi > upper + ORDER_TOL)).any():
         raise AllocationError("share triples must satisfy lower <= central <= upper")
-    return triple
+    return ShapleyTriple(phi_lower=lower, phi=phi, phi_upper=upper)
 
 
 def allocate(triple: ShapleyTriple, revenue: float,
              names: list[str] | None = None) -> AllocationPlan:
     """Full allocation plan: proportional split plus both brackets."""
-    _validated(triple, revenue)
+    triple = _validated(triple, revenue)
     if names is not None and len(names) != triple.n:
         raise AllocationError(f"{len(names)} names for {triple.n} DMUs")
     up, lo = triple.phi_upper, triple.phi_lower

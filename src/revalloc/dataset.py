@@ -54,8 +54,8 @@ class Dataset:
     norm_outputs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.raw_inputs = np.asarray(self.raw_inputs, dtype=float)
-        self.raw_outputs = np.asarray(self.raw_outputs, dtype=float)
+        self.raw_inputs = _floats(self.raw_inputs, "input values")
+        self.raw_outputs = _floats(self.raw_outputs, "output values")
         _validate_dataset(self)
         self.norm_inputs, self.norm_outputs = normalize(self.raw_inputs, self.raw_outputs)
         if not (self.norm_inputs.max(axis=1) > 0).all():
@@ -90,6 +90,10 @@ class GroupAssignment:
         labels = np.asarray(self.groups)
         if labels.ndim != 1:
             raise ValidationError(f"group ids must form a vector, got shape {labels.shape}")
+        if labels.dtype.kind not in "biuf":
+            raise ValidationError(f"group ids must be numbers, got {labels.tolist()}")
+        if not isinstance(self.H, (int, np.integer)):
+            raise ValidationError(f"group count must be an integer, got {self.H!r}")
         used = set(labels.tolist())   # 1.0 counts as 1, and 1.5 as no id
         if self.H < 1 or used != set(range(1, self.H + 1)):
             raise ValidationError(
@@ -130,12 +134,17 @@ class CrossEfficiencyMatrix:
         return np.diag(self.values).copy()
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as a float array; ParseError naming ``what`` unless they are numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError(f"{what} must be numbers") from None
+
+
 def check_scores(values) -> np.ndarray:
     """An appraisal matrix as floats: square, nonempty, finite, in [0, 1 + SCORE_UPPER_TOL]."""
-    try:
-        values = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError("matrix entries must be numbers") from None
+    values = _floats(values, "matrix entries")
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {values.shape}")
     if values.size == 0:
@@ -152,8 +161,8 @@ def normalize(raw_inputs, raw_outputs):
 
     Column sums must be strictly positive; each normalized column sums to 1.
     """
-    raw_inputs = np.asarray(raw_inputs, dtype=float)
-    raw_outputs = np.asarray(raw_outputs, dtype=float)
+    raw_inputs = _floats(raw_inputs, "input values")
+    raw_outputs = _floats(raw_outputs, "output values")
     for label, mat in (("input", raw_inputs), ("output", raw_outputs)):
         sums = mat.sum(axis=0)
         if (sums <= 0).any():

@@ -161,6 +161,8 @@ def _check(data: Dataset, evaluators, self_score, tie_break=simplex.OPTIMAL, den
 def _one(data: Dataset, d: int, groups: GroupAssignment | None = None):
     """DMU d's (theta, u, v): its self-score weights, or given ``groups`` its
     tie-break weights."""
+    if not isinstance(d, (int, np.integer)):
+        raise ValidationError(f"DMU index must be an integer, got {d!r}")
     if not 0 <= d < data.n:
         raise IndexError(f"DMU index {d} out of range")
     theta, x, self_score, tie_break = _scores(data, [d], groups)

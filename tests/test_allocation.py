@@ -119,6 +119,24 @@ def test_rejects_bad_revenue():
         assert str(err.value) == message
 
 
+def test_share_rows_may_be_lists():
+    rows = [0.1, 0.25], [0.2, 0.3], [0.3, 0.45]
+    plan = allocate(ShapleyTriple(*rows), 5.0)
+    expected = allocate(triple_of(*rows), 5.0)
+    for field in ("central", "upper", "lower", "shares"):
+        assert getattr(plan, field).tobytes() == getattr(expected, field).tobytes()
+
+
+@pytest.mark.parametrize("rows", [
+    ([0.1, 0.1], ["a", 0.2], [0.3, 0.3]),
+    ([0.1, 0.1], [0.2, 0.2], [{}, 0.3]),
+])
+def test_rejects_shares_that_are_no_numbers(rows):
+    with pytest.raises(AllocationError) as err:
+        allocate(ShapleyTriple(*rows), 5.0)
+    assert str(err.value) == "shares must be numbers"
+
+
 def test_rejects_nonpositive_shares():
     with pytest.raises(AllocationError, match="positive"):
         allocate(triple_of([0.0, 0.1], [0.1, 0.2], [0.2, 0.3]), 10.0)

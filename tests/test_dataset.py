@@ -284,6 +284,10 @@ def dataset(**changes):
                  ParseError, "non-finite input value", id="non-finite"),
     pytest.param(lambda: dataset(raw_outputs=[[3.0], [-4.0]]),
                  ParseError, "negative output value", id="negative"),
+    pytest.param(lambda: dataset(raw_inputs=[["a"], [2.0]]),
+                 ParseError, "input values must be numbers", id="text-data"),
+    pytest.param(lambda: revalloc.ccr_efficiency(dataset(), 1.0),
+                 ValidationError, "DMU index must be an integer, got 1.0", id="index-type"),
     pytest.param(lambda: revalloc.CrossEfficiencyMatrix(names=["A"], values=np.eye(2)),
                  ValidationError, "matrix shape (2, 2) does not match 1 names",
                  id="matrix-names"),
@@ -295,6 +299,10 @@ def dataset(**changes):
     pytest.param(lambda: GroupAssignment(groups=[[1], [1]], H=1),
                  ValidationError, "group ids must form a vector, got shape (2, 1)",
                  id="group-2d"),
+    pytest.param(lambda: GroupAssignment(groups=[None, 1], H=1),
+                 ValidationError, "group ids must be numbers, got [None, 1]", id="group-none"),
+    pytest.param(lambda: GroupAssignment(groups=[1, 1], H=1.0),
+                 ValidationError, "group count must be an integer, got 1.0", id="group-count"),
     pytest.param(lambda: revalloc.shapley_triples("abc"),
                  ParseError, "matrix entries must be numbers", id="scores-text"),
     pytest.param(lambda: check_scores(np.ones((2, 3))),

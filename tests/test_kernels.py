@@ -1,10 +1,14 @@
 """The coalition kernel against brute-force scans of the coalition game."""
 
 import errno
+import mmap
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +184,30 @@ def test_table_pass_holds_only_the_sums_and_block_buffers():
     assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
     for a in sums:
         assert a.dtype == np.float64 and a.shape == (1 << n,)
+
+
+def rss_shmem_kb():
+    """This process's resident shared-memory pages, in kB (Linux)."""
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("RssShmem:"))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_released_pages_read_back_the_same_values():
+    # a slice from mid page 64 to just past page 104 releases the 39 whole
+    # pages 65..103 and nothing else; the data stays in the shared mapping
+    page = mmap.PAGESIZE // 8   # float64 entries per page
+    a = _kernels._shared(3, (2, 64 * page))
+    a[:] = (np.arange(a.size) * 0.5 - 7.25).reshape(a.shape)
+    a[0, 5] = -0.0
+    expected = a.copy()
+    before = rss_shmem_kb()
+    _kernels._release(a[1, page // 2:40 * page + 3])
+    assert before - rss_shmem_kb() == 39 * mmap.PAGESIZE // 1024
+    _kernels._release(a[0, 1:page])   # less than one whole page: nothing
+    assert before - rss_shmem_kb() == 39 * mmap.PAGESIZE // 1024
+    assert a.tobytes() == expected.tobytes()
+    assert rss_shmem_kb() == before   # the re-read mapped every page back
 
 
 # ------------------------------------------------------- the forked helper
@@ -476,3 +504,71 @@ def test_sides_split_every_player_block_once(n, block_bits, forks, monkeypatch):
     # 0..n - 2 read only that half of the sums
     for k in (0, 1):
         assert share_calls[k][1] == table_calls[k][0]
+
+
+def test_only_a_split_game_releases(forks, monkeypatch):
+    # with no helper the caller reads every quarter and releases none; with
+    # one, the caller releases its finished quarter of each sum once (the
+    # helper its own, out of sight here)
+    n = 16
+    E = random_game(n, 101)
+    released, real = [], _kernels._release
+
+    def record(a):
+        released.append(a.size)
+        real(a)
+    monkeypatch.setattr(_kernels, "_release", record)
+    forks(False)
+    _kernels.shapley_sums(E, coalition_weights(n), DENOM_TOL)
+    assert released == []
+    forks(True)
+    _kernels.shapley_sums(E, coalition_weights(n), DENOM_TOL)
+    assert released == [1 << (n - 2)] * 2
+
+
+# An n = 21 game in a fresh process, with a helper even on one CPU: the
+# growth of peak RSS over the set-up, for the caller or the helper, whichever
+# is larger.  The caller's peak is VmHWM, the peak of its own address space:
+# its ru_maxrss also counts the process it was spawned from, which Linux
+# carries across exec.  The reaped helper's ru_maxrss is its own.  Both are
+# in KiB.
+FOOTPRINT_CHILD = """
+import resource
+import numpy as np
+from revalloc import _kernels
+from revalloc.game import DENOM_TOL, coalition_weights
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+n = 21
+rng = np.random.default_rng(98)
+E = rng.uniform(0.05, 1.0, (n, n))
+np.fill_diagonal(E, 1.0)
+weights = coalition_weights(n)
+_kernels._forks = lambda nblocks: True
+before = peak_kib()
+bad_player = _kernels.shapley_sums(E, weights, DENOM_TOL)[3]
+after = max(peak_kib(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+print(bad_player, (after - before) * 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_each_side_holds_half_the_sums_at_a_time():
+    # each side writes and reads its half of both sums, then releases the
+    # quarter it has finished with before it maps the other side's quarter
+    # for player n - 1: at most 2^n float64 entries of the two 2^n sums at
+    # a time (16 MiB at n = 21), where keeping that quarter would take 24
+    # MiB.  The slack covers the block buffers (about 3 MiB) and allocator
+    # noise.
+    n, slack = 21, 5 << 20
+    src = Path(__file__).parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD], capture_output=True,
+                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert child.returncode == 0, child.stderr
+    bad_player, growth = map(int, child.stdout.split())
+    assert bad_player == -1
+    assert growth <= (1 << n) * 8 + slack, f"peak RSS grew {growth / 2**20:.1f} MiB"

@@ -209,14 +209,18 @@ def row_loop_pivot(T, row, col):
 
 def test_pivot_matches_row_loop_bit_for_bit():
     # stacks of compact tableaux; some LPs sit the pivot out, as LPs that are
-    # already optimal or unbounded do in the lockstep loop
+    # already optimal or unbounded do in the lockstep loop.  Zero cells and
+    # factors come signed: a zero input cell puts -0.0 into every stack
+    # through -X, and a row left alone must keep its sign bits, which an
+    # unmasked subtraction of 0 * p would flip wherever 0 * p is -0.0
     rng = np.random.default_rng(11)
     tol = simplex.PIVOT_TOL
-    near_tol = [tol, -tol, tol * (1 - 1e-6), tol * (1 + 1e-6), -tol * (1 + 1e-6), 0.0]
+    near_tol = [tol, -tol, tol * (1 - 1e-6), tol * (1 + 1e-6), -tol * (1 + 1e-6), 0.0, -0.0]
     for _ in range(200):
         L, rows, cols = int(rng.integers(1, 6)), int(rng.integers(2, 12)), int(rng.integers(2, 15))
         T = rng.normal(size=(L, rows, cols))
-        T[rng.random(T.shape) < 0.3] = 0.0
+        zero = rng.random(T.shape) < 0.3
+        T[zero] = rng.choice([0.0, -0.0], size=zero.sum())
         lps = np.flatnonzero(rng.random(L) < 0.7)
         row, col = rng.integers(rows, size=lps.size), rng.integers(cols - 1, size=lps.size)
         for lp, r, c in zip(lps, row, col):
