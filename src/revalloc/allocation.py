@@ -42,32 +42,29 @@ def check_revenue(revenue: float) -> None:
         raise AllocationError(f"revenue must be positive, got {revenue!r}")
 
 
-def _validated(triple: ShapleyTriple, revenue: float) -> ShapleyTriple:
-    """``triple`` with float rows, once they and ``revenue`` pass every check."""
+def _check_shares(triple: ShapleyTriple, revenue: float) -> None:
+    """Refuse a bad ``revenue``, or share rows that are not finite, positive and ordered."""
     check_revenue(revenue)
-    try:
-        arrays = [np.asarray(a, dtype=float)
-                  for a in (triple.phi_lower, triple.phi, triple.phi_upper)]
-    except (TypeError, ValueError):
-        raise AllocationError("shares must be numbers") from None
-    lower, phi, upper = arrays
-    if any(arr.shape != (phi.size,) for arr in arrays):
-        raise AllocationError("share rows must be vectors of one length, got shapes "
-                              + ", ".join(str(arr.shape) for arr in arrays))
-    for arr in arrays:
+    lower, phi, upper = triple.phi_lower, triple.phi, triple.phi_upper
+    for arr in (lower, phi, upper):
         if not np.isfinite(arr).all():
             raise AllocationError("shares must be finite")
         if (arr <= 0).any():
             raise AllocationError("shares must be strictly positive")
     if ((lower > phi + ORDER_TOL) | (phi > upper + ORDER_TOL)).any():
         raise AllocationError("share triples must satisfy lower <= central <= upper")
-    return ShapleyTriple(phi_lower=lower, phi=phi, phi_upper=upper)
 
 
 def allocate(triple: ShapleyTriple, revenue: float,
              names: list[str] | None = None) -> AllocationPlan:
-    """Full allocation plan: proportional split plus both brackets."""
-    triple = _validated(triple, revenue)
+    """Full allocation plan: proportional split plus both brackets.
+
+    The triple's rows are already float vectors of one length
+    (``ShapleyTriple`` reads them so); AllocationError unless ``revenue`` is
+    a positive finite number and the rows are finite, positive and ordered
+    lower <= central <= upper.
+    """
+    _check_shares(triple, revenue)
     if names is not None and len(names) != triple.n:
         raise AllocationError(f"{len(names)} names for {triple.n} DMUs")
     up, lo = triple.phi_upper, triple.phi_lower

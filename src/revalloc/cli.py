@@ -236,12 +236,13 @@ def _check_unread(args, reads) -> None:
         raise _UsageError("--groups and --clusters are exclusive")
 
 
-def _resolve_groups(args, data) -> GroupAssignment:
+def _resolve_groups(args, data) -> GroupAssignment | None:
+    """The ally groups that ``--groups`` or ``--clusters`` give, else None (one group)."""
     if args.groups:
         return load_groups(args.groups, data.names)
     if args.clusters is not None:
         return dea.cluster_groups(data, args.clusters)
-    return GroupAssignment.single_group(data.n)
+    return None
 
 
 def _fixture_notes(fixture, matrix, theta, names) -> list[str]:

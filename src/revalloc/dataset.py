@@ -92,7 +92,7 @@ class GroupAssignment:
             raise ValidationError(f"group ids must form a vector, got shape {labels.shape}")
         if labels.dtype.kind not in "biuf":
             raise ValidationError(f"group ids must be numbers, got {labels.tolist()}")
-        if not isinstance(self.H, (int, np.integer)):
+        if not is_integer(self.H):
             raise ValidationError(f"group count must be an integer, got {self.H!r}")
         used = set(labels.tolist())   # 1.0 counts as 1, and 1.5 as no id
         if self.H < 1 or used != set(range(1, self.H + 1)):
@@ -132,6 +132,11 @@ class CrossEfficiencyMatrix:
 
     def diagonal(self) -> np.ndarray:
         return np.diag(self.values).copy()
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer other than a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _floats(values, what: str) -> np.ndarray:

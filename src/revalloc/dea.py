@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .dataset import CrossEfficiencyMatrix, Dataset, GroupAssignment, ValidationError
+from .dataset import CrossEfficiencyMatrix, Dataset, GroupAssignment, ValidationError, is_integer
 
 _DUST = 1e-12  # the <= rows keep every score <= 1; above 1 by this much is rounding
 _MARGIN = 1e-6  # a DMU's row goes only if another beats it, scaled, by this factor
@@ -62,10 +62,8 @@ def _scores(data: Dataset, evaluators, groups: GroupAssignment | None = None):
     for an LP whose status is not optimal; with no ``groups`` every
     tie-break status is OPTIMAL.
     """
-    if groups is not None and not isinstance(groups, GroupAssignment):
-        raise ValidationError(f"groups must be a GroupAssignment, got {type(groups).__name__}")
-    if groups is not None and groups.groups.size != data.n:
-        raise ValidationError("group assignment does not match dataset size")
+    if groups is not None:
+        _check_groups(data, groups)
     X, Y = data.norm_inputs, data.norm_outputs
     rows = _frontier_rows(data)
     A = np.zeros((len(evaluators), rows.size + 1, data.s + data.m))
@@ -84,6 +82,14 @@ def _scores(data: Dataset, evaluators, groups: GroupAssignment | None = None):
         tie_break = face.optimize(_tie_break_costs(data, evaluators, groups))
         x = face.point()
     return theta, x, stack.status, tie_break
+
+
+def _check_groups(data: Dataset, groups) -> None:
+    """ValidationError unless ``groups`` is a GroupAssignment of ``data``'s DMUs."""
+    if not isinstance(groups, GroupAssignment):
+        raise ValidationError(f"groups must be a GroupAssignment, got {type(groups).__name__}")
+    if groups.groups.size != data.n:
+        raise ValidationError("group assignment does not match dataset size")
 
 
 def _frontier_rows(data: Dataset) -> np.ndarray:
@@ -161,7 +167,7 @@ def _check(data: Dataset, evaluators, self_score, tie_break=simplex.OPTIMAL, den
 def _one(data: Dataset, d: int, groups: GroupAssignment | None = None):
     """DMU d's (theta, u, v): its self-score weights, or given ``groups`` its
     tie-break weights."""
-    if not isinstance(d, (int, np.integer)):
+    if not is_integer(d):
         raise ValidationError(f"DMU index must be an integer, got {d!r}")
     if not 0 <= d < data.n:
         raise IndexError(f"DMU index {d} out of range")
@@ -186,8 +192,10 @@ def secondary_goal_weights(data: Dataset, d: int, groups: GroupAssignment):
     """Weights for evaluator d that favor allies and penalize adversaries.
 
     Minimizes sum of ally slacks minus sum of adversary slacks over the
-    evaluator's optimal self-score weights; returns (u, v).
+    evaluator's optimal self-score weights; returns (u, v).  ``groups`` is
+    required: ``cross_efficiency_matrix`` alone reads None as one group.
     """
+    _check_groups(data, groups)
     return _one(data, d, groups)[1:]
 
 
@@ -205,7 +213,11 @@ def cross_efficiency_rows(data: Dataset, evaluators, u: np.ndarray, v: np.ndarra
 
 def cross_efficiency_matrix(data: Dataset,
                             groups: GroupAssignment | None = None) -> CrossEfficiencyMatrix:
-    """Full peer-appraisal matrix; diagonal entries are the CCR scores."""
+    """Full peer-appraisal matrix; diagonal entries are the CCR scores.
+
+    With no ``groups`` every DMU is in one ally group; this is the one place
+    that reads None so.
+    """
     if groups is None:
         groups = GroupAssignment.single_group(data.n)
     evaluators = np.arange(data.n)
@@ -230,7 +242,7 @@ def cluster_groups(data: Dataset, H: int) -> GroupAssignment:
     exact ties merge the lowest DMU indices.  Group ids follow lowest members.
     """
     n = data.n
-    if not isinstance(H, (int, np.integer)):
+    if not is_integer(H):
         raise ValidationError(f"cluster count must be an integer, got {H!r}")
     if not 1 <= H <= n:
         raise ValidationError(f"cluster count {H} out of range 1..{n}")

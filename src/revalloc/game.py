@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dataset import CrossEfficiencyMatrix, ValidationError, check_scores
+from .dataset import CrossEfficiencyMatrix, ValidationError, _floats, check_scores
 
 MAX_DMUS = 24            # hard cap: the two 2^n sums take 256 MB at n = 24, of which
                          # each process of a two-process game holds about 128 MB
@@ -58,11 +58,23 @@ class DegenerateDenominatorError(ArithmeticError):
 
 @dataclass(eq=False)
 class ShapleyTriple:
-    """Per-DMU lower / central / upper shares."""
+    """Per-DMU lower / central / upper shares, as float vectors of one length.
+
+    Rows of any array-like kind are read as floats: ParseError unless they
+    are numbers, ValidationError unless they are vectors of one length.
+    Their values are ``allocate``'s to check.
+    """
 
     phi_lower: np.ndarray
     phi: np.ndarray
     phi_upper: np.ndarray
+
+    def __post_init__(self):
+        rows = [_floats(row, "shares") for row in (self.phi_lower, self.phi, self.phi_upper)]
+        if any(row.shape != (rows[1].size,) for row in rows):
+            raise ValidationError("share rows must be vectors of one length, got shapes "
+                                  + ", ".join(str(row.shape) for row in rows))
+        self.phi_lower, self.phi, self.phi_upper = rows
 
     @property
     def n(self) -> int:

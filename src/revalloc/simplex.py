@@ -220,12 +220,11 @@ def _pivot(T: np.ndarray, lps: np.ndarray, rows: np.ndarray, cols: np.ndarray) -
     The entering variable's column becomes the leaving one's, a unit column
     in the pivot row.  The pivot row is scaled, and every other row whose
     factor exceeds PIVOT_TOL in magnitude takes away the scaled row times
-    that factor, all in one masked rank-1 update: the bits the full tableau
-    would hold.  ``lps`` is sorted without repeats; the other LPs are left as
-    they were.
+    that factor, all in one masked rank-1 update on the gathered LPs: the
+    bits the full tableau would hold.  ``lps`` is sorted without repeats;
+    the other LPs are left as they were.
     """
-    whole = lps.size == len(T)
-    S = T if whole else T[lps]
+    S = T[lps]
     i = np.arange(lps.size)
     p = S[i, rows, cols]
     factors = S[i, :, cols]
@@ -235,11 +234,9 @@ def _pivot(T: np.ndarray, lps: np.ndarray, rows: np.ndarray, cols: np.ndarray) -
     S[i, rows] /= p[:, None]
     pivot_rows = S[i, rows]
     eliminate = np.abs(factors) > PIVOT_TOL
-    for j in range(S.shape[2]):  # column by column: long inner loops over the rows
-        column = S[:, :, j]
-        np.subtract(column, factors * pivot_rows[:, j, None], out=column, where=eliminate)
-    if not whole:
-        T[lps] = S
+    np.subtract(S, factors[:, :, None] * pivot_rows[:, None, :], out=S,
+                where=eliminate[:, :, None])
+    T[lps] = S
 
 
 def _purge_artificials(stack: Stack, lp: int, art0: int) -> None:

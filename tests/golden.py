@@ -52,6 +52,21 @@ def cases() -> dict[str, list[str]]:
                                              "--revenue", revenue, *tail]
     runs["toy-shapley-input-json"] = ["shapley", "--input", "tests/data/toy_data.csv",
                                       "--clusters", "2", "--format", "json", "--no-timestamp"]
+    # the paths that read a groups file, a reference for calibrate, or a
+    # --matrix fixture beside --input (its ledger notes)
+    toy, tail = "tests/data/toy_data.csv", ["--format", "json", "--no-timestamp"]
+    runs["toy-pipeline-groups-json"] = ["pipeline", "--input", toy,
+                                        "--groups", "tests/data/toy_groups.csv",
+                                        "--revenue", "10000", *tail]
+    runs["toy-shapley-calibrate-json"] = ["shapley", "--input", toy, "--clusters", "2",
+                                          "--empty-coalition", "calibrate", "--reference",
+                                          "tests/data/toy_shares_reference.csv", *tail]
+    runs["toy-ccr-fixture-json"] = ["ccr", "--input", toy,
+                                    "--matrix", "tests/data/toy_matrix.csv", *tail]
+    runs["bank-crosseff-fixture-json"] = ["crosseff", "--input", "tests/data/bank_data.csv",
+                                          "--matrix", "tests/data/bank_matrix.csv",
+                                          "--clusters", "3", *tail,
+                                          "--out", "bank-crosseff-fixture-json.matrix.csv"]
     # Z05 has a zero input cell: its tie-break is unbounded (exit 4)
     runs["zero-cells-crosseff"] = ["crosseff", "--input", "tests/data/zero_cells.csv",
                                    "--clusters", "2", "--no-timestamp",

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from revalloc.allocation import AllocationError, allocate
-from revalloc.game import ShapleyTriple, shapley_triples
+from revalloc.dataset import ParseError, ValidationError
+from revalloc.game import ShapleyTriple, include_empty_coalition, shapley_triples
 
 
 def triple_of(lo, mid, up):
@@ -132,9 +133,17 @@ def test_share_rows_may_be_lists():
     ([0.1, 0.1], [0.2, 0.2], [{}, 0.3]),
 ])
 def test_rejects_shares_that_are_no_numbers(rows):
-    with pytest.raises(AllocationError) as err:
-        allocate(ShapleyTriple(*rows), 5.0)
+    with pytest.raises(ParseError) as err:
+        ShapleyTriple(*rows)
     assert str(err.value) == "shares must be numbers"
+
+
+def test_list_rows_make_a_triple_of_float_vectors():
+    tri = ShapleyTriple([0.1, 0.2], [0.2, 0.3], [0.3, 0.4])
+    assert tri.n == 2
+    assert tri.phi.dtype == float and tri.phi.shape == (2,)
+    assert include_empty_coalition(tri).phi.tolist() == [0.7, 0.8]
+    assert allocate(tri, 5.0).central.tolist() == [2.0, 3.0]
 
 
 def test_rejects_nonpositive_shares():
@@ -159,8 +168,10 @@ def test_rejects_nonfinite_shares(bad):
     ([0.1, 0.1], [0.2, 0.2], [[0.3, 0.3]]),
 ])
 def test_rejects_share_rows_of_unequal_shape(rows):
-    with pytest.raises(AllocationError, match="one length"):
-        allocate(triple_of(*rows), 10.0)
+    shapes = ", ".join(str(np.shape(row)) for row in rows)
+    with pytest.raises(ValidationError) as err:
+        ShapleyTriple(*rows)
+    assert str(err.value) == f"share rows must be vectors of one length, got shapes {shapes}"
 
 
 def test_rejects_a_name_count_that_does_not_match_the_shares():

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -24,6 +27,17 @@ from conftest import (
 )
 
 SCHEMA_PATH = Path(__file__).parent.parent / "docs" / "report_schema.json"
+SRC = Path(__file__).parent.parent / "src"
+
+# prints the top-level modules that importing the CLI adds, other than the
+# standard library's, numpy's and the package's own
+IMPORT_CHILD = """
+import sys
+before = set(sys.modules)
+import revalloc.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(*sorted(added - set(sys.stdlib_module_names) - {"numpy", "revalloc"}))
+"""
 
 
 def run(capsys, *argv):
@@ -435,3 +449,13 @@ def test_input_flags_a_run_does_not_read_exit_three(capsys, tmp_path, argv, erro
     assert error in err
     assert out == ""
     assert not artifact.exists()
+
+
+def test_cli_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency, and every CLI call pays for its
+    # imports at start-up; modules the interpreter's site loads do not count
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", IMPORT_CHILD], capture_output=True,
+                           text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == []

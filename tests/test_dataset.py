@@ -303,6 +303,11 @@ def dataset(**changes):
                  ValidationError, "group ids must be numbers, got [None, 1]", id="group-none"),
     pytest.param(lambda: GroupAssignment(groups=[1, 1], H=1.0),
                  ValidationError, "group count must be an integer, got 1.0", id="group-count"),
+    pytest.param(lambda: GroupAssignment(groups=[1, 1], H=True),
+                 ValidationError, "group count must be an integer, got True",
+                 id="group-count-bool"),
+    pytest.param(lambda: revalloc.ccr_efficiency(dataset(), True),
+                 ValidationError, "DMU index must be an integer, got True", id="index-bool"),
     pytest.param(lambda: revalloc.shapley_triples("abc"),
                  ParseError, "matrix entries must be numbers", id="scores-text"),
     pytest.param(lambda: check_scores(np.ones((2, 3))),

@@ -454,10 +454,22 @@ def test_group_assignment_size_checked(toy_dataset):
 
 
 def test_library_inputs_of_the_wrong_kind_raise_validation_error(toy_dataset):
-    with pytest.raises(ValidationError, match=r"^groups must be a GroupAssignment, got list$"):
-        dea.cross_efficiency_matrix(toy_dataset, [1, 1, 1, 1, 1])
-    with pytest.raises(ValidationError, match=r"^cluster count must be an integer, got 2\.0$"):
-        dea.cluster_groups(toy_dataset, 2.0)
+    ds, one = toy_dataset, GroupAssignment.single_group(toy_dataset.n)
+    for call, message in (
+        (lambda: dea.cross_efficiency_matrix(ds, [1, 1, 1, 1, 1]),
+         "groups must be a GroupAssignment, got list"),
+        # None would mean "no tie-break": the self-score weights
+        (lambda: dea.secondary_goal_weights(ds, 0, None),
+         "groups must be a GroupAssignment, got NoneType"),
+        (lambda: dea.cluster_groups(ds, 2.0), "cluster count must be an integer, got 2.0"),
+        (lambda: dea.cluster_groups(ds, True), "cluster count must be an integer, got True"),
+        (lambda: dea.ccr_efficiency(ds, True), "DMU index must be an integer, got True"),
+        (lambda: dea.secondary_goal_weights(ds, True, one),
+         "DMU index must be an integer, got True"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_cluster_trivial_cuts(toy_dataset):
