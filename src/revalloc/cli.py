@@ -42,6 +42,9 @@ EXIT_DEGENERATE = 4
 # computed values are printed at 2 decimals; half a print unit separates
 # "rounds the same" from a genuine mismatch against a fixture
 FIXTURE_TOL = 0.005
+# CSV cells are formatted at --precision decimals; 17 shows every digit of a
+# float in [0.1, 1), and a larger value would only pad each cell with zeros
+MAX_PRECISION = 17
 
 
 class _UsageError(Exception):
@@ -77,7 +80,7 @@ def build_parser() -> _Parser:
                        help="per-DMU reference shares CSV for calibrate")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--precision", type=_decimals, default=2,
-                       help="display decimals in CSV reports")
+                       help=f"display decimals in CSV reports (0-{MAX_PRECISION})")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte-identical reruns")
         p.add_argument("--out", type=_path,
@@ -94,7 +97,11 @@ def _path(text: str) -> str:
 def _decimals(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return int(text)
+    decimals = int(text)
+    if decimals > MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {MAX_PRECISION} decimals, got {text!r}")
+    return decimals
 
 
 # command -> (the flags it requires, in the order they are checked; the

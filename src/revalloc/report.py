@@ -10,11 +10,20 @@ suppressed.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+
+# hashlib loads OpenSSL (about 3.5 MB resident) for one small hash per
+# input file; CPython's built-in SHA-256 gives the same digest
+try:
+    from _sha2 import sha256   # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256   # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 TOOL_NAME = "revalloc"
 TOOL_VERSION = "0.1.0"
@@ -84,7 +93,7 @@ def _scalar(value):
 
 
 def sha256_of(path) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)

@@ -67,6 +67,9 @@ def cases() -> dict[str, list[str]]:
                                           "--matrix", "tests/data/bank_matrix.csv",
                                           "--clusters", "3", *tail,
                                           "--out", "bank-crosseff-fixture-json.matrix.csv"]
+    # neither --groups nor --clusters: one all-ally group
+    runs["bank-crosseff-onegroup-json"] = ["crosseff", "--input", "tests/data/bank_data.csv",
+                                           *tail, "--out", "bank-crosseff-onegroup-json.matrix.csv"]
     # Z05 has a zero input cell: its tie-break is unbounded (exit 4)
     runs["zero-cells-crosseff"] = ["crosseff", "--input", "tests/data/zero_cells.csv",
                                    "--clusters", "2", "--no-timestamp",

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from revalloc import dea, game
+from revalloc import dea, game, report
 from revalloc.cli import main
 
 import golden
@@ -29,15 +30,26 @@ from conftest import (
 SCHEMA_PATH = Path(__file__).parent.parent / "docs" / "report_schema.json"
 SRC = Path(__file__).parent.parent / "src"
 
-# prints the top-level modules that importing the CLI adds, other than the
-# standard library's, numpy's and the package's own
-IMPORT_CHILD = """
-import sys
+# imports the CLI, runs the argv lists given as JSON through ``cli.main``
+# and prints one JSON object: the top-level modules added by then, other
+# than the standard library's, numpy's and the package's own; whether
+# OpenSSL's ``_hashlib`` is loaded; and each run's exit code and stdout
+RUN_CHILD = """
+import contextlib, io, json, sys
 before = set(sys.modules)
-import revalloc.cli
+from revalloc.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append((main(argv), out.getvalue()))
 added = {name.partition(".")[0] for name in set(sys.modules) - before}
-print(*sorted(added - set(sys.stdlib_module_names) - {"numpy", "revalloc"}))
+print(json.dumps({"foreign": sorted(added - set(sys.stdlib_module_names) - {"numpy", "revalloc"}),
+                  "_hashlib": "_hashlib" in sys.modules, "runs": runs}))
 """
+# golden cases that hash every input role between them, after one bank pipeline
+HASHED_CASES = ("bank-pipeline-json", "toy-ccr-fixture-json", "toy-pipeline-groups-json",
+                "toy-shapley-calibrate-json")
 
 
 def run(capsys, *argv):
@@ -364,6 +376,15 @@ def test_negative_precision_is_usage_error(capsys):
         assert out == ""
 
 
+def test_precision_above_17_is_usage_error(capsys):
+    code, out, err = run(capsys, "allocate", "--matrix", TOY_MATRIX, "--revenue", 100,
+                         "--precision", "18")
+    assert code == 3
+    assert err.splitlines()[0] == (
+        "error: argument --precision: expected at most 17 decimals, got '18'")
+    assert out == ""
+
+
 def test_unknown_convention_is_usage_error(capsys):
     code, out, err = run(capsys, "shapley", "--matrix", TOY_MATRIX, "--empty-coalition", "bogus")
     assert code == 3
@@ -451,11 +472,66 @@ def test_input_flags_a_run_does_not_read_exit_three(capsys, tmp_path, argv, erro
     assert not artifact.exists()
 
 
-def test_cli_imports_only_the_standard_library_and_numpy():
-    # numpy is the one runtime dependency, and every CLI call pays for its
-    # imports at start-up; modules the interpreter's site loads do not count
+def run_child(argvs, *, cwd, preamble=""):
+    """Run ``RUN_CHILD`` in a fresh interpreter, with ``preamble`` first; its JSON."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, "-c", IMPORT_CHILD], capture_output=True,
-                           text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    child = subprocess.run([sys.executable, "-c", preamble + RUN_CHILD, json.dumps(argvs)],
+                           capture_output=True, text=True, timeout=60, cwd=cwd,
+                           env=dict(os.environ, PYTHONPATH=path))
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == []
+    return json.loads(child.stdout)
+
+
+@pytest.fixture(scope="module")
+def hashed_runs(tmp_path_factory):
+    """One fresh CLI process that runs ``HASHED_CASES`` in a copy of the test data."""
+    work = tmp_path_factory.mktemp("hashed")
+    shutil.copytree(golden.DATA, work / "tests" / "data",
+                    ignore=shutil.ignore_patterns("golden"))
+    cases = golden.cases()
+    return work, run_child([cases[name] for name in HASHED_CASES], cwd=work)
+
+
+def test_cli_imports_only_the_standard_library_and_numpy(hashed_runs):
+    # numpy is the one runtime dependency, and every CLI call pays for its
+    # imports at start-up; modules the interpreter's site loads do not
+    # count, and those a command loads as it runs do
+    _, child = hashed_runs
+    assert child["foreign"] == []
+    assert [code for code, _ in child["runs"]] == [0] * len(HASHED_CASES)
+
+
+def test_hashed_runs_never_load_openssl(hashed_runs):
+    # hashlib's _hashlib maps libcrypto (about 3.5 MB resident) into every
+    # CLI process; the built-in SHA-256 must give its digests without it
+    work, child = hashed_runs
+    assert child["_hashlib"] is False
+    roles = set()
+    for _, out in child["runs"]:
+        payload = json.loads(out)
+        for key, digest in payload["provenance"].items():
+            role = key.removesuffix("_sha256")
+            if role != key:
+                roles.add(role)
+                path = work / payload["config"][role]
+                assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), key
+    assert roles == {"input", "matrix", "groups", "reference"}
+
+
+def test_digests_fall_back_to_hashlib(tmp_path):
+    # an interpreter without the built-in modules hashes through hashlib
+    hide = 'import sys\nsys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+    argv = ["ccr", "--input", str(TOY_DATA), "--format", "json", "--no-timestamp"]
+    child = run_child([argv], cwd=tmp_path, preamble=hide)
+    [(code, out)] = child["runs"]
+    assert code == 0
+    assert child["_hashlib"] is True
+    provenance = json.loads(out)["provenance"]
+    assert provenance["input_sha256"] == hashlib.sha256(TOY_DATA.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("size", [0, 65536, 200_000])
+def test_sha256_of_matches_hashlib_at_chunk_boundaries(tmp_path, size):
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert report.sha256_of(path) == hashlib.sha256(path.read_bytes()).hexdigest()
