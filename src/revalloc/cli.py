@@ -107,7 +107,6 @@ def _decimals(text: str) -> int:
 # command -> (the flags it requires, in the order they are checked; the
 # input flags it reads; the stages whose results it reports).  "source"
 # means exactly one of --input and --matrix.
-STAGES = ("theta", "matrix", "shapley", "allocation")
 _DATASET = ("input", "matrix", "groups", "clusters")
 _GAME = _DATASET + ("empty_coalition", "reference")
 COMMANDS = {
@@ -115,7 +114,7 @@ COMMANDS = {
     "crosseff": (("input",), _DATASET, ("theta", "matrix")),
     "shapley": (("source",), _GAME, ("matrix", "shapley")),
     "allocate": (("revenue", "source"), _GAME + ("revenue",), ("matrix", "shapley", "allocation")),
-    "pipeline": (("input", "revenue"), _GAME + ("revenue",), STAGES),
+    "pipeline": (("input", "revenue"), _GAME + ("revenue",), tuple(report.CSV_SECTIONS)),
 }
 # every input flag, with its value when it is not given
 INPUT_FLAGS = {"input": None, "matrix": None, "groups": None, "clusters": None, "revenue": None,
@@ -132,8 +131,7 @@ EXIT_CODES = {
 }
 
 # config keys after "command", in report order, and the input files hashed
-CONFIG_KEYS = ("input", "matrix", "groups", "clusters", "revenue", "empty_coalition",
-               "reference", "format", "precision", "out")
+CONFIG_KEYS = (*INPUT_FLAGS, "format", "precision", "out")
 INPUT_FILES = ("input", "matrix", "groups", "reference")
 
 
@@ -219,10 +217,9 @@ def _run(args) -> report.Report:
         }
 
     return report.Report(
-        command=args.command,
         config={"command": args.command, **{key: getattr(args, key) for key in CONFIG_KEYS}},
         provenance=provenance,
-        results={stage: sections[stage] for stage in STAGES if stage in sections},
+        results=sections,
         discrepancies=ledger,
     )
 

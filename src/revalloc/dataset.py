@@ -11,8 +11,9 @@ File formats:
 * ``matrix.csv``  -- first row and first column are DMU names; cell (d, j)
   is evaluator d's score of target j.
 
-Blank lines are skipped everywhere, also before the header, and so is a
-UTF-8 byte-order mark at the start of a file or text stream.  The groups and
+Numbers are plain ASCII decimals, without ``_`` digit separators.  Blank
+lines are skipped everywhere, also before the header, and so is a UTF-8
+byte-order mark at the start of a file or text stream.  The groups and
 reference files name every DMU exactly once and no other DMU.
 """
 
@@ -90,7 +91,7 @@ class GroupAssignment:
         labels = np.asarray(self.groups)
         if labels.ndim != 1:
             raise ValidationError(f"group ids must form a vector, got shape {labels.shape}")
-        if labels.dtype.kind not in "biuf":
+        if labels.dtype.kind not in "iuf":
             raise ValidationError(f"group ids must be numbers, got {labels.tolist()}")
         if not is_integer(self.H):
             raise ValidationError(f"group count must be an integer, got {self.H!r}")
@@ -140,9 +141,13 @@ def is_integer(value) -> bool:
 
 
 def _floats(values, what: str) -> np.ndarray:
-    """``values`` as a float array; ParseError naming ``what`` unless they are numbers."""
+    """``values`` as a float array; ParseError naming ``what`` unless they are
+    numbers (a bool array is not)."""
     try:
-        return np.asarray(values, dtype=float)
+        values = np.asarray(values)
+        if values.dtype.kind == "b":
+            raise TypeError
+        return values.astype(float, copy=False)
     except (TypeError, ValueError):
         raise ParseError(f"{what} must be numbers") from None
 
@@ -209,9 +214,17 @@ def _validate_dataset(ds: Dataset) -> None:
             raise ParseError(f"negative {label} value")
 
 
+def _plain(convert, text: str):
+    """``convert(text)`` for an ASCII number; float() and int() would also take
+    digit separators ("1_5") and non-ASCII digits."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return convert(text)
+
+
 def _parse_cell(text: str, where: str) -> float:
     try:
-        value = float(text)
+        value = _plain(float, text)
     except ValueError:
         raise ParseError(f"malformed number {text!r} at {where}") from None
     if math.isnan(value) or math.isinf(value):
@@ -235,6 +248,7 @@ def _read_rows(source) -> list[tuple[int, list[str]]]:
 
 
 def _write_rows(dest, rows) -> None:
+    # csv writes a float as its repr, the shortest text that reads back to the same bits
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             return _write_rows(fh, rows)
@@ -279,7 +293,7 @@ def write_dataset(ds: Dataset, dest) -> None:
     """Write a Dataset as ``dataset.csv``; raw values round-trip bit-exactly."""
     header = ["dmu"] + [f"x:{c}" for c in ds.input_names] + [f"y:{c}" for c in ds.output_names]
     _write_rows(dest, [header] + [
-        [name] + [repr(v) for v in xs + ys]
+        [name] + xs + ys
         for name, xs, ys in zip(ds.names, ds.raw_inputs.tolist(), ds.raw_outputs.tolist())
     ])
 
@@ -312,7 +326,7 @@ def _read_keyed(source, names: list[str], kind: str, column: str, parse) -> list
 
 def _parse_group(text: str, where: str) -> int:
     try:
-        gid = int(text)
+        gid = _plain(int, text)
     except ValueError:
         raise ParseError(f"{where}: group id {text!r} is not an integer") from None
     if gid < 1:
@@ -360,5 +374,5 @@ def load_matrix(source) -> CrossEfficiencyMatrix:
 def write_matrix(matrix: CrossEfficiencyMatrix, dest) -> None:
     """Write ``matrix.csv`` at full float precision, so reloading gives the same bits."""
     _write_rows(dest, [["dmu"] + matrix.names] + [
-        [name] + [repr(v) for v in row] for name, row in zip(matrix.names, matrix.values.tolist())
+        [name] + row for name, row in zip(matrix.names, matrix.values.tolist())
     ])

@@ -28,9 +28,9 @@ except ImportError:
 TOOL_NAME = "revalloc"
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 2
-# The CSV rows of each results section, in CSV order: (scalar keys, one
-# "<section>_meta" row each; per-DMU keys, whose entries for one DMU, a
-# number or a row of them, fill that DMU's "<section>" row)
+# The results sections in report order, and the CSV rows of each: (scalar
+# keys, one "<section>_meta" row each; per-DMU keys, whose entries for one
+# DMU, a number or a row of them, fill that DMU's "<section>" row)
 CSV_SECTIONS = {
     "theta": ((), ("values",)),
     "matrix": ((), ("values",)),
@@ -41,8 +41,7 @@ CSV_SECTIONS = {
 
 @dataclass(eq=False)
 class Report:
-    command: str
-    config: dict
+    config: dict   # "command" first
     provenance: dict
     results: dict
     discrepancies: list = field(default_factory=list)
@@ -50,10 +49,10 @@ class Report:
     def to_json(self) -> str:
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "command": self.command,
+            "command": self.config["command"],
             "config": self.config,
             "provenance": self.provenance,
-            "results": self.results,
+            "results": {s: self.results[s] for s in CSV_SECTIONS if s in self.results},
             "discrepancy_ledger": self.discrepancies,
         }
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
@@ -63,11 +62,11 @@ class Report:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["section", "key", "values"])
         w.writerow(["meta", "schema_version", SCHEMA_VERSION])
-        w.writerow(["meta", "command", self.command])
+        w.writerow(["meta", "command", self.config["command"]])
         for key in sorted(self.config):
-            w.writerow(["config", key, _scalar(self.config[key])])
+            w.writerow(["config", key, self.config[key]])
         for key in sorted(self.provenance):
-            w.writerow(["provenance", key, _scalar(self.provenance[key])])
+            w.writerow(["provenance", key, self.provenance[key]])
         for idx, note in enumerate(self.discrepancies):
             w.writerow(["discrepancy", idx, note])
 
@@ -76,20 +75,14 @@ class Report:
                 continue
             part = self.results[section]
             for key in scalars:
-                w.writerow([f"{section}_meta", key, _scalar(part[key])])
+                w.writerow([f"{section}_meta", key, part[key]])
             for i, name in enumerate(part["names"]):
                 row = []
                 for key in per_dmu:
                     entry = part[key][i]   # a number, or a matrix row of them
                     row += entry if isinstance(entry, list) else [entry]
-                w.writerow([section, name] + [f"{float(v):.{precision}f}" for v in row])
+                w.writerow([section, name] + [f"{v:.{precision}f}" for v in row])
         return out.getvalue()
-
-
-def _scalar(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
 
 
 def sha256_of(path) -> str:

@@ -120,7 +120,7 @@ def test_blank_name_in_matrix_header_rejected():
         load_matrix(make_csv("dmu,A, \nA,1,0.5\n ,0.5,1"))
 
 
-@pytest.mark.parametrize("cell", ["-1", "nan", "inf", "oops"])
+@pytest.mark.parametrize("cell", ["-1", "nan", "inf", "oops", "1_5", "\u0663"])
 def test_bad_cells_are_parse_errors(cell):
     with pytest.raises(ParseError):
         load_dataset(make_csv(f"dmu,x:a,y:c\nA,{cell},2\nB,2,3"))
@@ -184,6 +184,33 @@ def test_matrix_round_trip_full_precision(tmp_path, bank_matrix):
     write_matrix(m, path)
     back = load_matrix(path)
     assert (back.values == values).all()
+
+
+def test_edge_floats_round_trip_bit_exactly(tmp_path):
+    # signed zero, subnormal and smallest normal, tiny, inexact, and one ulp below 1
+    values = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1e-17, 0.1, 1 / 3,
+                       1 - 2**-53, 1.0, 0.5]).reshape(3, 3)
+    path = tmp_path / "m.csv"
+    write_matrix(revalloc.CrossEfficiencyMatrix(names=["a", "b", "c"], values=values), path)
+    assert path.read_text(encoding="utf-8") == (
+        "dmu,a,b,c\n"
+        "a,-0.0,5e-324,2.2250738585072014e-308\n"
+        "b,1e-17,0.1,0.3333333333333333\n"
+        "c,0.9999999999999999,1.0,0.5\n")
+    assert load_matrix(path).values.tobytes() == values.tobytes()
+
+    ds = revalloc.Dataset(names=["A", "B"], input_names=["in"], output_names=["out"],
+                          raw_inputs=[[1e16], [123456789.12345679]],
+                          raw_outputs=[[1e-300], [1e16]])
+    path = tmp_path / "ds.csv"
+    write_dataset(ds, path)
+    assert path.read_text(encoding="utf-8") == (
+        "dmu,x:in,y:out\n"
+        "A,1e+16,1e-300\n"
+        "B,123456789.12345679,1e+16\n")
+    back = load_dataset(path)
+    assert back.raw_inputs.tobytes() == ds.raw_inputs.tobytes()
+    assert back.raw_outputs.tobytes() == ds.raw_outputs.tobytes()
 
 
 def test_load_groups_round_trip(toy_dataset):
@@ -286,6 +313,8 @@ def dataset(**changes):
                  ParseError, "negative output value", id="negative"),
     pytest.param(lambda: dataset(raw_inputs=[["a"], [2.0]]),
                  ParseError, "input values must be numbers", id="text-data"),
+    pytest.param(lambda: dataset(raw_inputs=np.array([[True], [True]])),
+                 ParseError, "input values must be numbers", id="bool-data"),
     pytest.param(lambda: revalloc.ccr_efficiency(dataset(), 1.0),
                  ValidationError, "DMU index must be an integer, got 1.0", id="index-type"),
     pytest.param(lambda: revalloc.CrossEfficiencyMatrix(names=["A"], values=np.eye(2)),
@@ -301,6 +330,9 @@ def dataset(**changes):
                  id="group-2d"),
     pytest.param(lambda: GroupAssignment(groups=[None, 1], H=1),
                  ValidationError, "group ids must be numbers, got [None, 1]", id="group-none"),
+    pytest.param(lambda: GroupAssignment(groups=[True, True], H=1),
+                 ValidationError, "group ids must be numbers, got [True, True]",
+                 id="group-bool"),
     pytest.param(lambda: GroupAssignment(groups=[1, 1], H=1.0),
                  ValidationError, "group count must be an integer, got 1.0", id="group-count"),
     pytest.param(lambda: GroupAssignment(groups=[1, 1], H=True),
@@ -310,6 +342,8 @@ def dataset(**changes):
                  ValidationError, "DMU index must be an integer, got True", id="index-bool"),
     pytest.param(lambda: revalloc.shapley_triples("abc"),
                  ParseError, "matrix entries must be numbers", id="scores-text"),
+    pytest.param(lambda: revalloc.shapley_triples(np.array([[True, False], [True, True]])),
+                 ParseError, "matrix entries must be numbers", id="scores-bool"),
     pytest.param(lambda: check_scores(np.ones((2, 3))),
                  ValidationError, "matrix must be square, got shape (2, 3)", id="scores-shape"),
     pytest.param(lambda: check_scores([[1.0, np.nan], [0.5, 1.0]]),
@@ -325,6 +359,12 @@ def dataset(**changes):
     pytest.param(lambda: load_groups(make_csv("dmu,group\nA,one"), ["A"]),
                  ParseError, "groups line 2: group id 'one' is not an integer",
                  id="group-id"),
+    pytest.param(lambda: load_groups(make_csv("dmu,group\nA,1_0"), ["A"]),
+                 ParseError, "groups line 2: group id '1_0' is not an integer",
+                 id="group-id-separator"),
+    pytest.param(lambda: load_dataset(make_csv("dmu,x:a,y:c\nA,1_5,2")),
+                 ParseError, "malformed number '1_5' at line 2, column 'x:a'",
+                 id="cell-separator"),
     pytest.param(lambda: load_matrix(io.StringIO("")),
                  ParseError, "empty matrix file", id="empty-matrix"),
     pytest.param(lambda: load_matrix(make_csv("dmu,A,B\nA,1,0.5\nB,0.5")),
@@ -332,6 +372,9 @@ def dataset(**changes):
     pytest.param(lambda: load_matrix(make_csv("dmu,A,B\nA,1,0.5\nC,0.5,1")),
                  ValidationError, "row name 'C' does not match column name 'B'",
                  id="row-name"),
+    pytest.param(lambda: load_matrix(make_csv("dmu,A\nA,\u0660.\u0665")),
+                 ParseError, "malformed number '\u0660.\u0665' at matrix cell (A, A)",
+                 id="matrix-cell-digits"),
 ])
 def test_each_check_names_its_fault(build, error, message):
     with pytest.raises(error) as err:
