@@ -80,13 +80,14 @@ code, sets a shared done flag once its side returns, and leaves through
 
 Mask bits n - 1 and n - 2 cut the sums into quarters Q0..Q3.  Side A
 reads Q0 and Q1 for players 0..n - 2, then Q0 and Q2 for player n - 1;
-side B reads Q2 and Q3, then Q1 and Q3.  So once a helper runs, each side
-releases the quarter of both sums it has finished with (Q1 on side A, Q2
-on side B) just before player n - 1's blocks, and holds half the sums at
-a time instead of three quarters.  ``_release`` drops whole pages only,
-from this process's page tables: the data stays in the shared mapping,
-and a later read would map it back.  Without a helper the caller reads
-every quarter and releases nothing.
+side B reads Q2 and Q3, then Q1 and Q3.  So in any game of two or more
+blocks per column, each side releases the quarter of both sums it has
+finished with (Q1 on side A, Q2 on side B) just before player n - 1's
+blocks; with a helper, each process holds half the sums at a time
+instead of three quarters.  ``_release`` drops whole pages only, from
+this process's page tables: the data stays in the shared mapping, and a
+later read maps it back.  Where both sides run in the caller, side B's
+player n - 1 so maps back the Q1 that side A released.
 
 The views of players 1 and 2 below the block bits run 2 or 4 entries
 contiguous; numpy walks them column by column (``order="F"``, from
@@ -143,8 +144,8 @@ class _ColumnBlocks:
     ``tmax``/``tmin`` hold the max/min of ``E[d, j]`` over the block's
     subsets.  ``views(j, ...)`` shapes block buffers like those views, and
     ``order(j)`` is the order numpy walks them in.  The buffers are
-    allocated once, for every column.  ``helper`` is set once a helper
-    runs side B; ``release(hs)`` then drops side ``hs``'s finished quarter.
+    allocated once, for every column.  ``release(hs)`` drops side ``hs``'s
+    finished quarter of the sums.
     """
 
     def __init__(self, E: np.ndarray):
@@ -152,7 +153,6 @@ class _ColumnBlocks:
         self.E, self.bits = E, min(_BLOCK_BITS, n - 1)
         self.size, self.nblocks = 1 << self.bits, 1 << (n - 1 - self.bits)
         self.sums = _shared(n, (2, 1 << n))
-        self.helper = False
         self.tmax, self.tmin = np.empty(self.size), np.empty(self.size)
         self.low_max, self.low_min = np.empty(self.size), np.empty(self.size)
         self.high_max, self.high_min = np.empty(self.nblocks), np.empty(self.nblocks)
@@ -265,7 +265,6 @@ def _in_halves(blocks: _ColumnBlocks, table, shares) -> None:
         shares(0)
         shares(1)
         return
-    blocks.helper = True   # in both processes, so that each side releases its finished quarter
     caller_in, helper_out, helper_in, caller_out = fds
     if pid == 0:
         code = 1
@@ -318,14 +317,14 @@ def _add_columns(blocks: _ColumnBlocks, block_ranges) -> None:
             blocks.sums[:, 1 << j] = 1.0
 
 
-def _player_sums(blocks: _ColumnBlocks, weights, tol, players, hs, parts):
-    """Share sums of ``players`` over their blocks ``hs`` into ``parts``, a
+def _player_sums(blocks: _ColumnBlocks, weights, tol, hs, parts):
+    """Share sums of every player over its blocks ``hs`` into ``parts``, a
     (3, n, nblocks) array of (phi, phi_upper, phi_lower) partial sums per
     player and block; returns the first offender (player, mask) or (-1, -1).
 
-    Stops at the first offender, leaving the later entries zero.  With a
-    helper running, releases the quarter of the sums side ``hs`` has
-    finished with just before player n - 1's blocks.
+    Stops at the first offender, leaving the later entries zero.  With two
+    or more blocks per column, releases the quarter of the sums side ``hs``
+    has finished with just before player n - 1's blocks.
     """
     size = blocks.size
     # |S| and w[|S|] within a block, one row per count of high members
@@ -336,8 +335,8 @@ def _player_sums(blocks: _ColumnBlocks, weights, tol, players, hs, parts):
     pc_high = _popcounts(blocks.nblocks)
     tmax, tmin, w_e = blocks.tmax, blocks.tmin, np.empty(size)
     den_mid, den_up, den_lo = np.empty(size), np.empty(size), np.empty(size)
-    for i in players:
-        if i == len(blocks.E) - 1 and blocks.helper:
+    for i in range(len(blocks.E)):
+        if i == len(blocks.E) - 1 and blocks.nblocks > 1:
             blocks.release(hs)
         tmax_v, tmin_v, mid, up, lo = blocks.views(i, tmax, tmin, den_mid, den_up, den_lo)
         order = blocks.order(i)
@@ -396,7 +395,7 @@ def shapley_sums(E, weights, tol):
         _add_columns(blocks, [halves[k]] * (n - 1) + [last])
 
     def shares(k):
-        bad[k] = _player_sums(blocks, weights, tol, range(n), halves[k], parts)
+        bad[k] = _player_sums(blocks, weights, tol, halves[k], parts)
 
     _in_halves(blocks, table, shares)
     out = np.zeros(parts.shape[:2])

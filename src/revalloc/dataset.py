@@ -4,7 +4,8 @@ File formats:
 
 * ``dataset.csv`` -- header ``dmu,x:<name>,...,y:<name>,...``; one row per
   DMU; UTF-8, comma separated, ``.`` decimal point.  Input/output columns
-  are identified by the ``x:`` / ``y:`` header prefix, not by position.
+  are identified by the ``x:`` / ``y:`` header prefix, not by position;
+  the input names, and the output names, are unique and not blank.
 * ``groups.csv``  -- header ``dmu,group``; group ids are positive integers
   covering 1..H with no gaps.
 * reference shares -- header ``dmu,phi``; a nonnegative share per DMU.
@@ -142,10 +143,10 @@ def is_integer(value) -> bool:
 
 def _floats(values, what: str) -> np.ndarray:
     """``values`` as a float array; ParseError naming ``what`` unless they are
-    numbers (a bool array is not)."""
+    numbers (a bool, complex or string array is not)."""
     try:
         values = np.asarray(values)
-        if values.dtype.kind == "b":
+        if values.dtype.kind in "bcUS":
             raise TypeError
         return values.astype(float, copy=False)
     except (TypeError, ValueError):
@@ -180,16 +181,17 @@ def normalize(raw_inputs, raw_outputs):
     return raw_inputs / raw_inputs.sum(axis=0), raw_outputs / raw_outputs.sum(axis=0)
 
 
-def _check_unique_names(names: list[str]) -> None:
+def _check_unique_names(names: list[str], what: str = "DMU") -> None:
+    """ValidationError unless ``names`` are strings, none blank and none repeated."""
     odd = [name for name in names if not isinstance(name, str)]
     if odd:
-        raise ValidationError(f"DMU names must be strings, got {odd[0]!r}")
+        raise ValidationError(f"{what} names must be strings, got {odd[0]!r}")
     blank = [k for k, name in enumerate(names, start=1) if not name.strip()]
     if blank:
-        raise ValidationError(f"DMU {blank[0]} of {len(names)} has a blank name")
+        raise ValidationError(f"{what} {blank[0]} of {len(names)} has a blank name")
     if len(set(names)) != len(names):
         dupes = sorted({x for x in names if names.count(x) > 1})
-        raise ValidationError(f"duplicate DMU names: {dupes}")
+        raise ValidationError(f"duplicate {what} names: {dupes}")
 
 
 def _validate_dataset(ds: Dataset) -> None:
@@ -207,6 +209,8 @@ def _validate_dataset(ds: Dataset) -> None:
         raise ValidationError("input name count does not match input columns")
     if len(ds.output_names) != ds.raw_outputs.shape[1]:
         raise ValidationError("output name count does not match output columns")
+    _check_unique_names(ds.input_names, "input")
+    _check_unique_names(ds.output_names, "output")
     for label, mat in (("input", ds.raw_inputs), ("output", ds.raw_outputs)):
         if not np.isfinite(mat).all():
             raise ParseError(f"non-finite {label} value")

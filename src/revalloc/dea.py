@@ -52,18 +52,18 @@ class CcrResult:
 
 def _scores(data: Dataset, evaluators, groups: GroupAssignment | None = None):
     """Solve the evaluators' self-score LPs as one stack and, given ``groups``,
-    their tie-breaks on its optimal faces; returns (theta, x, self-score
-    statuses, tie-break statuses).
+    their tie-breaks on that stack restricted to its optimal faces; returns
+    (theta, x, self-score statuses, tie-break statuses).
 
     Variables are u_1..u_s, v_1..v_m; evaluator d's rows are
     Y_j u - X_j v <= 0 for every DMU j of ``_frontier_rows`` and X_d v = 1.
     Row l of x holds (u, v) of ``evaluators[l]``: its tie-break weights
     given ``groups``, else its self-score weights.  theta and x mean nothing
-    for an LP whose status is not optimal; with no ``groups`` every
-    tie-break status is OPTIMAL.
+    for an LP whose status is not optimal.  The tie-break statuses are the
+    stack's own, so a failed self-score LP keeps its status there too, and
+    with no ``groups`` they are the self-score statuses.  ``groups`` is
+    taken as checked.
     """
-    if groups is not None:
-        _check_groups(data, groups)
     X, Y = data.norm_inputs, data.norm_outputs
     rows = _frontier_rows(data)
     A = np.zeros((len(evaluators), rows.size + 1, data.s + data.m))
@@ -72,16 +72,16 @@ def _scores(data: Dataset, evaluators, groups: GroupAssignment | None = None):
     b = np.zeros(rows.size + 1)
     b[-1] = 1.0
     stack = simplex.phase_one(A, b, ["<="] * rows.size + ["="])
-    stack.optimize(np.hstack([-Y[evaluators], np.zeros((len(evaluators), data.m))]))
+    self_score = stack.optimize(np.hstack([-Y[evaluators],
+                                           np.zeros((len(evaluators), data.m))])).copy()
     x = stack.point()
     theta = _products(Y[evaluators], x[:, :data.s])
     theta[(theta > 1.0) & (theta <= 1.0 + _DUST)] = 1.0
-    tie_break = simplex.OPTIMAL
     if groups is not None:
-        face = stack.optimal_face()
-        tie_break = face.optimize(_tie_break_costs(data, evaluators, groups))
-        x = face.point()
-    return theta, x, stack.status, tie_break
+        stack.optimal_face()
+        stack.optimize(_tie_break_costs(data, evaluators, groups))
+        x = stack.point()
+    return theta, x, self_score, stack.status
 
 
 def _check_groups(data: Dataset, groups) -> None:
@@ -220,6 +220,7 @@ def cross_efficiency_matrix(data: Dataset,
     """
     if groups is None:
         groups = GroupAssignment.single_group(data.n)
+    _check_groups(data, groups)
     evaluators = np.arange(data.n)
     theta, x, self_score, tie_break = _scores(data, evaluators, groups)
     E = cross_efficiency_rows(data, evaluators, x[:, :data.s], x[:, data.s:],

@@ -61,8 +61,8 @@ class ShapleyTriple:
     """Per-DMU lower / central / upper shares, as float vectors of one length.
 
     Rows of any array-like kind are read as floats: ParseError unless they
-    are numbers, ValidationError unless they are vectors of one length.
-    Their values are ``allocate``'s to check.
+    are numbers, ValidationError unless they are nonempty vectors of one
+    length.  Their values are ``allocate``'s to check.
     """
 
     phi_lower: np.ndarray
@@ -74,6 +74,8 @@ class ShapleyTriple:
         if any(row.shape != (rows[1].size,) for row in rows):
             raise ValidationError("share rows must be vectors of one length, got shapes "
                                   + ", ".join(str(row.shape) for row in rows))
+        if rows[1].size == 0:
+            raise ValidationError("share rows need at least one DMU")
         self.phi_lower, self.phi, self.phi_upper = rows
 
     @property

@@ -18,12 +18,13 @@ is the single-LP path.
 
 ``phase_one`` builds the stack of ``A x (<=|=|>=) b, x >= 0`` from arrays
 and finds a feasible basis for each LP; ``Stack.optimize`` runs phase 2
-for one cost vector per LP; ``Stack.optimal_face`` bars the columns that
-cannot move without leaving the optimum, so a second ``optimize`` picks
-among the first one's optimal points (a secondary goal); ``Stack.point``
-reads the structural variables off the right-hand side.  Each LP keeps its
-own status.  ``solve`` chains the three for one LP; the package builds its
-stacks with ``phase_one`` and never calls it.
+for one cost vector per LP; ``Stack.optimal_face`` bars, in place, the
+columns that cannot move without leaving the optimum, so a second
+``optimize`` of the same stack picks among the first one's optimal points
+(a secondary goal); ``Stack.point`` reads the structural variables off the
+right-hand side.  Each LP keeps its own status.  ``solve`` chains the
+three for one LP; the package builds its stacks with ``phase_one`` and
+never calls it.
 """
 
 from __future__ import annotations
@@ -72,10 +73,12 @@ class Stack:
     n: int                # structural variables
 
     def optimize(self, cost) -> np.ndarray:
-        """Minimize cost[l] . x for every OPTIMAL LP l from its current basis; returns the statuses.
+        """Minimize cost[l] . x for every OPTIMAL LP l from its current basis; returns ``status``.
 
         ``cost`` gives each LP's cost over the structural variables, or one
         vector for all of them; ValueError if it is neither or not finite.
+        The statuses are the stack's own array, which a later ``optimize``
+        updates.
         """
         T, basis, nonbasic = self.T, self.basis, self.nonbasic
         cost = np.asarray(cost, dtype=float)
@@ -96,17 +99,14 @@ class Stack:
         self.status[lps[_iterate(self, lps)]] = UNBOUNDED
         return self.status
 
-    def optimal_face(self) -> "Stack":
-        """The stack restricted to the optimal points of each LP's last ``optimize``.
+    def optimal_face(self) -> None:
+        """Restrict the stack, in place, to the optimal points of each LP's last ``optimize``.
 
         A nonbasic column with a reduced cost above TOL would lower the
         objective by that much per unit, so it is held at zero on the face.
         It is barred rather than deleted, since each LP holds other columns.
-        The stack itself is left as it was.
         """
-        return Stack(T=self.T.copy(), basis=self.basis.copy(), nonbasic=self.nonbasic.copy(),
-                     barred=self.barred | (self.T[:, -1, :-1] > TOL),
-                     status=self.status.copy(), n=self.n)
+        self.barred |= self.T[:, -1, :-1] > TOL
 
     def point(self) -> np.ndarray:
         """The structural variables of each LP's current basic solution, one row per LP."""

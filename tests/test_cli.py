@@ -84,6 +84,19 @@ def test_malformed_dataset_is_validation_error(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dmu,x:a,x:a,y:b\nA,1,1,3\nB,2,2,3\n", "duplicate input names: ['a']"),
+    ("dmu,x:a,y:b,y:b\nA,1,3,3\nB,2,3,3\n", "duplicate output names: ['b']"),
+    ("dmu,x:,y:b\nA,1,3\nB,2,3\n", "input 1 of 1 has a blank name"),
+], ids=["input-repeated", "output-repeated", "input-blank"])
+def test_repeated_or_blank_column_names_exit_three(capsys, tmp_path, text, message):
+    # a copy-pasted input column would otherwise be modelled as a second input
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    code, _, err = run(capsys, "ccr", "--input", bad)
+    assert code == 3 and message in err
+
+
 def test_crosseff_writes_matrix(capsys, tmp_path):
     out_path = tmp_path / "m.csv"
     code, out, _ = run(capsys, "crosseff", "--input", TOY_DATA, "--clusters", 2,

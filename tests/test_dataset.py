@@ -315,6 +315,22 @@ def dataset(**changes):
                  ParseError, "input values must be numbers", id="text-data"),
     pytest.param(lambda: dataset(raw_inputs=np.array([[True], [True]])),
                  ParseError, "input values must be numbers", id="bool-data"),
+    pytest.param(lambda: dataset(raw_inputs=np.array([[1.0 + 0j], [2.0 + 0j]])),
+                 ParseError, "input values must be numbers", id="complex-data"),
+    pytest.param(lambda: dataset(raw_outputs=np.array([[b"3"], [b"4"]])),
+                 ParseError, "output values must be numbers", id="bytes-data"),
+    pytest.param(lambda: dataset(input_names=["a", "a"], raw_inputs=[[1.0, 1.0], [2.0, 3.0]]),
+                 ValidationError, "duplicate input names: ['a']", id="input-name-repeated"),
+    pytest.param(lambda: dataset(output_names=[" "]),
+                 ValidationError, "output 1 of 1 has a blank name", id="output-name-blank"),
+    pytest.param(lambda: load_dataset(make_csv("dmu,x:a,x:a,y:b\nA,1,2,3")),
+                 ValidationError, "duplicate input names: ['a']", id="input-column-repeated"),
+    pytest.param(lambda: load_dataset(make_csv("dmu,x:,y:\nA,1,2")),
+                 ValidationError, "input 1 of 1 has a blank name", id="input-column-blank"),
+    pytest.param(lambda: revalloc.ShapleyTriple([], [], []),
+                 ValidationError, "share rows need at least one DMU", id="triple-empty"),
+    pytest.param(lambda: revalloc.ShapleyTriple(["0.5", "1"], [0.6, 1.0], [0.7, 1.0]),
+                 ParseError, "shares must be numbers", id="triple-text"),
     pytest.param(lambda: revalloc.ccr_efficiency(dataset(), 1.0),
                  ValidationError, "DMU index must be an integer, got 1.0", id="index-type"),
     pytest.param(lambda: revalloc.CrossEfficiencyMatrix(names=["A"], values=np.eye(2)),
@@ -344,6 +360,10 @@ def dataset(**changes):
                  ParseError, "matrix entries must be numbers", id="scores-text"),
     pytest.param(lambda: revalloc.shapley_triples(np.array([[True, False], [True, True]])),
                  ParseError, "matrix entries must be numbers", id="scores-bool"),
+    pytest.param(lambda: revalloc.shapley_triples([["1", "0.5"], ["0.5", "1"]]),
+                 ParseError, "matrix entries must be numbers", id="scores-numeric-text"),
+    pytest.param(lambda: revalloc.shapley_triples(np.eye(2, dtype=complex)),
+                 ParseError, "matrix entries must be numbers", id="scores-complex"),
     pytest.param(lambda: check_scores(np.ones((2, 3))),
                  ValidationError, "matrix must be square, got shape (2, 3)", id="scores-shape"),
     pytest.param(lambda: check_scores([[1.0, np.nan], [0.5, 1.0]]),

@@ -212,6 +212,25 @@ def test_matrix_solves_each_self_score_lp_once(bank_dataset, monkeypatch):
     assert pivots <= 160
 
 
+def test_a_dea_call_builds_one_stack(bank_dataset, monkeypatch):
+    # the tie-break runs on the self-score stack, restricted in place to its
+    # optimal face; a copied face made a second stack per grouped call
+    built = []
+    stack = simplex.Stack
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return stack(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "Stack", counted)
+    groups = dea.cluster_groups(bank_dataset, 3)
+    for call in (lambda: dea.ccr_all(bank_dataset),
+                 lambda: dea.cross_efficiency_matrix(bank_dataset, groups)):
+        built.clear()
+        call()
+        assert len(built) == 1
+
+
 def one_evaluator_at_a_time(ds, groups):
     """ccr_all's fields and the matrix, built evaluator by evaluator through
     ``ccr_efficiency`` and ``secondary_goal_weights`` (stacks of one LP)."""
@@ -371,16 +390,15 @@ def full_row_scores(ds, groups=None):
     b = np.zeros(n + 1)
     b[-1] = 1.0
     stack = simplex.phase_one(A, b, ["<="] * n + ["="])
-    stack.optimize(np.hstack([-Y, np.zeros((n, ds.m))]))
+    self_score = stack.optimize(np.hstack([-Y, np.zeros((n, ds.m))])).copy()
     x = stack.point()
     theta = dea._products(Y, x[:, :ds.s])
     theta[(theta > 1.0) & (theta <= 1.0 + 1e-12)] = 1.0
-    tie_break = simplex.OPTIMAL
     if groups is not None:
-        face = stack.optimal_face()
-        tie_break = face.optimize(dea._tie_break_costs(ds, np.arange(n), groups))
-        x = face.point()
-    return theta, x, stack.status, tie_break
+        stack.optimal_face()
+        stack.optimize(dea._tie_break_costs(ds, np.arange(n), groups))
+        x = stack.point()
+    return theta, x, self_score, stack.status
 
 
 def matrix_outcome(build):

@@ -481,8 +481,8 @@ def test_sides_split_every_player_block_once(n, block_bits, forks, monkeypatch):
     def add_columns(blocks, block_ranges):
         table_calls.append([list(hs) for hs in block_ranges])
 
-    def player_sums(blocks, weights, tol, players, hs, parts):
-        share_calls.append((list(players), list(hs)))
+    def player_sums(blocks, weights, tol, hs, parts):
+        share_calls.append(list(hs))
         return -1, -1
     monkeypatch.setattr(_kernels, "_add_columns", add_columns)
     monkeypatch.setattr(_kernels, "_player_sums", player_sums)
@@ -494,36 +494,38 @@ def test_sides_split_every_player_block_once(n, block_bits, forks, monkeypatch):
     assert len(table_calls) == 2
     assert sorted((j, h) for call in table_calls for j, hs in enumerate(call)
                   for h in hs) == every
-    # the shares: one call per side, behind the barrier, for every player
-    assert [players for players, _ in share_calls] == [list(range(n))] * 2
-    covered = [(i, h) for players, hs in share_calls for i in players for h in hs]
-    assert sorted(covered) == every
-    per_side = [len(players) * len(hs) for players, hs in share_calls]
-    assert per_side[0] == per_side[1] == n * nblocks // 2
+    # the shares: one call per side, behind the barrier, each for every player
+    assert len(share_calls) == 2
+    assert sorted((i, h) for hs in share_calls for i in range(n) for h in hs) == every
+    assert len(share_calls[0]) == len(share_calls[1]) == nblocks // 2
     # each side's shares walk the block half its table wrote, so players
     # 0..n - 2 read only that half of the sums
     for k in (0, 1):
-        assert share_calls[k][1] == table_calls[k][0]
+        assert share_calls[k] == table_calls[k][0]
 
 
 def test_only_a_split_game_releases(forks, monkeypatch):
-    # with no helper the caller reads every quarter and releases none; with
-    # one, the caller releases its finished quarter of each sum once (the
-    # helper its own, out of sight here)
-    n = 16
-    E = random_game(n, 101)
+    # a game of two or more blocks per column splits into two block halves,
+    # and each side releases its finished quarter of each sum once, whether
+    # or not a helper runs: with none the caller releases both sides'
+    # quarters, with one only side A's (the helper its own, out of sight
+    # here).  With one block per column (n <= 15) side A is empty and
+    # nothing is released, even where a helper is forced.
     released, real = [], _kernels._release
 
     def record(a):
         released.append(a.size)
         real(a)
     monkeypatch.setattr(_kernels, "_release", record)
-    forks(False)
-    _kernels.shapley_sums(E, coalition_weights(n), DENOM_TOL)
-    assert released == []
-    forks(True)
-    _kernels.shapley_sums(E, coalition_weights(n), DENOM_TOL)
-    assert released == [1 << (n - 2)] * 2
+    for n, flag, expected in [(16, False, 4), (16, True, 2), (15, False, 0), (15, True, 0)]:
+        started = forks(flag)
+        shares = _kernels.shapley_sums(random_game(n, 101), coalition_weights(n), DENOM_TOL)
+        assert_no_child_left()
+        assert len(started) == flag
+        assert shares[3:] == (-1, -1)
+        assert released == [1 << (n - 2)] * expected, (n, flag)
+        released.clear()
+        started.clear()
 
 
 # An n = 21 game in a fresh process, with a helper even on one CPU: the
