@@ -86,7 +86,7 @@ finished with (Q1 on side A, Q2 on side B) just before player n - 1's
 blocks; with a helper, each process holds half the sums at a time
 instead of three quarters.  ``_release`` drops whole pages only, from
 this process's page tables: the data stays in the shared mapping, and a
-later read maps it back.  Where both sides run in the caller, side B's
+later read maps it back.  Without madvise() (Windows) it drops nothing.  Where both sides run in the caller, side B's
 player n - 1 so maps back the Q1 that side A released.
 
 The views of players 1 and 2 below the block bits run 2 or 4 entries
@@ -214,14 +214,15 @@ def _shared(n: int, shape, dtype=np.float64) -> np.ndarray:
 def _release(a: np.ndarray) -> None:
     """Drop this process's pages of ``a``, a contiguous slice of a ``_shared``
     array, whole pages only.  The data stays in the shared mapping, and a
-    later read maps it back."""
+    later read maps it back.  Where the platform has no madvise() (no
+    ``mmap.MADV_DONTNEED``, as on Windows), nothing is dropped."""
     root = a
     while isinstance(root.base, np.ndarray):
         root = root.base   # np.frombuffer's array, at the start of the mapping
     start = a.__array_interface__["data"][0] - root.__array_interface__["data"][0]
     page = mmap.PAGESIZE
     lo, hi = -(-start // page) * page, (start + a.nbytes) // page * page
-    if lo < hi:
+    if lo < hi and hasattr(mmap, "MADV_DONTNEED"):
         root.base.obj.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 

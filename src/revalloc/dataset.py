@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -189,8 +190,8 @@ def _check_unique_names(names: list[str], what: str = "DMU") -> None:
     blank = [k for k, name in enumerate(names, start=1) if not name.strip()]
     if blank:
         raise ValidationError(f"{what} {blank[0]} of {len(names)} has a blank name")
-    if len(set(names)) != len(names):
-        dupes = sorted({x for x in names if names.count(x) > 1})
+    dupes = sorted(str(name) for name, count in Counter(names).items() if count > 1)
+    if dupes:
         raise ValidationError(f"duplicate {what} names: {dupes}")
 
 

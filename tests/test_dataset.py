@@ -321,6 +321,14 @@ def dataset(**changes):
                  ParseError, "output values must be numbers", id="bytes-data"),
     pytest.param(lambda: dataset(input_names=["a", "a"], raw_inputs=[[1.0, 1.0], [2.0, 3.0]]),
                  ValidationError, "duplicate input names: ['a']", id="input-name-repeated"),
+    pytest.param(lambda: dataset(input_names=np.array(["a", "a"]),
+                                 raw_inputs=[[1.0, 1.0], [2.0, 3.0]]),
+                 ValidationError, "duplicate input names: ['a']", id="input-name-array"),
+    pytest.param(lambda: dataset(names=np.array(["A", "A"])),
+                 ValidationError, "duplicate DMU names: ['A']", id="name-array"),
+    pytest.param(lambda: revalloc.CrossEfficiencyMatrix(names=np.array(["A", "A"]),
+                                                        values=np.eye(2)),
+                 ValidationError, "duplicate DMU names: ['A']", id="matrix-name-array"),
     pytest.param(lambda: dataset(output_names=[" "]),
                  ValidationError, "output 1 of 1 has a blank name", id="output-name-blank"),
     pytest.param(lambda: load_dataset(make_csv("dmu,x:a,x:a,y:b\nA,1,2,3")),

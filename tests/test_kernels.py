@@ -528,6 +528,20 @@ def test_only_a_split_game_releases(forks, monkeypatch):
         started.clear()
 
 
+
+def test_a_platform_without_madvise_releases_nothing(forks, monkeypatch):
+    # the one-process path is the only one without os.fork, and it still
+    # releases at n >= 16: where mmap has no MADV_DONTNEED (no madvise()
+    # system call) the release is skipped and the shares keep their bits
+    E = random_game(16, 102)
+    forks(False)
+    expected = _kernels.shapley_sums(E, coalition_weights(16), DENOM_TOL)
+    monkeypatch.delattr(mmap, "MADV_DONTNEED")
+    shares = _kernels.shapley_sums(E, coalition_weights(16), DENOM_TOL)
+    for a, b in zip(expected[:3], shares[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert shares[3:] == expected[3:] == (-1, -1)
+
 # An n = 21 game in a fresh process, with a helper even on one CPU: the
 # growth of peak RSS over the set-up, for the caller or the helper, whichever
 # is larger.  The caller's peak is VmHWM, the peak of its own address space:
