@@ -28,7 +28,10 @@ holds the rest:
   of the first b other players) maxed / minned with one scalar, the
   block's entry in the *high* table over the rest.  Both are filled by
   doubling: the k-th player d maps entries [0, 2^k) onto [2^k, 2^(k+1))
-  through ``max(t, E[d, j])``;
+  through ``max(t, E[d, j])``.  The high tables of all columns, and the
+  first 2^_KEPT_BITS entries of their low tables, are built once, all
+  columns at a time; a walk of column j doubles its low table on from
+  there;
 * S and S | {j} are contiguous slices of the sums when j >= b, and the
   ``reshape(-1, 2, 2**j)`` views of one 2 * 2^b slice when j < b;
 * |S| is the low popcount plus the block's high popcount, so |S| and
@@ -44,50 +47,60 @@ process and forks nothing.
 
 The shares walk the same blocks.  Each block's three partial sums are
 stored per (player, block), and the caller adds them per player in
-ascending block order, so the shares are deterministic and the first
-degenerate term found is still the lowest player's lowest mask.
+ascending block order, so the shares are deterministic.  A share pass
+stops at its first degenerate term, and the lowest (player, mask) over
+all passes is reported: the lowest player's lowest mask.
 
-``shapley_sums`` runs its game as two disjoint halves of the coalitions.
-For j < n - 1 the top bit of a block number is mask bit n - 1, so block
-half A, [0, nblocks / 2), of any column j < n - 1 holds masks without
-player n - 1 and block half B, [nblocks / 2, nblocks), masks with it:
+``shapley_sums`` cuts the sums into quarters Q0..Q3 by mask bits n - 1
+and n - 2 (Q1 holds the masks with bit n - 2 and without bit n - 1).  For
+j <= n - 3 these are the top two bits of a block number, so the block
+quarter [q nblocks / 4, (q + 1) nblocks / 4) of column j adds into Q_q and
+its shares read Q_q alone.  Column and player n - 2 join S in Q0 (Q2) to
+S | {n - 2} in Q1 (Q3) over block half A, [0, nblocks / 2) (half B);
+column and player n - 1 join S in Q0 (Q1) to S | {n - 1} in Q2 (Q3) over
+half A (B).  Side A owns Q0 and Q1, side B Q2 and Q3, and each side runs:
 
-* table stage: side A adds half A of every column j < n - 1; side B adds
-  half B and then all of column n - 1, so each mask still gets its
-  columns in ascending order and each side writes one half of the sums;
-* share stage: each side walks its block half of every player.  Players
-  0..n - 2 read S and S | {i} in the half of the sums that side wrote.
-  Player n - 1's blocks split at mask bit n - 2 instead, and on either
-  side it joins S from half A to form S | {n - 1} in half B, so a side
-  starts its shares only once both table stages are in.
+* its first quarter (Q0 or Q2): the table of columns 0..n - 3, on side B
+  then column n - 1's blocks into Q2, the shares of players 0..n - 3, and
+  the release of the quarter;
+* its second quarter (Q1 or Q3): the table of columns 0..n - 3, then
+  column n - 2 over its half, on side B then the rest of column n - 1, and
+  the shares of players 0..n - 3;
+* player n - 2 over its half, releasing each block's view in the second
+  quarter (side A) or the first (side B) once summed;
+* the barrier, then player n - 1 over its half, releasing each block's
+  view in the other side's half.
 
-Each side stores its first offender (player, mask), and the lower of the
-two is reported.  With one block per column, half A is empty.  The arrays
-of both functions are shared anonymous mappings (``mmap``), which
-tracemalloc does not see: at n = 20 ``coalition_sums``' traced peak is
-0.63 MiB of block buffers.
+So every mask gets its columns in ascending order, written by one side,
+and only player n - 1 reads the other side's sums.  With fewer than 4
+blocks per column the quarters' block ranges are the integer ranges
+above: Q0 and Q2 are empty, block half A or B adds into two quarters at
+once, and column n - 1 goes wholly into side B's second quarter.  With 4
+or more blocks a side maps a quarter of both sums and one block at a
+time: player n - 2 maps the first quarter back block by block as it
+releases the second, and a side ends holding the quarter player n - 1
+read in place (Q0 on side A, Q3 on side B).
+``_release`` drops whole pages only, from this process's page tables:
+the data stays in the shared mapping, and a later read maps it back.
+Without madvise() (Windows) it drops nothing.  Views below the block
+bits (j < b) interleave S and S | {j}, so a game of one block per column
+releases nothing of player n - 2's.
+
+The arrays of both functions are shared anonymous mappings (``mmap``),
+which tracemalloc does not see: at n = 20 ``coalition_sums``' traced peak
+is 0.80 MiB of block buffers.
 
 ``_in_halves`` runs side A in the caller and side B in one forked helper
 process, where ``_forks`` allows it (2 or more blocks per column,
 ``os.fork``, and 2 or more CPUs in the affinity mask).  One barrier of
-two pipes orders the stages: each side writes one byte once its table
-stage is in and reads the other's before its share stage.  Without a
-helper, or if a pipe or the fork fails, the caller runs table A, table B,
-shares A and shares B in turn.  Each entry is computed as in one process,
-so the bits do not depend on the CPU count.  The helper runs only numpy
+two pipes orders the sides: each writes one byte before player n - 1 and
+reads the other's.  Without a helper, or if a pipe or the fork fails, the
+caller runs side A up to the barrier, side B up to it, then player n - 1
+of side A and of side B, so it holds side A's kept quarter beside one of
+side B's: half the sums.  Each entry is computed as in one process, so
+the bits do not depend on the CPU count.  The helper runs only numpy
 code, sets a shared done flag once its side returns, and leaves through
 ``os._exit``.
-
-Mask bits n - 1 and n - 2 cut the sums into quarters Q0..Q3.  Side A
-reads Q0 and Q1 for players 0..n - 2, then Q0 and Q2 for player n - 1;
-side B reads Q2 and Q3, then Q1 and Q3.  So in any game of two or more
-blocks per column, each side releases the quarter of both sums it has
-finished with (Q1 on side A, Q2 on side B) just before player n - 1's
-blocks; with a helper, each process holds half the sums at a time
-instead of three quarters.  ``_release`` drops whole pages only, from
-this process's page tables: the data stays in the shared mapping, and a
-later read maps it back.  Without madvise() (Windows) it drops nothing.  Where both sides run in the caller, side B's
-player n - 1 so maps back the Q1 that side A released.
 
 The views of players 1 and 2 below the block bits run 2 or 4 entries
 contiguous; numpy walks them column by column (``order="F"``, from
@@ -104,16 +117,17 @@ import numpy as np
 
 
 _BLOCK_BITS = 14   # blocks of 2^14 entries: 128 KiB per float64 buffer
+_KEPT_BITS = 9     # each column keeps its low table's first 2^9 entries: 8 KiB per column
 
 
-def _subset_bounds(values: np.ndarray, tmax: np.ndarray, tmin: np.ndarray) -> None:
-    """Fill tmax/tmin (length 2^len(values)) with the max/min of every subset of values."""
-    tmax[0] = -np.inf
-    tmin[0] = np.inf
-    h = 1
-    for x in values:
-        np.maximum(tmax[:h], x, out=tmax[h:2 * h])
-        np.minimum(tmin[:h], x, out=tmin[h:2 * h])
+def _subset_bounds(values: np.ndarray, tmax: np.ndarray, tmin: np.ndarray, h: int = 1) -> None:
+    """Double tmax/tmin over ``values`` along their last axis, one table per
+    row of ``values``: entries [0, h) hold the max/min over every subset of
+    some earlier values (h = 1: the empty set, -inf/+inf), and each value x
+    maps them onto the next h entries through max/min with x."""
+    for x in values.T[..., None]:   # one value per row of tables, as a column
+        np.maximum(tmax[..., :h], x, out=tmax[..., h:2 * h])
+        np.minimum(tmin[..., :h], x, out=tmin[..., h:2 * h])
         h *= 2
 
 
@@ -138,14 +152,15 @@ class _ColumnBlocks:
 
     Each column's table runs in ``nblocks`` blocks of ``size`` = 2^``bits``
     entries.  ``sums`` holds ``sum_upper`` and ``sum_lower`` in a shared
-    mapping.  ``walk(j, hs)`` fills column j's low and high tables, then
-    yields each block h of ``hs`` with the S and S | {j} views of both
-    sums, ``(h, upper_s, upper_t, lower_s, lower_t)``, once
-    ``tmax``/``tmin`` hold the max/min of ``E[d, j]`` over the block's
-    subsets.  ``views(j, ...)`` shapes block buffers like those views, and
-    ``order(j)`` is the order numpy walks them in.  The buffers are
-    allocated once, for every column.  ``release(hs)`` drops side ``hs``'s
-    finished quarter of the sums.
+    mapping.  ``walk(j, hs)`` fills column j's low table, then yields each
+    block h of ``hs`` with the S and S | {j} views of both sums,
+    ``(h, upper_s, upper_t, lower_s, lower_t)``, once ``tmax``/``tmin``
+    hold the max/min of ``E[d, j]`` over the block's subsets.
+    ``views(j, ...)`` shapes block buffers like those views, and
+    ``order(j)`` is the order numpy walks them in.  Every column's high
+    table and the first 2^_KEPT_BITS entries of its low table are built
+    once, for all columns together; the buffers are allocated once, for
+    every column.  ``release(q)`` drops quarter q of the sums.
     """
 
     def __init__(self, E: np.ndarray):
@@ -155,7 +170,15 @@ class _ColumnBlocks:
         self.sums = _shared(n, (2, 1 << n))
         self.tmax, self.tmin = np.empty(self.size), np.empty(self.size)
         self.low_max, self.low_min = np.empty(self.size), np.empty(self.size)
-        self.high_max, self.high_min = np.empty(self.nblocks), np.empty(self.nblocks)
+        # row j: column j's E[d, j] over the other players d, ascending
+        self.others = E.T[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+        self.kept_bits = min(_KEPT_BITS, self.bits)
+        self.first = np.empty((2, n, 1 << self.kept_bits))   # (max, min) over the first players
+        self.high = np.empty((2, n, self.nblocks))      # (max, min) over the players above b
+        for table, values in ((self.first, self.others[:, :self.kept_bits]),
+                              (self.high, self.others[:, self.bits:])):
+            table[0, :, 0], table[1, :, 0] = -np.inf, np.inf
+            _subset_bounds(values, *table)
 
     def views(self, j: int, *bufs: np.ndarray) -> tuple[np.ndarray, ...]:
         """Block buffers in column j's view shape: rows of 2^j entries below the block bits."""
@@ -175,22 +198,28 @@ class _ColumnBlocks:
             return pair[:, 0, :], pair[:, 1, :]
         return a[m0:m0 + self.size], a[m0 + step:m0 + step + self.size]
 
-    def walk(self, j: int, hs: range):
+    def walk(self, j: int, hs: range, free: int | None = None):
+        """Yield column j's blocks ``hs``; after each, release its S views
+        (``free`` = 0) or its S | {j} views (1) where they are slices (j >= b)."""
         if not hs:
             return
-        others = np.delete(self.E[:, j], j)
-        _subset_bounds(others[:self.bits], self.low_max, self.low_min)
-        _subset_bounds(others[self.bits:], self.high_max, self.high_min)
+        kept = 1 << self.kept_bits
+        self.low_max[:kept], self.low_min[:kept] = self.first[:, j]
+        _subset_bounds(self.others[j, self.kept_bits:self.bits], self.low_max, self.low_min, kept)
+        high_max, high_min = self.high[:, j]
         for h in hs:
-            np.maximum(self.low_max, self.high_max[h], out=self.tmax)
-            np.minimum(self.low_min, self.high_min[h], out=self.tmin)
-            yield h, *self._halves(self.sums[0], j, h), *self._halves(self.sums[1], j, h)
+            np.maximum(self.low_max, high_max[h], out=self.tmax)
+            np.minimum(self.low_min, high_min[h], out=self.tmin)
+            upper, lower = self._halves(self.sums[0], j, h), self._halves(self.sums[1], j, h)
+            yield h, *upper, *lower
+            if free is not None and j >= self.bits:
+                _release(upper[free])
+                _release(lower[free])
 
-    def release(self, hs: range) -> None:
-        """Release the quarter of both sums that side ``hs`` reads for players
-        0..n - 2 and not for player n - 1: Q1 for half A, Q2 for half B."""
+    def release(self, q: int) -> None:
+        """Release quarter q of both sums: the masks whose bits n - 1 and
+        n - 2 read q in binary."""
         quarter = self.sums.shape[1] // 4
-        q = 2 if hs.start else 1
         for a in self.sums:
             _release(a[q * quarter:(q + 1) * quarter])
 
@@ -236,14 +265,15 @@ def _barrier(send: int, receive: int) -> bool:
         return False
 
 
-def _in_halves(blocks: _ColumnBlocks, table, shares) -> None:
-    """Run side A, ``table(0)`` then ``shares(0)``, here and side B,
-    ``table(1)`` then ``shares(1)``, in a forked helper, or both here where
+def _in_halves(blocks: _ColumnBlocks, before, after) -> None:
+    """Run side A, ``before(0)`` then ``after(0)``, here and side B,
+    ``before(1)`` then ``after(1)``, in a forked helper, or both here where
     ``_forks`` allows no helper or a pipe or the fork fails.
 
-    Neither side starts its shares before both tables are in: each side
-    crosses ``_barrier`` between its two calls, and without a helper the
-    caller runs table 0, table 1, shares 0 and shares 1 in turn.
+    Neither side starts its ``after`` before both ``before`` calls are
+    done: each side crosses ``_barrier`` between its two calls, and without
+    a helper the caller runs before 0, before 1, after 0 and after 1 in
+    turn.
 
     The helper leaves through ``os._exit`` and is always reaped; an
     exception here, ``KeyboardInterrupt`` included, kills it first.  A
@@ -261,10 +291,10 @@ def _in_halves(blocks: _ColumnBlocks, table, shares) -> None:
             for fd in fds:
                 os.close(fd)
     if pid < 0:
-        table(0)
-        table(1)
-        shares(0)
-        shares(1)
+        before(0)
+        before(1)
+        after(0)
+        after(1)
         return
     caller_in, helper_out, helper_in, caller_out = fds
     if pid == 0:
@@ -272,9 +302,9 @@ def _in_halves(blocks: _ColumnBlocks, table, shares) -> None:
         try:
             os.close(caller_in)
             os.close(caller_out)
-            table(1)
+            before(1)
             if _barrier(helper_out, helper_in):
-                shares(1)
+                after(1)
                 done[0] = 1
             code = 0
         except Exception:
@@ -286,9 +316,9 @@ def _in_halves(blocks: _ColumnBlocks, table, shares) -> None:
     os.close(helper_out)
     os.close(helper_in)
     try:
-        table(0)
+        before(0)
         if _barrier(caller_out, caller_in):   # a lost helper shows below
-            shares(0)
+            after(0)
     except BaseException:
         import signal   # only a failing game loads it
         os.kill(pid, signal.SIGKILL)
@@ -318,30 +348,35 @@ def _add_columns(blocks: _ColumnBlocks, block_ranges) -> None:
             blocks.sums[:, 1 << j] = 1.0
 
 
-def _player_sums(blocks: _ColumnBlocks, weights, tol, hs, parts):
-    """Share sums of every player over its blocks ``hs`` into ``parts``, a
-    (3, n, nblocks) array of (phi, phi_upper, phi_lower) partial sums per
-    player and block; returns the first offender (player, mask) or (-1, -1).
+def _share_rows(blocks: _ColumnBlocks, weights: np.ndarray):
+    """The tables every share pass of a game reads: |S| and w[|S|] within a
+    block, one row per count of high members, the high count of every
+    block, and four block buffers."""
+    low = _popcounts(blocks.size)
+    highs = range(len(blocks.E) - blocks.bits)
+    w_rows = np.empty((len(highs), blocks.size))
+    for c in highs:
+        np.take(weights[c:], low, out=w_rows[c])
+    return np.add.outer(highs, low, dtype=float), w_rows, _popcounts(blocks.nblocks), \
+        np.empty((4, blocks.size))
 
-    Stops at the first offender, leaving the later entries zero.  With two
-    or more blocks per column, releases the quarter of the sums side ``hs``
-    has finished with just before player n - 1's blocks.
+
+def _player_sums(blocks: _ColumnBlocks, rows, tol, players, hs, parts, free=None):
+    """Share sums of ``players`` over their blocks ``hs`` into ``parts``, a
+    (3, n, nblocks) array of (phi, phi_upper, phi_lower) partial sums per
+    player and block; returns the pass's first offender (player, mask), the
+    lowest as players and blocks ascend, or (-1, -1).
+
+    Stops at the first offender, leaving the later entries zero.  Releases
+    each block's S (``free`` = 0) or S | {i} (1) views once summed, where
+    ``_ColumnBlocks.walk`` can.
     """
-    size = blocks.size
-    # |S| and w[|S|] within a block, one row per count of high members
-    highs = np.arange(len(blocks.E) - blocks.bits, dtype=np.int8)
-    counts = np.add.outer(highs, _popcounts(size))
-    s_rows = counts.astype(float)
-    w_rows = weights[counts]
-    pc_high = _popcounts(blocks.nblocks)
-    tmax, tmin, w_e = blocks.tmax, blocks.tmin, np.empty(size)
-    den_mid, den_up, den_lo = np.empty(size), np.empty(size), np.empty(size)
-    for i in range(len(blocks.E)):
-        if i == len(blocks.E) - 1 and blocks.nblocks > 1:
-            blocks.release(hs)
+    s_rows, w_rows, pc_high, (w_e, den_mid, den_up, den_lo) = rows
+    size, tmax, tmin = blocks.size, blocks.tmax, blocks.tmin
+    for i in players:
         tmax_v, tmin_v, mid, up, lo = blocks.views(i, tmax, tmin, den_mid, den_up, den_lo)
         order = blocks.order(i)
-        for h, upper_s, upper_t, lower_s, lower_t in blocks.walk(i, hs):
+        for h, upper_s, upper_t, lower_s, lower_t in blocks.walk(i, hs, free):
             s, w = s_rows[pc_high[h]], w_rows[pc_high[h]]
             # den_mid = |S| + (sum_upper[T] - eU) - sum_upper[S]; den_up and
             # den_lo take the lower totals of T and of S in its place
@@ -377,7 +412,8 @@ def coalition_sums(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def shapley_sums(E, weights, tol):
-    """Per-player share sums over every nonempty coalition S the player can join.
+    """Per-player share sums over every nonempty coalition S the player can
+    join, in a game of two or more players.
 
     Returns (phi, phi_upper, phi_lower, bad_player, bad_mask); bad_player is
     -1 unless some term denominator fell to ``tol`` or below, in which case
@@ -388,18 +424,32 @@ def shapley_sums(E, weights, tol):
     blocks = _ColumnBlocks(E)
     nblocks = blocks.nblocks
     parts = _shared(n, (3, n, nblocks))
-    bad = _shared(n, (2, 2), np.int64)   # each side's first offender
-    halves = (range(nblocks // 2), range(nblocks // 2, nblocks))
+    bad = _shared(n, (2, 4, 2), np.int64)   # the first offender of each side's four passes
+    rows = _share_rows(blocks, weights)
+    quarters = [range(q * nblocks // 4, (q + 1) * nblocks // 4) for q in range(4)]
+    halves = [range(quarters[2 * k].start, quarters[2 * k + 1].stop) for k in (0, 1)]
+    # column n - 1 adds into side B's quarters, each once columns 0..n - 3
+    # are in: its first 2 |Q2| blocks into Q2, the rest into Q3
+    into_q2 = 2 * len(quarters[2])
+    lasts = ([range(0), range(0)], [range(into_q2), range(into_q2, nblocks)])
 
-    def table(k):
-        last = (range(0), range(nblocks))[k]   # column n - 1 lies in half B
-        _add_columns(blocks, [halves[k]] * (n - 1) + [last])
+    def before(k):
+        first, second = quarters[2 * k:2 * k + 2]
+        _add_columns(blocks, [first] * (n - 2) + [range(0), lasts[k][0]])
+        bad[k, 0] = _player_sums(blocks, rows, tol, range(n - 2), first, parts)
+        blocks.release(2 * k)
+        _add_columns(blocks, [second] * (n - 2) + [halves[k], lasts[k][1]])
+        bad[k, 1] = _player_sums(blocks, rows, tol, range(n - 2), second, parts)
+        # S lies in quarter 2k and S | {n - 2} in 2k + 1: each side keeps the
+        # quarter player n - 1 reads, Q0 on side A and Q3 on side B
+        bad[k, 2] = _player_sums(blocks, rows, tol, [n - 2], halves[k], parts, 1 - k)
 
-    def shares(k):
-        bad[k] = _player_sums(blocks, weights, tol, halves[k], parts)
+    def after(k):   # the views in the other side's half, S | {n - 1} on side A, are released
+        bad[k, 3] = _player_sums(blocks, rows, tol, [n - 1], halves[k], parts, 1 - k)
 
-    _in_halves(blocks, table, shares)
+    _in_halves(blocks, before, after)
     out = np.zeros(parts.shape[:2])
     for h in range(nblocks):   # ascending blocks, as in one process
         out += parts[..., h]
-    return (*out, *min(((int(i), int(m)) for i, m in bad if i >= 0), default=(-1, -1)))
+    return (*out, *min(((int(i), int(m)) for i, m in bad.reshape(-1, 2) if i >= 0),
+                       default=(-1, -1)))

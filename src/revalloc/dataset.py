@@ -269,8 +269,8 @@ def load_dataset(source) -> Dataset:
     if header.count("dmu") != 1:
         raise ParseError("header must contain exactly one 'dmu' column")
     id_col = header.index("dmu")
-    in_cols = [(i, h[2:]) for i, h in enumerate(header) if h.startswith("x:")]
-    out_cols = [(i, h[2:]) for i, h in enumerate(header) if h.startswith("y:")]
+    in_cols = [(i, h[2:].strip()) for i, h in enumerate(header) if h.startswith("x:")]
+    out_cols = [(i, h[2:].strip()) for i, h in enumerate(header) if h.startswith("y:")]
     known = {id_col} | {i for i, _ in in_cols} | {i for i, _ in out_cols}
     unknown = [header[i] for i in range(len(header)) if i not in known]
     if unknown:

@@ -88,7 +88,9 @@ def test_malformed_dataset_is_validation_error(capsys, tmp_path):
     ("dmu,x:a,x:a,y:b\nA,1,1,3\nB,2,2,3\n", "duplicate input names: ['a']"),
     ("dmu,x:a,y:b,y:b\nA,1,3,3\nB,2,3,3\n", "duplicate output names: ['b']"),
     ("dmu,x:,y:b\nA,1,3\nB,2,3\n", "input 1 of 1 has a blank name"),
-], ids=["input-repeated", "output-repeated", "input-blank"])
+    # the name after the prefix is stripped, as DMU names are
+    ("dmu,x:a,y:b,y: b\nA,1,3,3\nB,2,3,3\n", "duplicate output names: ['b']"),
+], ids=["input-repeated", "output-repeated", "input-blank", "output-spaced"])
 def test_repeated_or_blank_column_names_exit_three(capsys, tmp_path, text, message):
     # a copy-pasted input column would otherwise be modelled as a second input
     bad = tmp_path / "bad.csv"

@@ -390,6 +390,8 @@ def dataset(**changes):
     pytest.param(lambda: load_groups(make_csv("dmu,group\nA,1_0"), ["A"]),
                  ParseError, "groups line 2: group id '1_0' is not an integer",
                  id="group-id-separator"),
+    pytest.param(lambda: load_dataset(make_csv("dmu,x:a,y:b,y: b\nA,1,2,2")),
+                 ValidationError, "duplicate output names: ['b']", id="output-name-spaced"),
     pytest.param(lambda: load_dataset(make_csv("dmu,x:a,y:c\nA,1_5,2")),
                  ParseError, "malformed number '1_5' at line 2, column 'x:a'",
                  id="cell-separator"),

@@ -302,10 +302,14 @@ def side_of(player, mask, n):
     pytest.param([(3, 5), (3, 0)], (3, 0b1), "caller", id="both-caller-first"),
     pytest.param([(5, 1)], (5, 0b10), "caller", id="last-player-caller"),
     pytest.param([(5, 4)], (5, 0b10000), "helper", id="last-player-helper"),
+    # side A sums quarter Q0 (mask bits 5 and 4 clear) before Q1 (bit 4
+    # set): its first offender met is player 3's, in Q0, and the lower
+    # player 1's comes later, in Q1
+    pytest.param([(3, 0), (1, 4)], (1, 0b10000), "caller", id="caller-lower-player-later"),
 ])
 def test_split_shares_report_the_first_offender(zeros, expected, side, forks, monkeypatch):
     # E[i, d] = 0 sends player i's term for joining {d} to 0; 2-bit blocks
-    # give 8 blocks per column at n = 6
+    # give 8 blocks per column at n = 6, two per quarter
     monkeypatch.setattr(_kernels, "_BLOCK_BITS", 2)
     n = 6
     E = random_game(n, 91)
@@ -322,26 +326,42 @@ def test_split_shares_report_the_first_offender(zeros, expected, side, forks, mo
     assert len(started) == 1
 
 
+TABLE_DELAY = 0.3
+
+
 @pytest.mark.parametrize("slow", ["caller", "helper"])
 def test_shares_wait_for_the_other_table(slow, forks, monkeypatch):
-    # player n - 1 reads both sides' sums: with one side's table stage
-    # delayed, the other must wait at the barrier, not read zeros
-    E = random_game(16, 93)
+    # player n - 1 alone reads the other side's sums: with one side's table
+    # passes delayed, the other runs every pass but player n - 1's
+    # meanwhile, then waits at the barrier rather than read zeros
+    n = 17   # 4 blocks per column, one per quarter
+    E = random_game(n, 93)
     forks(False)
-    expected = _kernels.shapley_sums(E, coalition_weights(16), DENOM_TOL)
+    expected = _kernels.shapley_sums(E, coalition_weights(n), DENOM_TOL)
     started = forks(True)
-    parent, real = os.getpid(), _kernels._add_columns
+    parent, table, shares = os.getpid(), _kernels._add_columns, _kernels._player_sums
+    passes = []   # the caller's share passes: (players, seconds into the game)
 
     def delayed(*args):
         if (os.getpid() == parent) == (slow == "caller"):
-            time.sleep(0.3)
-        return real(*args)
+            time.sleep(TABLE_DELAY / 2)   # each side adds its columns in two calls
+        return table(*args)
+
+    def timed(blocks, rows, tol, players, *args):
+        if os.getpid() == parent:
+            passes.append((list(players), time.monotonic() - start))
+        return shares(blocks, rows, tol, players, *args)
     monkeypatch.setattr(_kernels, "_add_columns", delayed)
-    shares = _kernels.shapley_sums(E, coalition_weights(16), DENOM_TOL)
+    monkeypatch.setattr(_kernels, "_player_sums", timed)
+    start = time.monotonic()
+    result = _kernels.shapley_sums(E, coalition_weights(n), DENOM_TOL)
     assert len(started) == 1
-    for a, b in zip(shares[:3], expected[:3]):
+    for a, b in zip(result[:3], expected[:3]):
         assert np.array_equal(a, b)
-    assert shares[3:] == expected[3:] == (-1, -1)
+    assert result[3:] == expected[3:] == (-1, -1)
+    assert [players for players, _ in passes] == [[*range(n - 2)]] * 2 + [[n - 2], [n - 1]]
+    if slow == "helper":
+        assert passes[2][1] < TABLE_DELAY <= passes[3][1]
 
 
 def test_failed_fork_runs_both_halves_here(forks, monkeypatch):
@@ -467,22 +487,23 @@ def test_parent_fault_kills_the_helper(name, error, forks, monkeypatch):
 
 @pytest.mark.parametrize("n, block_bits", [
     *[pytest.param(n, None, id=f"n{n}") for n in range(16, 22)],
-    # 2-bit blocks: 4 to 128 blocks per column
+    # 2-bit blocks: 2 to 64 blocks per column
     *[pytest.param(n, 2, id=f"n{n}-2bit") for n in range(4, 10)],
 ])
 def test_sides_split_every_player_block_once(n, block_bits, forks, monkeypatch):
-    # recorded, not run: with no helper the caller runs table A, table B,
-    # shares A, shares B, side A being the caller's and side B the helper's
+    # recorded, not run: ("table", block ranges per column) and ("shares",
+    # players, blocks) in call order.  With no helper the caller runs side A
+    # up to the barrier, side B up to it, then each side's player n - 1.
     if block_bits is not None:
         monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
     started = forks(False)
-    table_calls, share_calls = [], []
+    calls = []
 
     def add_columns(blocks, block_ranges):
-        table_calls.append([list(hs) for hs in block_ranges])
+        calls.append(("table", [list(hs) for hs in block_ranges]))
 
-    def player_sums(blocks, weights, tol, hs, parts):
-        share_calls.append(list(hs))
+    def player_sums(blocks, rows, tol, players, hs, parts, free=None):
+        calls.append(("shares", list(players), list(hs)))
         return -1, -1
     monkeypatch.setattr(_kernels, "_add_columns", add_columns)
     monkeypatch.setattr(_kernels, "_player_sums", player_sums)
@@ -490,43 +511,136 @@ def test_sides_split_every_player_block_once(n, block_bits, forks, monkeypatch):
     assert started == []
     nblocks = 1 << (n - 1 - min(_kernels._BLOCK_BITS, n - 1))
     every = sorted((i, h) for i in range(n) for h in range(nblocks))
-    # the table: side A, then side B, each column's blocks once
-    assert len(table_calls) == 2
-    assert sorted((j, h) for call in table_calls for j, hs in enumerate(call)
-                  for h in hs) == every
-    # the shares: one call per side, behind the barrier, each for every player
-    assert len(share_calls) == 2
-    assert sorted((i, h) for hs in share_calls for i in range(n) for h in hs) == every
-    assert len(share_calls[0]) == len(share_calls[1]) == nblocks // 2
-    # each side's shares walk the block half its table wrote, so players
-    # 0..n - 2 read only that half of the sums
+    assert sorted((j, h) for kind, *call in calls if kind == "table"
+                  for j, hs in enumerate(call[0]) for h in hs) == every
+    assert sorted((i, h) for kind, *call in calls if kind == "shares"
+                  for i in call[0] for h in call[1]) == every
+    # mask bits n - 1 and n - 2 cut the blocks of columns 0..n - 3 into
+    # quarters (with fewer than 4 blocks, some are empty); each side tables
+    # and sums its two quarters in turn, then player n - 2 over its half;
+    # only player n - 1 comes after the barrier
+    quarters = [list(range(q * nblocks // 4, (q + 1) * nblocks // 4)) for q in range(4)]
+    halves = [quarters[0] + quarters[1], quarters[2] + quarters[3]]
+    low = list(range(n - 2))
+    side = [("table",), ("shares", low), ("table",), ("shares", low), ("shares", [n - 2])]
+    assert [(kind, call[0]) if kind == "shares" else (kind,) for kind, *call in calls] \
+        == side * 2 + [("shares", [n - 1])] * 2
+    tables = [call[1] for call in calls if call[0] == "table"]
+    shares = [call[2] for call in calls if call[0] == "shares"]
+    # each low-player pass reads the quarter its table pass just wrote
+    for q in range(4):
+        assert tables[q][:n - 2] == [quarters[q]] * (n - 2)
+        assert shares[[0, 1, 3, 4][q]] == quarters[q]
+    assert shares[2::3] == [halves[0], halves[1]] and shares[6:] == halves
+    # columns n - 2 and n - 1: each column's blocks go in after columns
+    # 0..n - 3 have filled the quarters they add into, and column n - 1
+    # adds into side B's quarters only (its first 2 |Q2| blocks into Q2)
+    q2 = 2 * len(quarters[2])
+    assert [table[n - 2:] for table in tables] == [
+        [[], []], [halves[0], []], [[], list(range(q2))], [halves[1], list(range(q2, nblocks))]]
+
+
+@pytest.mark.parametrize("n, block_bits", [
+    # 2-bit blocks: 2 to 64 blocks per column
+    *[pytest.param(n, 2, id=f"n{n}-2bit") for n in range(4, 10)],
+    # 1, 2 and 4 blocks per column
+    *[pytest.param(n, None, id=f"n{n}") for n in (15, 16, 17)],
+])
+def test_every_mask_gets_its_columns_in_ascending_order(n, block_bits, forks, monkeypatch):
+    # recorded, not run: the S | {j} masks of every block added, in call
+    # order, from the block layout itself (the sums replaced by the masks)
+    if block_bits is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
+    forks(False)
+    masks = np.arange(1 << n)
+    last, count, writer = np.full(1 << n, -1), np.zeros(1 << n, int), np.full(1 << n, -1)
+    calls = []
+
+    def add_columns(blocks, block_ranges):
+        side = len(calls) // 2   # two table calls per side
+        calls.append(block_ranges)
+        for j, hs in enumerate(block_ranges):
+            for h in hs:
+                t = blocks._halves(masks, j, h)[1].ravel()
+                assert (t >> j & 1).all() and (last[t] < j).all(), (j, h)
+                assert np.isin(writer[t], (-1, side)).all()   # one side writes each mask
+                last[t], writer[t] = j, side
+                count[t] += 1
+    monkeypatch.setattr(_kernels, "_add_columns", add_columns)
+    monkeypatch.setattr(_kernels, "_player_sums", lambda *args: (-1, -1))
+    _kernels.shapley_sums(random_game(n, 103), coalition_weights(n), DENOM_TOL)
+    assert len(calls) == 4
+    popcount = np.array([bin(m).count("1") for m in range(1 << n)])
+    assert np.array_equal(count, popcount)   # each member's column once
+
+
+@pytest.mark.parametrize("n, block_bits", [
+    # 2-bit blocks: 2 to 64 blocks per column
+    *[pytest.param(n, 2, id=f"n{n}-2bit") for n in range(4, 10)],
+    # 1, 2, 4 and 8 blocks per column
+    *[pytest.param(n, None, id=f"n{n}") for n in (15, 16, 17, 18)],
+])
+def test_release_schedule_maps_a_quarter_per_side(n, block_bits, forks, monkeypatch):
+    # walked, not run: the sums hold their own indices, each table walk
+    # maps the S | {j} views it adds into, each share walk both views, and
+    # _release unmaps exactly what it is given (the real one drops whole
+    # pages only).  Where a column has 4 or more blocks, each side alone
+    # maps a quarter of both sums and one block at a time, and one process
+    # running both sides half of them; with fewer blocks a side writes a
+    # half (2 blocks) or all (1) of the sums at once.
+    if block_bits is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
+    forks(False)
+    real_init = _kernels._ColumnBlocks.__init__
+
+    def init(self, E):
+        real_init(self, E)
+        self.sums = np.arange(2 << len(E)).reshape(2, -1)
+
+    mapped, peak = np.zeros(2 << n, bool), [0]
+
+    def touch(*views):
+        for view in views:
+            mapped[view.ravel()] = True
+        peak[0] = max(peak[0], int(mapped.sum()))
+
+    def add_columns(blocks, block_ranges):
+        for j, hs in enumerate(block_ranges):
+            for _, _, upper_t, _, lower_t in blocks.walk(j, hs):
+                touch(upper_t, lower_t)
+
+    def player_sums(blocks, rows, tol, players, hs, parts, free=None):
+        for i in players:
+            for _, *views in blocks.walk(i, hs, free):
+                touch(*views)
+        return -1, -1
+
+    def release(a):
+        mapped[a.ravel()] = False
+    monkeypatch.setattr(_kernels._ColumnBlocks, "__init__", init)
+    monkeypatch.setattr(_kernels, "_add_columns", add_columns)
+    monkeypatch.setattr(_kernels, "_player_sums", player_sums)
+    monkeypatch.setattr(_kernels, "_release", release)
+    game = random_game(n, 104), coalition_weights(n), DENOM_TOL
+    nblocks = 1 << (n - 1 - min(_kernels._BLOCK_BITS, n - 1))
+    size, quarter = (1 << n - 1) // nblocks, 1 << n - 2
+    # one process, both sides
+    _kernels.shapley_sums(*game)
+    if nblocks >= 4:
+        assert peak[0] <= 2 * (2 * quarter + size)
+    # each side alone ends holding only the quarter its player n - 1 read
+    # in place: Q0 on side A, Q3 on side B
+    write = (1 << n) // min(nblocks, 4)
     for k in (0, 1):
-        assert share_calls[k] == table_calls[k][0]
-
-
-def test_only_a_split_game_releases(forks, monkeypatch):
-    # a game of two or more blocks per column splits into two block halves,
-    # and each side releases its finished quarter of each sum once, whether
-    # or not a helper runs: with none the caller releases both sides'
-    # quarters, with one only side A's (the helper its own, out of sight
-    # here).  With one block per column (n <= 15) side A is empty and
-    # nothing is released, even where a helper is forced.
-    released, real = [], _kernels._release
-
-    def record(a):
-        released.append(a.size)
-        real(a)
-    monkeypatch.setattr(_kernels, "_release", record)
-    for n, flag, expected in [(16, False, 4), (16, True, 2), (15, False, 0), (15, True, 0)]:
-        started = forks(flag)
-        shares = _kernels.shapley_sums(random_game(n, 101), coalition_weights(n), DENOM_TOL)
-        assert_no_child_left()
-        assert len(started) == flag
-        assert shares[3:] == (-1, -1)
-        assert released == [1 << (n - 2)] * expected, (n, flag)
-        released.clear()
-        started.clear()
-
+        mapped[:], peak[0] = False, 0
+        monkeypatch.setattr(_kernels, "_in_halves",
+                            lambda blocks, before, after: (before(k), after(k)))
+        _kernels.shapley_sums(*game)
+        assert peak[0] <= 2 * (write + size), (k, peak[0])
+        if nblocks >= 2:
+            kept = np.zeros((2, 4, quarter), bool)
+            kept[:, 3 * k] = True
+            assert np.array_equal(mapped, kept.ravel())
 
 
 def test_a_platform_without_madvise_releases_nothing(forks, monkeypatch):
@@ -542,14 +656,15 @@ def test_a_platform_without_madvise_releases_nothing(forks, monkeypatch):
         assert a.tobytes() == b.tobytes()
     assert shares[3:] == expected[3:] == (-1, -1)
 
-# An n = 21 game in a fresh process, with a helper even on one CPU: the
-# growth of peak RSS over the set-up, for the caller or the helper, whichever
-# is larger.  The caller's peak is VmHWM, the peak of its own address space:
-# its ru_maxrss also counts the process it was spawned from, which Linux
-# carries across exec.  The reaped helper's ru_maxrss is its own.  Both are
-# in KiB.
+# An n = 21 game in a fresh process, with a helper even on one CPU
+# (argument "helper") or with none: the growth of peak RSS over the set-up,
+# for the caller or the helper, whichever is larger.  The caller's peak is
+# VmHWM, the peak of its own address space: its ru_maxrss also counts the
+# process it was spawned from, which Linux carries across exec.  The reaped
+# helper's ru_maxrss is its own.  Both are in KiB.
 FOOTPRINT_CHILD = """
 import resource
+import sys
 import numpy as np
 from revalloc import _kernels
 from revalloc.game import DENOM_TOL, coalition_weights
@@ -563,7 +678,7 @@ rng = np.random.default_rng(98)
 E = rng.uniform(0.05, 1.0, (n, n))
 np.fill_diagonal(E, 1.0)
 weights = coalition_weights(n)
-_kernels._forks = lambda nblocks: True
+_kernels._forks = lambda nblocks: sys.argv[1] == "helper"
 before = peak_kib()
 bad_player = _kernels.shapley_sums(E, weights, DENOM_TOL)[3]
 after = max(peak_kib(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
@@ -571,20 +686,40 @@ print(bad_player, (after - before) * 1024)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_each_side_holds_half_the_sums_at_a_time():
-    # each side writes and reads its half of both sums, then releases the
-    # quarter it has finished with before it maps the other side's quarter
-    # for player n - 1: at most 2^n float64 entries of the two 2^n sums at
-    # a time (16 MiB at n = 21), where keeping that quarter would take 24
-    # MiB.  The slack covers the block buffers (about 3 MiB) and allocator
-    # noise.
-    n, slack = 21, 5 << 20
+def footprint(processes):
+    """Peak RSS growth of FOOTPRINT_CHILD's game, in bytes."""
     src = Path(__file__).parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD], capture_output=True,
-                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    child = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, processes],
+                           capture_output=True, text=True, timeout=120,
+                           env=dict(os.environ, PYTHONPATH=path))
     assert child.returncode == 0, child.stderr
     bad_player, growth = map(int, child.stdout.split())
     assert bad_player == -1
-    assert growth <= (1 << n) * 8 + slack, f"peak RSS grew {growth / 2**20:.1f} MiB"
+    return growth
+
+
+# The slack of both gates covers the block buffers and the share pass's
+# tables (about 3.5 MiB at n = 21) and allocator noise.
+FOOTPRINT_SLACK = 5 << 20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_each_side_holds_a_quarter_of_the_sums_at_a_time():
+    # each side tables, sums and releases one quarter of both sums at a
+    # time, and maps the quarters it reads back block by block: at most
+    # 2^(n - 1) float64 entries of the two 2^n sums at a time (8 MiB at
+    # n = 21), where holding a side's half would take 16 MiB
+    n = 21
+    growth = footprint("helper")
+    assert growth <= (1 << n - 1) * 8 + FOOTPRINT_SLACK, f"peak RSS grew {growth / 2**20:.1f} MiB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_one_process_holds_half_the_sums_at_a_time():
+    # with no helper the caller runs side A up to the barrier, then side B,
+    # keeping only side A's quarter for player n - 1: at most 2^n float64
+    # entries (16 MiB at n = 21), where all four quarters take 32 MiB
+    n = 21
+    growth = footprint("none")
+    assert growth <= (1 << n) * 8 + FOOTPRINT_SLACK, f"peak RSS grew {growth / 2**20:.1f} MiB"
