@@ -3,7 +3,7 @@
 File formats:
 
 * ``dataset.csv`` -- header ``dmu,x:<name>,...,y:<name>,...``; one row per
-  DMU; UTF-8, comma separated, ``.`` decimal point.  Input/output columns
+  DMU; comma separated, ``.`` decimal point.  Input/output columns
   are identified by the ``x:`` / ``y:`` header prefix, not by position;
   the input names, and the output names, are unique and not blank.
 * ``groups.csv``  -- header ``dmu,group``; group ids are positive integers
@@ -12,10 +12,14 @@ File formats:
 * ``matrix.csv``  -- first row and first column are DMU names; cell (d, j)
   is evaluator d's score of target j.
 
-Numbers are plain ASCII decimals, without ``_`` digit separators.  Blank
-lines are skipped everywhere, also before the header, and so is a UTF-8
-byte-order mark at the start of a file or text stream.  The groups and
-reference files name every DMU exactly once and no other DMU.
+Every file is UTF-8: a line holding bytes that are not, or one the CSV
+reader refuses (a field over 131072 characters), is a ParseError naming
+the line.  Numbers are plain ASCII decimals, without ``_`` digit
+separators.  Each input and output column must sum to a positive float: a
+zero sum, or one past the float range, is a ValidationError naming the
+column.  Blank lines are skipped everywhere, also before the header, and
+so is a UTF-8 byte-order mark at the start of a file or text stream.  The
+groups and reference files name every DMU exactly once and no other DMU.
 """
 
 from __future__ import annotations
@@ -108,10 +112,6 @@ class GroupAssignment:
     def single_group(cls, n: int) -> "GroupAssignment":
         return cls(groups=np.ones(n, dtype=int), H=1)
 
-    def allies(self, d: int) -> np.ndarray:
-        """Boolean mask over DMUs in the same group as d (including d)."""
-        return self.groups == self.groups[d]
-
 
 @dataclass(eq=False)
 class CrossEfficiencyMatrix:
@@ -171,15 +171,22 @@ def check_scores(values) -> np.ndarray:
 def normalize(raw_inputs, raw_outputs):
     """Divide every feature column by its sum across DMUs.
 
-    Column sums must be strictly positive; each normalized column sums to 1.
+    Each normalized column sums to 1.  A column sum past the float range is
+    refused, as a zero one is, since dividing by it would give zeros.
     """
     raw_inputs = _floats(raw_inputs, "input values")
     raw_outputs = _floats(raw_outputs, "output values")
+    normed = []
     for label, mat in (("input", raw_inputs), ("output", raw_outputs)):
-        sums = mat.sum(axis=0)
+        with np.errstate(over="ignore"):   # an overflow is refused just below
+            sums = mat.sum(axis=0)
         if (sums <= 0).any():
             raise ValidationError(f"{label} column {int(np.argmin(sums))} has zero sum")
-    return raw_inputs / raw_inputs.sum(axis=0), raw_outputs / raw_outputs.sum(axis=0)
+        if np.isinf(sums).any():
+            raise ValidationError(
+                f"{label} column {int(np.argmax(np.isinf(sums)))} sum overflows a float")
+        normed.append(mat / sums)
+    return tuple(normed)
 
 
 def _check_unique_names(names: list[str], what: str = "DMU") -> None:
@@ -241,15 +248,27 @@ def _parse_cell(text: str, where: str) -> float:
 
 def _read_rows(source) -> list[tuple[int, list[str]]]:
     """The non-blank rows of a CSV path or open text stream, with their line
-    numbers; one byte-order mark at the start of the text is skipped."""
+    numbers; one byte-order mark at the start of the text is skipped.
+
+    A path's bytes that are not UTF-8 are read as lone surrogates, so the
+    row that holds them is refused by its line number.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             return _read_rows(fh)
     lines = iter(source)
     first = next(lines, "").removeprefix("\ufeff")
-    return [(lineno, row) for lineno, row in
-            enumerate(csv.reader(itertools.chain([first], lines)), start=1)
-            if any(c.strip() for c in row)]
+    rows, lineno = [], 0
+    try:
+        for lineno, row in enumerate(csv.reader(itertools.chain([first], lines)), start=1):
+            if any(c.strip() for c in row):
+                ",".join(row).encode("utf-8")   # a lone surrogate does not encode
+                rows.append((lineno, row))
+    except UnicodeEncodeError:
+        raise ParseError(f"line {lineno}: not UTF-8 text") from None
+    except csv.Error as err:
+        raise ParseError(f"line {lineno + 1}: {err}") from None
+    return rows
 
 
 def _write_rows(dest, rows) -> None:

@@ -8,6 +8,9 @@ adversaries' slacks over the optimal face of that same tableau (the
 secondary-goal model of Sexton, Silkman & Hogan 1986 and Doyle & Green
 1994): the columns that would lower the self-score are barred, and the
 tie-break runs as one more phase 2 from the self-score's final basis.
+Theta is never pinned as a number, so no rounded theta can make the
+tie-break LP infeasible; its optimum is that of the form with one slack
+variable per DMU.
 
 Every evaluator's LP has the same shape, so one driver, ``_scores``,
 solves the self-score LPs of any list of evaluators as one
@@ -103,8 +106,10 @@ def _frontier_rows(data: Dataset) -> np.ndarray:
     and tie-break LP: it never wins a ratio test and stays basic, so
     Bland's rule takes the same pivots, with the same bits, as on all n
     rows.  A row with a zero input stays, and so does every DMU with
-    theta = 1.  Elementwise divides, maxima and compares, one input or
-    output at a time: no BLAS and no n x n x (m + s) array.
+    theta = 1; proportional or identical DMUs keep both rows, since the
+    margin asks for a strict gain.  Elementwise divides, maxima and
+    compares, one input or output at a time: no BLAS and no n x n x (m + s)
+    array.
     """
     X, Y = data.norm_inputs, data.norm_outputs
     screened = np.flatnonzero((X > 0).all(axis=1))

@@ -221,7 +221,11 @@ def _pivot(T: np.ndarray, lps: np.ndarray, rows: np.ndarray, cols: np.ndarray) -
     in the pivot row.  The pivot row is scaled, and every other row whose
     factor exceeds PIVOT_TOL in magnitude takes away the scaled row times
     that factor, all in one masked rank-1 update on the gathered LPs: the
-    bits the full tableau would hold.  ``lps`` is sorted without repeats;
+    bits the full tableau holds in its nonbasic columns, with one
+    exception.  A factor that is not zero but at most PIVOT_TOL (rounding
+    dust) is not eliminated, so the full tableau would keep it in the
+    entering variable's column; the compact one writes an exact unit
+    column when that variable leaves.  ``lps`` is sorted without repeats;
     the other LPs are left as they were.
     """
     S = T[lps]

@@ -76,6 +76,8 @@ def cases() -> dict[str, list[str]]:
                                    "--out", "zero-cells-crosseff.matrix.csv"]
     # the first DMU has no name (exit 3)
     runs["blank-name-ccr"] = ["ccr", "--input", "tests/data/blank_name.csv", "--no-timestamp"]
+    # the second DMU's name is GBK, not UTF-8 (exit 3)
+    runs["gbk-name-ccr"] = ["ccr", "--input", "tests/data/gbk_name.csv", "--no-timestamp"]
     # one DMU over the coalition cap of 24 (exit 3)
     runs["over-cap-shapley"] = ["shapley", "--matrix", "tests/data/matrix_25.csv",
                                 "--no-timestamp"]

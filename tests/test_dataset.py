@@ -217,7 +217,6 @@ def test_load_groups_round_trip(toy_dataset):
     ga = load_groups(TOY_GROUPS, toy_dataset.names)
     assert ga.H == 2
     assert ga.groups.tolist() == [1, 1, 2, 2, 1]
-    assert ga.allies(0).tolist() == [True, True, False, False, True]
 
 
 def test_groups_must_cover_dataset(toy_dataset):
@@ -282,6 +281,27 @@ def test_byte_order_mark_is_skipped(tmp_path, load, path):
         assert fields(load(stream)) == fields(load(path))
 
 
+GBK_NAME = "\u5317\u4eac\u5206\u884c".encode("gbk")   # a branch name, not UTF-8
+
+
+@pytest.mark.parametrize("load, content, message", [
+    (load_dataset, b"dmu,x:a,y:b\nA,1,2\n" + GBK_NAME + b",2,3\n", "line 3: not UTF-8 text"),
+    (lambda source: load_groups(source, ["A"]), b"dmu,group\n" + GBK_NAME + b",1\n",
+     "line 2: not UTF-8 text"),
+    (lambda source: load_reference(source, ["A"]), b"dmu,phi\n" + GBK_NAME + b",0.5\n",
+     "line 2: not UTF-8 text"),
+    (load_matrix, b"dmu," + GBK_NAME + b"\n" + GBK_NAME + b",1\n", "line 1: not UTF-8 text"),
+    (load_dataset, b"dmu,x:a,y:b\nA,1,2\nB,1," + b"1" * 131073 + b"\n",
+     "line 3: field larger than field limit (131072)"),
+], ids=["dataset", "groups", "reference", "matrix", "field-limit"])
+def test_a_line_the_reader_refuses_is_named(tmp_path, load, content, message):
+    path = tmp_path / "input.csv"
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert str(err.value) == message
+
+
 def dataset(**changes):
     """A two-DMU Dataset built directly, with ``changes`` to its fields."""
     fields = dict(names=["A", "B"], input_names=["x"], output_names=["y"],
@@ -311,6 +331,13 @@ def dataset(**changes):
                  ParseError, "non-finite input value", id="non-finite"),
     pytest.param(lambda: dataset(raw_outputs=[[3.0], [-4.0]]),
                  ParseError, "negative output value", id="negative"),
+    pytest.param(lambda: dataset(raw_inputs=[[1e308], [1e308]]),
+                 ValidationError, "input column 0 sum overflows a float",
+                 id="input-sum-overflow"),
+    pytest.param(lambda: dataset(raw_outputs=[[3.0, 1e308], [4.0, 1e308]],
+                                 output_names=["y", "z"]),
+                 ValidationError, "output column 1 sum overflows a float",
+                 id="output-sum-overflow"),
     pytest.param(lambda: dataset(raw_inputs=[["a"], [2.0]]),
                  ParseError, "input values must be numbers", id="text-data"),
     pytest.param(lambda: dataset(raw_inputs=np.array([[True], [True]])),
