@@ -78,6 +78,10 @@ def cases() -> dict[str, list[str]]:
     runs["blank-name-ccr"] = ["ccr", "--input", "tests/data/blank_name.csv", "--no-timestamp"]
     # the second DMU's name is GBK, not UTF-8 (exit 3)
     runs["gbk-name-ccr"] = ["ccr", "--input", "tests/data/gbk_name.csv", "--no-timestamp"]
+    # a 21-player game, entries uniform in [0.2, 1] from default_rng(21): the
+    # sums run in eighths
+    runs["m21-allocate-json"] = ["allocate", "--matrix", "tests/data/matrix_21.csv",
+                                 "--revenue", "1000", *tail]
     # one DMU over the coalition cap of 24 (exit 3)
     runs["over-cap-shapley"] = ["shapley", "--matrix", "tests/data/matrix_25.csv",
                                 "--no-timestamp"]
