@@ -51,40 +51,31 @@ ascending block order, so the shares are deterministic.  A share pass
 stops at its first degenerate term, and the lowest (player, mask) over
 all passes is reported: the lowest player's lowest mask.
 
-``shapley_sums`` cuts the sums into quarters Q0..Q3 by mask bits n - 1
-and n - 2 (Q1 holds the masks with bit n - 2 and without bit n - 1).  For
-j <= n - 3 these are the top two bits of a block number, so the block
-quarter [q nblocks / 4, (q + 1) nblocks / 4) of column j adds into Q_q and
-its shares read Q_q alone.  Column and player n - 2 join S in Q0 (Q2) to
-S | {n - 2} in Q1 (Q3) over block half A, [0, nblocks / 2) (half B);
-column and player n - 1 join S in Q0 (Q1) to S | {n - 1} in Q2 (Q3) over
-half A (B).  Side A owns Q0 and Q1, side B Q2 and Q3, and each side runs:
+``shapley_sums`` cuts the sums into 2^k *parts*, part p holding the masks
+whose top k bits read p.  k (``part_bits``) is at most 3 and leaves each
+part two blocks of every low column where the block count allows: with
+2^14-entry blocks n = 18 runs in quarters and n >= 19 in eighths, and a
+game of one block per column is one part.  For a *low* player j < n - k
+those k bits top every block number, so part p is one block range of
+column j and holds both S and S | {j}.  A *top* player j >= n - k adds
+into the parts p that hold bit j, and joins S in p without j to
+S | {j} in p.  Side A owns the parts without bit n - 1, side B the
+others, and each side takes its parts in ascending order.  For part p it:
 
-* its first quarter (Q0 or Q2): the table of columns 0..n - 3, on side B
-  then column n - 1's blocks into Q2, the shares of players 0..n - 3, and
-  the release of the quarter;
-* its second quarter (Q1 or Q3): the table of columns 0..n - 3, then
-  column n - 2 over its half, on side B then the rest of column n - 1, and
-  the shares of players 0..n - 3;
-* player n - 2 over its half, releasing each block's view in the second
-  quarter (side A) or the first (side B) once summed;
-* the barrier, then player n - 1 over its half, releasing each block's
-  view in the other side's half.
+* adds every column's blocks into p, in ascending column order;
+* sums the shares over p in one pass, players ascending: each low player,
+  then each top player j < n - 1 whose bit p holds, reading p without j,
+  an earlier part of its own, back block by block;
+* releases p.
 
-So every mask gets its columns in ascending order, written by one side,
-and only player n - 1 reads the other side's sums.  With fewer than 4
-blocks per column the quarters' block ranges are the integer ranges
-above: Q0 and Q2 are empty, block half A or B adds into two quarters at
-once, and column n - 1 goes wholly into side B's second quarter.  With 4
-or more blocks a side maps a quarter of both sums and one block at a
-time: player n - 2 maps the first quarter back block by block as it
-releases the second, and a side ends holding the quarter player n - 1
-read in place (Q0 on side A, Q3 on side B).
+After the barrier player n - 1 joins side A's parts to side B's over the
+side's half of its blocks, and releases both views of each block once
+read.  So every mask gets its columns in ascending order, written by one
+side; only player n - 1 reads the other side's sums; and a side maps one
+part of both sums and one block at a time, with a helper or without.
 ``_release`` drops whole pages only, from this process's page tables:
 the data stays in the shared mapping, and a later read maps it back.
-Without madvise() (Windows) it drops nothing.  Views below the block
-bits (j < b) interleave S and S | {j}, so a game of one block per column
-releases nothing of player n - 2's.
+Without madvise() (Windows) it drops nothing.
 
 The arrays of both functions are shared anonymous mappings (``mmap``),
 which tracemalloc does not see: at n = 20 ``coalition_sums``' traced peak
@@ -96,8 +87,7 @@ process, where ``_forks`` allows it (2 or more blocks per column,
 two pipes orders the sides: each writes one byte before player n - 1 and
 reads the other's.  Without a helper, or if a pipe or the fork fails, the
 caller runs side A up to the barrier, side B up to it, then player n - 1
-of side A and of side B, so it holds side A's kept quarter beside one of
-side B's: half the sums.  Each entry is computed as in one process, so
+of side A and of side B.  Each entry is computed as in one process, so
 the bits do not depend on the CPU count.  The helper runs only numpy
 code, sets a shared done flag once its side returns, and leaves through
 ``os._exit``.
@@ -146,6 +136,11 @@ def _unsqueeze(k: int, i: int) -> int:
     return ((k >> i) << (i + 1)) | (k & ((1 << i) - 1))
 
 
+def _squeeze(mask: int, i: int) -> int:
+    """The index of ``mask`` in player i's squeezed order (bit i left out)."""
+    return ((mask >> (i + 1)) << i) | (mask & ((1 << i) - 1))
+
+
 class _ColumnBlocks:
     """The block layout of a game over the n players of E, its two sums, and
     the member bounds of one column at a time.
@@ -160,13 +155,19 @@ class _ColumnBlocks:
     ``order(j)`` is the order numpy walks them in.  Every column's high
     table and the first 2^_KEPT_BITS entries of its low table are built
     once, for all columns together; the buffers are allocated once, for
-    every column.  ``release(q)`` drops quarter q of the sums.
+    every column.  ``part_blocks(j, p)`` gives column j's blocks into part
+    p of the sums, and ``release(p)`` drops part p.
     """
 
     def __init__(self, E: np.ndarray):
         n = E.shape[0]
         self.E, self.bits = E, min(_BLOCK_BITS, n - 1)
         self.size, self.nblocks = 1 << self.bits, 1 << (n - 1 - self.bits)
+        # 2^part_bits parts of the sums: up to 8, each with two blocks of
+        # every low column where the count allows; 2 parts from 2 blocks per
+        # column, 1 with 1
+        high_bits = n - 1 - self.bits
+        self.part_bits = min(3, high_bits - 1) if high_bits > 1 else high_bits
         self.sums = _shared(n, (2, 1 << n))
         self.tmax, self.tmin = np.empty(self.size), np.empty(self.size)
         self.low_max, self.low_min = np.empty(self.size), np.empty(self.size)
@@ -198,9 +199,9 @@ class _ColumnBlocks:
             return pair[:, 0, :], pair[:, 1, :]
         return a[m0:m0 + self.size], a[m0 + step:m0 + step + self.size]
 
-    def walk(self, j: int, hs: range, free: int | None = None):
-        """Yield column j's blocks ``hs``; after each, release its S views
-        (``free`` = 0) or its S | {j} views (1) where they are slices (j >= b)."""
+    def walk(self, j: int, hs: range, free: tuple[int, ...] = ()):
+        """Yield column j's blocks ``hs``; after each, release its views
+        ``free``, 0 for S and 1 for S | {j}: slices for a top column j."""
         if not hs:
             return
         kept = 1 << self.kept_bits
@@ -212,16 +213,26 @@ class _ColumnBlocks:
             np.minimum(self.low_min, high_min[h], out=self.tmin)
             upper, lower = self._halves(self.sums[0], j, h), self._halves(self.sums[1], j, h)
             yield h, *upper, *lower
-            if free is not None and j >= self.bits:
-                _release(upper[free])
-                _release(lower[free])
+            for view in free:
+                _release(upper[view])
+                _release(lower[view])
 
-    def release(self, q: int) -> None:
-        """Release quarter q of both sums: the masks whose bits n - 1 and
-        n - 2 read q in binary."""
-        quarter = self.sums.shape[1] // 4
+    def part_blocks(self, j: int, p: int) -> range:
+        """Column j's blocks whose S | {j} views lie in part p: the blocks of
+        p for a low column, none for a top column whose bit p lacks, and
+        else those that join S in p without j to S | {j} in p."""
+        n, k = len(self.E), self.part_bits
+        first = p << (n - k)   # part p's lowest mask
+        if j >= n - k and not first >> j & 1:
+            return range(0)
+        h = _squeeze(first, j) >> self.bits
+        return range(h, h + (self.nblocks >> k << (j >= n - k)))
+
+    def release(self, p: int) -> None:
+        """Release part p of both sums."""
+        part = self.sums.shape[1] >> self.part_bits
         for a in self.sums:
-            _release(a[q * quarter:(q + 1) * quarter])
+            _release(a[p * part:(p + 1) * part])
 
 
 def _forks(nblocks: int) -> bool:
@@ -361,19 +372,19 @@ def _share_rows(blocks: _ColumnBlocks, weights: np.ndarray):
         np.empty((4, blocks.size))
 
 
-def _player_sums(blocks: _ColumnBlocks, rows, tol, players, hs, parts, free=None):
-    """Share sums of ``players`` over their blocks ``hs`` into ``parts``, a
-    (3, n, nblocks) array of (phi, phi_upper, phi_lower) partial sums per
-    player and block; returns the pass's first offender (player, mask), the
-    lowest as players and blocks ascend, or (-1, -1).
+def _player_sums(blocks: _ColumnBlocks, rows, tol, players, parts):
+    """Share sums of ``players``, (player, blocks, views to free) in
+    ascending player order, into ``parts``, a (3, n, nblocks) array of (phi,
+    phi_upper, phi_lower) partial sums per player and block; returns the
+    pass's first offender (player, mask), the lowest as players and blocks
+    ascend, or (-1, -1).
 
     Stops at the first offender, leaving the later entries zero.  Releases
-    each block's S (``free`` = 0) or S | {i} (1) views once summed, where
-    ``_ColumnBlocks.walk`` can.
+    each block's views to free once summed (see ``_ColumnBlocks.walk``).
     """
     s_rows, w_rows, pc_high, (w_e, den_mid, den_up, den_lo) = rows
     size, tmax, tmin = blocks.size, blocks.tmax, blocks.tmin
-    for i in players:
+    for i, hs, free in players:
         tmax_v, tmin_v, mid, up, lo = blocks.views(i, tmax, tmin, den_mid, den_up, den_lo)
         order = blocks.order(i)
         for h, upper_s, upper_t, lower_s, lower_t in blocks.walk(i, hs, free):
@@ -422,34 +433,32 @@ def shapley_sums(E, weights, tol):
     """
     n = E.shape[0]
     blocks = _ColumnBlocks(E)
-    nblocks = blocks.nblocks
+    nblocks, k = blocks.nblocks, blocks.part_bits
     parts = _shared(n, (3, n, nblocks))
-    bad = _shared(n, (2, 4, 2), np.int64)   # the first offender of each side's four passes
+    bad = _shared(n, (2, 2), np.int64)   # each side's first offender
     rows = _share_rows(blocks, weights)
-    quarters = [range(q * nblocks // 4, (q + 1) * nblocks // 4) for q in range(4)]
-    halves = [range(quarters[2 * k].start, quarters[2 * k + 1].stop) for k in (0, 1)]
-    # column n - 1 adds into side B's quarters, each once columns 0..n - 3
-    # are in: its first 2 |Q2| blocks into Q2, the rest into Q3
-    into_q2 = 2 * len(quarters[2])
-    lasts = ([range(0), range(0)], [range(into_q2), range(into_q2, nblocks)])
+    sides = [range(1 << k >> 1), range(1 << k >> 1, 1 << k)]   # parts without bit n - 1, with it
+    found = ([], [])   # the first offender of each pass of each side
 
-    def before(k):
-        first, second = quarters[2 * k:2 * k + 2]
-        _add_columns(blocks, [first] * (n - 2) + [range(0), lasts[k][0]])
-        bad[k, 0] = _player_sums(blocks, rows, tol, range(n - 2), first, parts)
-        blocks.release(2 * k)
-        _add_columns(blocks, [second] * (n - 2) + [halves[k], lasts[k][1]])
-        bad[k, 1] = _player_sums(blocks, rows, tol, range(n - 2), second, parts)
-        # S lies in quarter 2k and S | {n - 2} in 2k + 1: each side keeps the
-        # quarter player n - 1 reads, Q0 on side A and Q3 on side B
-        bad[k, 2] = _player_sums(blocks, rows, tol, [n - 2], halves[k], parts, 1 - k)
+    def before(side):
+        for p in sides[side]:
+            _add_columns(blocks, [blocks.part_blocks(j, p) for j in range(n)])
+            # S | {j} lies in p, and so does S for a low player j; a top one
+            # maps S back from an earlier part of the side, block by block.
+            # Player n - 1 waits for the barrier, unless it is low (one part)
+            found[side].append(_player_sums(blocks, rows, tol, [
+                (j, blocks.part_blocks(j, p), (0,) if j >= n - k else ())
+                for j in range(n - 1 if k else n)], parts))
+            blocks.release(p)
 
-    def after(k):   # the views in the other side's half, S | {n - 1} on side A, are released
-        bad[k, 3] = _player_sums(blocks, rows, tol, [n - 1], halves[k], parts, 1 - k)
+    def after(side):
+        if k:   # player n - 1 joins side A's parts to side B's over the side's half
+            half = range(side * nblocks // 2, (side + 1) * nblocks // 2)
+            found[side].append(_player_sums(blocks, rows, tol, [(n - 1, half, (0, 1))], parts))
+        bad[side] = min((f for f in found[side] if f[0] >= 0), default=(-1, -1))
 
     _in_halves(blocks, before, after)
     out = np.zeros(parts.shape[:2])
     for h in range(nblocks):   # ascending blocks, as in one process
         out += parts[..., h]
-    return (*out, *min(((int(i), int(m)) for i, m in bad.reshape(-1, 2) if i >= 0),
-                       default=(-1, -1)))
+    return (*out, *min(((int(i), int(m)) for i, m in bad if i >= 0), default=(-1, -1)))

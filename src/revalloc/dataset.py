@@ -14,12 +14,16 @@ File formats:
 
 Every file is UTF-8: a line holding bytes that are not, or one the CSV
 reader refuses (a field over 131072 characters), is a ParseError naming
-the line.  Numbers are plain ASCII decimals, without ``_`` digit
-separators.  Each input and output column must sum to a positive float: a
-zero sum, or one past the float range, is a ValidationError naming the
-column.  Blank lines are skipped everywhere, also before the header, and
-so is a UTF-8 byte-order mark at the start of a file or text stream.  The
-groups and reference files name every DMU exactly once and no other DMU.
+the line.  Lines are counted as in the text, so a row whose quoted field
+spans lines is named by the line it starts on.  An open text stream
+decodes itself, ahead of the row being read, so one that fails to decode
+is a ParseError that names no line.  Numbers are plain ASCII decimals,
+without ``_`` digit separators.  Each input and output column must sum to
+a positive float: a zero sum, or one past the float range, is a
+ValidationError naming the column.  Blank lines are skipped everywhere,
+also before the header, and so is a UTF-8 byte-order mark at the start of
+a file or text stream.  The groups and reference files name every DMU
+exactly once and no other DMU.
 """
 
 from __future__ import annotations
@@ -247,27 +251,35 @@ def _parse_cell(text: str, where: str) -> float:
 
 
 def _read_rows(source) -> list[tuple[int, list[str]]]:
-    """The non-blank rows of a CSV path or open text stream, with their line
-    numbers; one byte-order mark at the start of the text is skipped.
+    """The non-blank rows of a CSV path or open text stream, each with the
+    line it starts on; one byte-order mark at the start of the text is
+    skipped.
 
     A path's bytes that are not UTF-8 are read as lone surrogates, so the
-    row that holds them is refused by its line number.
+    row that holds them is refused by its line number.  A text stream
+    decodes its own bytes, in chunks that run ahead of the row being read,
+    so a stream that fails to decode is refused with no line number.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             return _read_rows(fh)
-    lines = iter(source)
-    first = next(lines, "").removeprefix("\ufeff")
-    rows, lineno = [], 0
+    rows, lineno = [], 1
     try:
-        for lineno, row in enumerate(csv.reader(itertools.chain([first], lines)), start=1):
+        lines = iter(source)
+        first = next(lines, "").removeprefix("\ufeff")
+        reader = csv.reader(itertools.chain([first], lines))
+        for row in reader:
             if any(c.strip() for c in row):
                 ",".join(row).encode("utf-8")   # a lone surrogate does not encode
                 rows.append((lineno, row))
+            lineno = reader.line_num + 1   # a quoted field may span lines
+    except UnicodeDecodeError as err:
+        raise ParseError(f"text stream does not decode as {err.encoding.upper()}; "
+                         f"its line is unknown") from None
     except UnicodeEncodeError:
         raise ParseError(f"line {lineno}: not UTF-8 text") from None
     except csv.Error as err:
-        raise ParseError(f"line {lineno + 1}: {err}") from None
+        raise ParseError(f"line {lineno}: {err}") from None
     return rows
 
 

@@ -31,7 +31,7 @@ from . import _kernels
 from .dataset import CrossEfficiencyMatrix, ValidationError, _floats, check_scores
 
 MAX_DMUS = 24            # hard cap: the two 2^n sums take 256 MB at n = 24, of which
-                         # each process of a two-process game holds about 64 MB
+                         # each process of a game maps about 32 MB at a time
 DENOM_TOL = 1e-9
 EMPTY_CONVENTIONS = ("exclude", "unit")
 DEFAULT_EMPTY_COALITION = "exclude"

@@ -15,7 +15,9 @@ Regenerate every file under ``tests/data/golden/`` from the repo root with::
 
     PYTHONPATH=src python tests/golden.py --write
 
-It prints each golden file it added, changed or removed.
+It prints each golden file it added, changed or removed, and for a
+changed file the largest absolute difference between its numbers and the
+pinned ones.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import contextlib
 import io
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -117,9 +120,23 @@ def run_all() -> dict[str, bytes]:
     return files
 
 
+# a decimal number standing alone: not a digit run inside a name or a digest
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def largest_change(pinned: bytes, produced: bytes) -> float | None:
+    """The largest absolute difference between the numbers of two texts,
+    paired in order; None where their counts differ."""
+    old, new = ([float(x) for x in NUMBER.findall(text.decode(errors="replace"))]
+                for text in (pinned, produced))
+    if len(old) != len(new):
+        return None
+    return max((abs(a - b) for a, b in zip(old, new)), default=0.0)
+
+
 def compare(files: dict[str, bytes]) -> list[str]:
     """One line per golden file that ``files`` would add, change or remove,
-    such as ``changed bank-ccr-csv.txt``."""
+    such as ``changed bank-ccr-csv.txt (largest numeric change 3.6e-15)``."""
     pinned = {p.name: p.read_bytes() for p in GOLDEN.glob("*")}
     lines = []
     for fname in sorted(pinned.keys() | files.keys()):
@@ -128,7 +145,10 @@ def compare(files: dict[str, bytes]) -> list[str]:
         elif fname not in pinned:
             lines.append(f"added {fname}")
         elif files[fname] != pinned[fname]:
-            lines.append(f"changed {fname}")
+            change = largest_change(pinned[fname], files[fname])
+            note = "another count of numbers" if change is None else \
+                f"largest numeric change {change:.3g}"
+            lines.append(f"changed {fname} ({note})")
     return lines
 
 

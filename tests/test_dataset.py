@@ -302,6 +302,40 @@ def test_a_line_the_reader_refuses_is_named(tmp_path, load, content, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("load, content", [
+    (load_dataset, b"dmu,x:a,y:b\nA,1,2\n" + GBK_NAME + b",2,3\n"),
+    (lambda source: load_groups(source, ["A"]), b"dmu,group\n" + GBK_NAME + b",1\n"),
+    (lambda source: load_reference(source, ["A"]), b"dmu,phi\n" + GBK_NAME + b",0.5\n"),
+    (load_matrix, b"dmu," + GBK_NAME + b"\n" + GBK_NAME + b",1\n"),
+    # past the stream's first chunk of decoded text: the fault shows mid-read
+    (load_dataset, b"dmu,x:a,y:b\n" + b"A,1,2\n" * 4000 + GBK_NAME + b",2,3\n"),
+], ids=["dataset", "groups", "reference", "matrix", "dataset-late"])
+def test_a_stream_that_does_not_decode_is_a_parse_error(tmp_path, load, content):
+    # a text stream decodes in chunks ahead of the row read, so the message
+    # names no line rather than a wrong one
+    path = tmp_path / "input.csv"
+    path.write_bytes(content)
+    with open(path, encoding="utf-8", newline="") as stream, pytest.raises(ParseError) as err:
+        load(stream)
+    assert str(err.value) == "text stream does not decode as UTF-8; its line is unknown"
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_dataset, 'dmu,x:a,y:b\n"A\nB",1,2\nC,x,3\n',
+     "malformed number 'x' at line 4, column 'x:a'"),
+    (load_dataset, 'dmu,x:a,y:b\n\n"A\n\nB",1,2\nC,1\n', "line 6: expected 3 fields, got 2"),
+    (lambda source: load_groups(source, ["A\nB", "C"]), 'dmu,group\n"A\nB",1\nC,x\n',
+     "groups line 4: group id 'x' is not an integer"),
+    (load_dataset, 'dmu,x:a,y:b\n"A\nB",1,2\nC,1,"' + "1" * 131073 + '"\n',
+     "line 4: field larger than field limit (131072)"),
+], ids=["cell", "field-count", "groups", "field-limit"])
+def test_a_row_is_named_by_the_line_it_starts_on(load, text, message):
+    # a quoted field may span lines, so rows and lines are counted apart
+    with pytest.raises(ParseError) as err:
+        load(io.StringIO(text))
+    assert str(err.value) == message
+
+
 def dataset(**changes):
     """A two-DMU Dataset built directly, with ``changes`` to its fields."""
     fields = dict(names=["A", "B"], input_names=["x"], output_names=["y"],

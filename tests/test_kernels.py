@@ -334,7 +334,7 @@ def test_shares_wait_for_the_other_table(slow, forks, monkeypatch):
     # player n - 1 alone reads the other side's sums: with one side's table
     # passes delayed, the other runs every pass but player n - 1's
     # meanwhile, then waits at the barrier rather than read zeros
-    n = 17   # 4 blocks per column, one per quarter
+    n = 19   # 16 blocks per column: eighths, four parts per side
     E = random_game(n, 93)
     forks(False)
     expected = _kernels.shapley_sums(E, coalition_weights(n), DENOM_TOL)
@@ -344,13 +344,13 @@ def test_shares_wait_for_the_other_table(slow, forks, monkeypatch):
 
     def delayed(*args):
         if (os.getpid() == parent) == (slow == "caller"):
-            time.sleep(TABLE_DELAY / 2)   # each side adds its columns in two calls
+            time.sleep(TABLE_DELAY / 4)   # each side adds its columns in four calls
         return table(*args)
 
-    def timed(blocks, rows, tol, players, *args):
+    def timed(blocks, rows, tol, players, parts):
         if os.getpid() == parent:
-            passes.append((list(players), time.monotonic() - start))
-        return shares(blocks, rows, tol, players, *args)
+            passes.append(([i for i, hs, _ in players if hs], time.monotonic() - start))
+        return shares(blocks, rows, tol, players, parts)
     monkeypatch.setattr(_kernels, "_add_columns", delayed)
     monkeypatch.setattr(_kernels, "_player_sums", timed)
     start = time.monotonic()
@@ -359,9 +359,13 @@ def test_shares_wait_for_the_other_table(slow, forks, monkeypatch):
     for a, b in zip(result[:3], expected[:3]):
         assert np.array_equal(a, b)
     assert result[3:] == expected[3:] == (-1, -1)
-    assert [players for players, _ in passes] == [[*range(n - 2)]] * 2 + [[n - 2], [n - 1]]
+    # parts 0..3: the low players of each, then top players n - 3 (bit 0 of
+    # the part) and n - 2 (bit 1); player n - 1 after the barrier
+    low = [*range(n - 3)]
+    assert [players for players, _ in passes] == [
+        low, low + [n - 3], low + [n - 2], low + [n - 3, n - 2], [n - 1]]
     if slow == "helper":
-        assert passes[2][1] < TABLE_DELAY <= passes[3][1]
+        assert passes[-2][1] < TABLE_DELAY <= passes[-1][1]
 
 
 def test_failed_fork_runs_both_halves_here(forks, monkeypatch):
@@ -485,109 +489,134 @@ def test_parent_fault_kills_the_helper(name, error, forks, monkeypatch):
     assert_no_child_left()
 
 
+def expected_part_bits(nblocks):
+    """k of the 2^k parts: at most 3, two blocks of each low column to a
+    part where the count allows, and two parts from two blocks per column."""
+    return {1: 0, 2: 1, 4: 1, 8: 2}.get(nblocks, 3)
+
+
+def recorded_schedule(monkeypatch, add_columns, player_sums):
+    """Patch the game's two passes with recorders, and run its sides in the
+    order the caller runs them without a helper; returns ``side``, whose
+    one entry names the side running."""
+    side = [None]
+
+    def in_halves(blocks, before, after):
+        for run, k in ((before, 0), (before, 1), (after, 0), (after, 1)):
+            side[0] = k
+            run(k)
+    monkeypatch.setattr(_kernels, "_in_halves", in_halves)
+    monkeypatch.setattr(_kernels, "_add_columns", add_columns)
+    monkeypatch.setattr(_kernels, "_player_sums", player_sums)
+    return side
+
+
 @pytest.mark.parametrize("n, block_bits", [
-    *[pytest.param(n, None, id=f"n{n}") for n in range(16, 22)],
-    # 2-bit blocks: 2 to 64 blocks per column
-    *[pytest.param(n, 2, id=f"n{n}-2bit") for n in range(4, 10)],
+    *[pytest.param(n, None, id=f"n{n}") for n in range(15, 22)],
+    # 2-bit blocks: 1 to 64 blocks per column
+    *[pytest.param(n, 2, id=f"n{n}-2bit") for n in range(3, 10)],
 ])
-def test_sides_split_every_player_block_once(n, block_bits, forks, monkeypatch):
-    # recorded, not run: ("table", block ranges per column) and ("shares",
-    # players, blocks) in call order.  With no helper the caller runs side A
-    # up to the barrier, side B up to it, then each side's player n - 1.
+def test_sides_split_every_player_block_once(n, block_bits, monkeypatch):
+    # recorded, not run: (side, "table", block ranges per column) and (side,
+    # "shares", (player, blocks) per player) in call order
     if block_bits is not None:
         monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
-    started = forks(False)
     calls = []
 
     def add_columns(blocks, block_ranges):
-        calls.append(("table", [list(hs) for hs in block_ranges]))
+        calls.append((side[0], "table", [list(hs) for hs in block_ranges]))
 
-    def player_sums(blocks, rows, tol, players, hs, parts, free=None):
-        calls.append(("shares", list(players), list(hs)))
+    def player_sums(blocks, rows, tol, players, parts):
+        calls.append((side[0], "shares", [(i, list(hs)) for i, hs, _ in players]))
         return -1, -1
-    monkeypatch.setattr(_kernels, "_add_columns", add_columns)
-    monkeypatch.setattr(_kernels, "_player_sums", player_sums)
+    side = recorded_schedule(monkeypatch, add_columns, player_sums)
     _kernels.shapley_sums(random_game(n, 100 + n), coalition_weights(n), DENOM_TOL)
-    assert started == []
     nblocks = 1 << (n - 1 - min(_kernels._BLOCK_BITS, n - 1))
     every = sorted((i, h) for i in range(n) for h in range(nblocks))
-    assert sorted((j, h) for kind, *call in calls if kind == "table"
-                  for j, hs in enumerate(call[0]) for h in hs) == every
-    assert sorted((i, h) for kind, *call in calls if kind == "shares"
-                  for i in call[0] for h in call[1]) == every
-    # mask bits n - 1 and n - 2 cut the blocks of columns 0..n - 3 into
-    # quarters (with fewer than 4 blocks, some are empty); each side tables
-    # and sums its two quarters in turn, then player n - 2 over its half;
-    # only player n - 1 comes after the barrier
-    quarters = [list(range(q * nblocks // 4, (q + 1) * nblocks // 4)) for q in range(4)]
-    halves = [quarters[0] + quarters[1], quarters[2] + quarters[3]]
-    low = list(range(n - 2))
-    side = [("table",), ("shares", low), ("table",), ("shares", low), ("shares", [n - 2])]
-    assert [(kind, call[0]) if kind == "shares" else (kind,) for kind, *call in calls] \
-        == side * 2 + [("shares", [n - 1])] * 2
-    tables = [call[1] for call in calls if call[0] == "table"]
-    shares = [call[2] for call in calls if call[0] == "shares"]
-    # each low-player pass reads the quarter its table pass just wrote
-    for q in range(4):
-        assert tables[q][:n - 2] == [quarters[q]] * (n - 2)
-        assert shares[[0, 1, 3, 4][q]] == quarters[q]
-    assert shares[2::3] == [halves[0], halves[1]] and shares[6:] == halves
-    # columns n - 2 and n - 1: each column's blocks go in after columns
-    # 0..n - 3 have filled the quarters they add into, and column n - 1
-    # adds into side B's quarters only (its first 2 |Q2| blocks into Q2)
-    q2 = 2 * len(quarters[2])
-    assert [table[n - 2:] for table in tables] == [
-        [[], []], [halves[0], []], [[], list(range(q2))], [halves[1], list(range(q2, nblocks))]]
+    assert sorted((j, h) for _, kind, ranges in calls if kind == "table"
+                  for j, hs in enumerate(ranges) for h in hs) == every
+    assert sorted((i, h) for _, kind, players in calls if kind == "shares"
+                  for i, hs in players for h in hs) == every
+    # mask bits n - k..n - 1 cut the sums into 2^k parts.  A low column's
+    # part p is its block range p, and a top column j = n - k + t adds into
+    # the parts with bit t, its blocks for p (and p without t) being
+    # range q of twice the length, q = p with bit t left out.  Side A
+    # (0) takes the parts without bit n - 1 in ascending order, side B the
+    # rest; each part's table, then one pass of every player but n - 1,
+    # ascending (no blocks for a top player whose bit the part lacks).
+    # Player n - 1 follows the barrier, over half of its blocks per side.
+    k = expected_part_bits(nblocks)
+    span = nblocks >> k
+
+    def top_blocks(p, t):
+        q = (p >> t + 1 << t) | (p & (1 << t) - 1)
+        return list(range(q * 2 * span, (q + 1) * 2 * span)) if p >> t & 1 else []
+    expected = []
+    for p in range(1 << k):
+        p_side, own = int(p >= 1 << k >> 1), list(range(p * span, (p + 1) * span))
+        expected.append((p_side, "table", [own] * (n - k) + [top_blocks(p, t) for t in range(k)]))
+        expected.append((p_side, "shares", [(i, own) for i in range(n - k)]
+                         + [(n - k + t, top_blocks(p, t)) for t in range(k - 1)]))
+    if k:
+        half = nblocks // 2
+        expected += [(0, "shares", [(n - 1, list(range(half)))]),
+                     (1, "shares", [(n - 1, list(range(half, nblocks)))])]
+    assert calls == expected
 
 
 @pytest.mark.parametrize("n, block_bits", [
     # 2-bit blocks: 2 to 64 blocks per column
     *[pytest.param(n, 2, id=f"n{n}-2bit") for n in range(4, 10)],
-    # 1, 2 and 4 blocks per column
-    *[pytest.param(n, None, id=f"n{n}") for n in (15, 16, 17)],
+    # 1, 2, 4 and 16 blocks per column
+    *[pytest.param(n, None, id=f"n{n}") for n in (15, 16, 17, 19)],
 ])
-def test_every_mask_gets_its_columns_in_ascending_order(n, block_bits, forks, monkeypatch):
+def test_every_mask_gets_its_columns_in_ascending_order(n, block_bits, monkeypatch):
     # recorded, not run: the S | {j} masks of every block added, in call
     # order, from the block layout itself (the sums replaced by the masks)
     if block_bits is not None:
         monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
-    forks(False)
     masks = np.arange(1 << n)
     last, count, writer = np.full(1 << n, -1), np.zeros(1 << n, int), np.full(1 << n, -1)
-    calls = []
+    parts = []   # the top k mask bits of each table call, with its side
 
     def add_columns(blocks, block_ranges):
-        side = len(calls) // 2   # two table calls per side
-        calls.append(block_ranges)
+        written = []
         for j, hs in enumerate(block_ranges):
             for h in hs:
                 t = blocks._halves(masks, j, h)[1].ravel()
                 assert (t >> j & 1).all() and (last[t] < j).all(), (j, h)
-                assert np.isin(writer[t], (-1, side)).all()   # one side writes each mask
-                last[t], writer[t] = j, side
+                assert np.isin(writer[t], (-1, side[0])).all()   # one side writes each mask
+                last[t], writer[t] = j, side[0]
                 count[t] += 1
-    monkeypatch.setattr(_kernels, "_add_columns", add_columns)
-    monkeypatch.setattr(_kernels, "_player_sums", lambda *args: (-1, -1))
+                written.append(t)
+        tops = np.unique(np.concatenate(written) >> n - blocks.part_bits)
+        assert len(tops) == 1   # one part per call
+        parts.append((side[0], int(tops[0])))
+    side = recorded_schedule(monkeypatch, add_columns, lambda *args: (-1, -1))
     _kernels.shapley_sums(random_game(n, 103), coalition_weights(n), DENOM_TOL)
-    assert len(calls) == 4
     popcount = np.array([bin(m).count("1") for m in range(1 << n)])
     assert np.array_equal(count, popcount)   # each member's column once
+    nblocks = 1 << (n - 1 - min(_kernels._BLOCK_BITS, n - 1))
+    k = expected_part_bits(nblocks)
+    # each part once, ascending; side B's have bit n - 1
+    assert parts == [(int(p >= 1 << k >> 1), p) for p in range(1 << k)]
 
 
 @pytest.mark.parametrize("n, block_bits", [
     # 2-bit blocks: 2 to 64 blocks per column
     *[pytest.param(n, 2, id=f"n{n}-2bit") for n in range(4, 10)],
-    # 1, 2, 4 and 8 blocks per column
+    # 1, 2, 4, 8 and 16 blocks per column
     *[pytest.param(n, None, id=f"n{n}") for n in (15, 16, 17, 18)],
+    pytest.param(19, None, id="n19"),
 ])
 def test_release_schedule_maps_a_quarter_per_side(n, block_bits, forks, monkeypatch):
     # walked, not run: the sums hold their own indices, each table walk
     # maps the S | {j} views it adds into, each share walk both views, and
     # _release unmaps exactly what it is given (the real one drops whole
-    # pages only).  Where a column has 4 or more blocks, each side alone
-    # maps a quarter of both sums and one block at a time, and one process
-    # running both sides half of them; with fewer blocks a side writes a
-    # half (2 blocks) or all (1) of the sums at once.
+    # pages only).  A side maps one part of both sums and one block at a
+    # time, alone or beside the other in one process, and ends holding
+    # nothing: a quarter of the sums or less from 8 blocks per column, a
+    # half with 2 or 4, all of them with 1.
     if block_bits is not None:
         monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
     forks(False)
@@ -602,15 +631,15 @@ def test_release_schedule_maps_a_quarter_per_side(n, block_bits, forks, monkeypa
     def touch(*views):
         for view in views:
             mapped[view.ravel()] = True
-        peak[0] = max(peak[0], int(mapped.sum()))
+        peak[0] = max(peak[0], int(np.count_nonzero(mapped)))
 
     def add_columns(blocks, block_ranges):
         for j, hs in enumerate(block_ranges):
             for _, _, upper_t, _, lower_t in blocks.walk(j, hs):
                 touch(upper_t, lower_t)
 
-    def player_sums(blocks, rows, tol, players, hs, parts, free=None):
-        for i in players:
+    def player_sums(blocks, rows, tol, players, parts):
+        for i, hs, free in players:
             for _, *views in blocks.walk(i, hs, free):
                 touch(*views)
         return -1, -1
@@ -623,24 +652,17 @@ def test_release_schedule_maps_a_quarter_per_side(n, block_bits, forks, monkeypa
     monkeypatch.setattr(_kernels, "_release", release)
     game = random_game(n, 104), coalition_weights(n), DENOM_TOL
     nblocks = 1 << (n - 1 - min(_kernels._BLOCK_BITS, n - 1))
-    size, quarter = (1 << n - 1) // nblocks, 1 << n - 2
-    # one process, both sides
-    _kernels.shapley_sums(*game)
-    if nblocks >= 4:
-        assert peak[0] <= 2 * (2 * quarter + size)
-    # each side alone ends holding only the quarter its player n - 1 read
-    # in place: Q0 on side A, Q3 on side B
-    write = (1 << n) // min(nblocks, 4)
-    for k in (0, 1):
+    size, part = (1 << n - 1) // nblocks, (1 << n) >> expected_part_bits(nblocks)
+    sides = [None,   # one process, both sides
+             lambda blocks, before, after: (before(0), after(0)),
+             lambda blocks, before, after: (before(1), after(1))]
+    for in_halves in sides:
+        if in_halves:
+            monkeypatch.setattr(_kernels, "_in_halves", in_halves)
         mapped[:], peak[0] = False, 0
-        monkeypatch.setattr(_kernels, "_in_halves",
-                            lambda blocks, before, after: (before(k), after(k)))
         _kernels.shapley_sums(*game)
-        assert peak[0] <= 2 * (write + size), (k, peak[0])
-        if nblocks >= 2:
-            kept = np.zeros((2, 4, quarter), bool)
-            kept[:, 3 * k] = True
-            assert np.array_equal(mapped, kept.ravel())
+        assert peak[0] <= 2 * (part + size), peak[0]
+        assert not mapped.any()
 
 
 def test_a_platform_without_madvise_releases_nothing(forks, monkeypatch):
@@ -699,27 +721,19 @@ def footprint(processes):
     return growth
 
 
-# The slack of both gates covers the block buffers and the share pass's
-# tables (about 3.5 MiB at n = 21) and allocator noise.
+# The slack of both gates covers the block buffers, the share pass's
+# tables, the block a side maps back (about 3.8 MiB at n = 21) and
+# allocator noise.
 FOOTPRINT_SLACK = 5 << 20
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_each_side_holds_a_quarter_of_the_sums_at_a_time():
-    # each side tables, sums and releases one quarter of both sums at a
-    # time, and maps the quarters it reads back block by block: at most
-    # 2^(n - 1) float64 entries of the two 2^n sums at a time (8 MiB at
-    # n = 21), where holding a side's half would take 16 MiB
+@pytest.mark.parametrize("processes", ["helper", "none"])
+def test_each_process_holds_an_eighth_of_the_sums_at_a_time(processes):
+    # each side tables, sums and releases one eighth of both sums at a
+    # time, and maps the parts it reads back block by block, with a helper
+    # or with none: at most 2^(n - 2) float64 entries of the two 2^n sums
+    # at a time (4 MiB at n = 21), where a quarter would take 8 MiB
     n = 21
-    growth = footprint("helper")
-    assert growth <= (1 << n - 1) * 8 + FOOTPRINT_SLACK, f"peak RSS grew {growth / 2**20:.1f} MiB"
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_one_process_holds_half_the_sums_at_a_time():
-    # with no helper the caller runs side A up to the barrier, then side B,
-    # keeping only side A's quarter for player n - 1: at most 2^n float64
-    # entries (16 MiB at n = 21), where all four quarters take 32 MiB
-    n = 21
-    growth = footprint("none")
-    assert growth <= (1 << n) * 8 + FOOTPRINT_SLACK, f"peak RSS grew {growth / 2**20:.1f} MiB"
+    growth = footprint(processes)
+    assert growth <= (1 << n - 2) * 8 + FOOTPRINT_SLACK, f"peak RSS grew {growth / 2**20:.1f} MiB"
