@@ -302,14 +302,14 @@ def side_of(player, mask, n):
     pytest.param([(3, 5), (3, 0)], (3, 0b1), "caller", id="both-caller-first"),
     pytest.param([(5, 1)], (5, 0b10), "caller", id="last-player-caller"),
     pytest.param([(5, 4)], (5, 0b10000), "helper", id="last-player-helper"),
-    # side A sums quarter Q0 (mask bits 5 and 4 clear) before Q1 (bit 4
-    # set): its first offender met is player 3's, in Q0, and the lower
-    # player 1's comes later, in Q1
+    # side A sums part 0 (mask bits 5 and 4 clear) before part 1 (bit 4
+    # set): its first offender met is player 3's, in part 0, and the lower
+    # player 1's comes later, in part 1
     pytest.param([(3, 0), (1, 4)], (1, 0b10000), "caller", id="caller-lower-player-later"),
 ])
 def test_split_shares_report_the_first_offender(zeros, expected, side, forks, monkeypatch):
     # E[i, d] = 0 sends player i's term for joining {d} to 0; 2-bit blocks
-    # give 8 blocks per column at n = 6, two per quarter
+    # give 8 blocks per column at n = 6: four parts, quarters of the sums
     monkeypatch.setattr(_kernels, "_BLOCK_BITS", 2)
     n = 6
     E = random_game(n, 91)
