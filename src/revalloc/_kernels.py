@@ -24,14 +24,15 @@ iteration order, and each block's S and S | {j} views.  The low b bits
 of a squeezed index are the first b other players and the block number
 holds the rest:
 
-* a block's column table is the *low* table (the bounds over every subset
-  of the first b other players) maxed / minned with one scalar, the
-  block's entry in the *high* table over the rest.  Both are filled by
+* a block's column table is 4 rows of the *low* table, the bounds over
+  every subset of the first b - 2 other players (2^(b-2) entries), each
+  row maxed / minned with one of the block's 4 entries in the *high*
+  table over the rest: one broadcast per bound.  Each column's bounds
+  over three runs of players (the first _KEPT_BITS, the rest of the low
+  table's, and the high ones) are built once, all columns at a time, by
   doubling: the k-th player d maps entries [0, 2^k) onto [2^k, 2^(k+1))
-  through ``max(t, E[d, j])``.  The high tables of all columns, and the
-  first 2^_KEPT_BITS entries of their low tables, are built once, all
-  columns at a time; a walk of column j doubles its low table on from
-  there;
+  through ``max(t, E[d, j])``.  A walk of column j joins its first two
+  into its low table, again by one broadcast per bound;
 * S and S | {j} are contiguous slices of the sums when j >= b, and the
   ``reshape(-1, 2, 2**j)`` views of one 2 * 2^b slice when j < b;
 * |S| is the low popcount plus the block's high popcount, so |S| and
@@ -52,10 +53,11 @@ stops at its first degenerate term, and the lowest (player, mask) over
 all passes is reported: the lowest player's lowest mask.
 
 ``shapley_sums`` cuts the sums into 2^k *parts*, part p holding the masks
-whose top k bits read p.  k (``part_bits``) is at most 3 and leaves each
-part two blocks of every low column where the block count allows: with
-2^14-entry blocks n = 18 runs in quarters and n >= 19 in eighths, and a
-game of one block per column is one part.  For a *low* player j < n - k
+whose top k bits read p.  k (``part_bits``) is one less than the number of
+block-number bits, so each part holds two blocks of every low column:
+2^(b+2) masks, with 2^14-entry blocks 1 MiB of the two sums from n = 17
+on, whatever n.  A game of two blocks per column is two parts, and one of
+one block per column is one part.  For a *low* player j < n - k
 those k bits top every block number, so part p is one block range of
 column j and holds both S and S | {j}.  A *top* player j >= n - k adds
 into the parts p that hold bit j, and joins S in p without j to
@@ -79,7 +81,7 @@ Without madvise() (Windows) it drops nothing.
 
 The arrays of both functions are shared anonymous mappings (``mmap``),
 which tracemalloc does not see: at n = 20 ``coalition_sums``' traced peak
-is 0.80 MiB of block buffers.
+is 0.64 MiB of block buffers and tables.
 
 ``_in_halves`` runs side A in the caller and side B in one forked helper
 process, where ``_forks`` allows it (2 or more blocks per column,
@@ -107,18 +109,30 @@ import numpy as np
 
 
 _BLOCK_BITS = 14   # blocks of 2^14 entries: 128 KiB per float64 buffer
-_KEPT_BITS = 9     # each column keeps its low table's first 2^9 entries: 8 KiB per column
+_KEPT_BITS = 9     # each column keeps the bounds over its first 9 players: 8 KiB per column
 
 
-def _subset_bounds(values: np.ndarray, tmax: np.ndarray, tmin: np.ndarray, h: int = 1) -> None:
-    """Double tmax/tmin over ``values`` along their last axis, one table per
-    row of ``values``: entries [0, h) hold the max/min over every subset of
-    some earlier values (h = 1: the empty set, -inf/+inf), and each value x
-    maps them onto the next h entries through max/min with x."""
-    for x in values.T[..., None]:   # one value per row of tables, as a column
-        np.maximum(tmax[..., :h], x, out=tmax[..., h:2 * h])
-        np.minimum(tmin[..., :h], x, out=tmin[..., h:2 * h])
+def _subset_bounds(values: np.ndarray) -> np.ndarray:
+    """The (max, min) tables over every subset of each row of ``values``,
+    indexed by mask, shape (2, rows, 2^columns); the empty set holds -inf /
+    +inf.  Each value x maps entries [0, h) onto the next h through max /
+    min with x."""
+    t = np.empty((2, len(values), 1 << values.shape[1]))
+    t[0, :, 0], t[1, :, 0] = -np.inf, np.inf
+    h = 1
+    for x in values.T[:, :, None]:   # one value per row of tables, as a column
+        np.maximum(t[0, :, :h], x, out=t[0, :, h:2 * h])
+        np.minimum(t[1, :, :h], x, out=t[1, :, h:2 * h])
         h *= 2
+    return t
+
+
+def _join(high: np.ndarray, low: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out[:, r, c]`` with the (max, min) over the union of two
+    player sets: entry r of the ``high`` (max, min) tables and entry c of
+    ``low``'s."""
+    np.maximum(low[0], high[0, :, None], out=out[0])
+    np.minimum(low[1], high[1, :, None], out=out[1])
 
 
 def _popcounts(size: int) -> np.ndarray:
@@ -147,39 +161,43 @@ class _ColumnBlocks:
 
     Each column's table runs in ``nblocks`` blocks of ``size`` = 2^``bits``
     entries.  ``sums`` holds ``sum_upper`` and ``sum_lower`` in a shared
-    mapping.  ``walk(j, hs)`` fills column j's low table, then yields each
+    mapping.  ``walk(j, hs)`` joins column j's low table, then yields each
     block h of ``hs`` with the S and S | {j} views of both sums,
     ``(h, upper_s, upper_t, lower_s, lower_t)``, once ``tmax``/``tmin``
     hold the max/min of ``E[d, j]`` over the block's subsets.
     ``views(j, ...)`` shapes block buffers like those views, and
-    ``order(j)`` is the order numpy walks them in.  Every column's high
-    table and the first 2^_KEPT_BITS entries of its low table are built
-    once, for all columns together; the buffers are allocated once, for
-    every column.  ``part_blocks(j, p)`` gives column j's blocks into part
-    p of the sums, and ``release(p)`` drops part p.
+    ``order(j)`` is the order numpy walks them in.  Every column's three
+    tables of bounds are built once, for all columns together; the buffers
+    are allocated once, for every column.  ``part_blocks(j, p)`` gives
+    column j's blocks into part p of the sums, and ``release(p)`` drops
+    part p.
     """
 
     def __init__(self, E: np.ndarray):
         n = E.shape[0]
         self.E, self.bits = E, min(_BLOCK_BITS, n - 1)
         self.size, self.nblocks = 1 << self.bits, 1 << (n - 1 - self.bits)
-        # 2^part_bits parts of the sums: up to 8, each with two blocks of
-        # every low column where the count allows; 2 parts from 2 blocks per
-        # column, 1 with 1
+        # 2^part_bits parts of the sums, each with two blocks of every low
+        # column; 2 parts from 2 blocks per column, 1 with 1
         high_bits = n - 1 - self.bits
-        self.part_bits = min(3, high_bits - 1) if high_bits > 1 else high_bits
+        self.part_bits = high_bits - 1 if high_bits > 1 else high_bits
         self.sums = _shared(n, (2, 1 << n))
-        self.tmax, self.tmin = np.empty(self.size), np.empty(self.size)
-        self.low_max, self.low_min = np.empty(self.size), np.empty(self.size)
+        # the low table covers the first b - 2 other players (none where
+        # b < 2); a block is 4 rows of it (2^b where b < 2), one per entry
+        # of the high table
+        low_bits = max(self.bits - 2, 0)
+        kept_bits = min(_KEPT_BITS, low_bits)
+        self.tmax, self.tmin = bounds = np.empty((2, self.size))
+        self.low = np.empty((2, 1 << low_bits))
+        self.block_rows = bounds.reshape(2, 1 << self.bits - low_bits, -1)
+        self.low_rows = self.low.reshape(2, 1 << low_bits - kept_bits, -1)
         # row j: column j's E[d, j] over the other players d, ascending
-        self.others = E.T[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-        self.kept_bits = min(_KEPT_BITS, self.bits)
-        self.first = np.empty((2, n, 1 << self.kept_bits))   # (max, min) over the first players
-        self.high = np.empty((2, n, self.nblocks))      # (max, min) over the players above b
-        for table, values in ((self.first, self.others[:, :self.kept_bits]),
-                              (self.high, self.others[:, self.bits:])):
-            table[0, :, 0], table[1, :, 0] = -np.inf, np.inf
-            _subset_bounds(values, *table)
+        others = E.T[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+        # each column's (max, min) tables over three runs of the other
+        # players: the first kept_bits, the rest of the low table's, the rest
+        cuts = (0, kept_bits, low_bits, n - 1)
+        self.first, self.mid, self.high = (_subset_bounds(others[:, a:b])
+                                           for a, b in zip(cuts, cuts[1:]))
 
     def views(self, j: int, *bufs: np.ndarray) -> tuple[np.ndarray, ...]:
         """Block buffers in column j's view shape: rows of 2^j entries below the block bits."""
@@ -204,13 +222,10 @@ class _ColumnBlocks:
         ``free``, 0 for S and 1 for S | {j}: slices for a top column j."""
         if not hs:
             return
-        kept = 1 << self.kept_bits
-        self.low_max[:kept], self.low_min[:kept] = self.first[:, j]
-        _subset_bounds(self.others[j, self.kept_bits:self.bits], self.low_max, self.low_min, kept)
-        high_max, high_min = self.high[:, j]
+        _join(self.mid[:, j], self.first[:, j], self.low_rows)
+        r = self.block_rows.shape[1]   # high entries per block
         for h in hs:
-            np.maximum(self.low_max, high_max[h], out=self.tmax)
-            np.minimum(self.low_min, high_min[h], out=self.tmin)
+            _join(self.high[:, j, r * h:r * (h + 1)], self.low, self.block_rows)
             upper, lower = self._halves(self.sums[0], j, h), self._halves(self.sums[1], j, h)
             yield h, *upper, *lower
             for view in free:

@@ -82,7 +82,7 @@ def cases() -> dict[str, list[str]]:
     # the second DMU's name is GBK, not UTF-8 (exit 3)
     runs["gbk-name-ccr"] = ["ccr", "--input", "tests/data/gbk_name.csv", "--no-timestamp"]
     # a 21-player game, entries uniform in [0.2, 1] from default_rng(21): the
-    # sums run in eighths
+    # sums run in 32 parts
     runs["m21-allocate-json"] = ["allocate", "--matrix", "tests/data/matrix_21.csv",
                                  "--revenue", "1000", *tail]
     # one DMU over the coalition cap of 24 (exit 3)

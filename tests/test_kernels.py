@@ -80,6 +80,34 @@ def test_numpy_tables_match_slim_sums(block_bits, monkeypatch):
         assert (sl == sl2).all()
 
 
+@pytest.mark.parametrize("n, block_bits", [
+    # default blocks: b = n - 1, so the low table covers 0 to 1 players at
+    # n = 2..4 and 12 at n = 15
+    *[pytest.param(n, None, id=f"n{n}") for n in (2, 3, 4, 15)],
+    *[pytest.param(n, bits, id=f"n{n}-{bits}bit") for bits in (2, 3) for n in range(5, 10)],
+])
+def test_walk_bounds_are_those_of_each_block_subset(n, block_bits, monkeypatch):
+    # every (column j, block h) the walk yields holds the max / min of
+    # E[d, j] over each subset of the block, enumerated directly: squeezed
+    # index h * size + c has as members the other players of its set bits
+    if block_bits is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_BITS", block_bits)
+    E = np.random.default_rng(110 + n).uniform(0.05, 1.0, (n, n))
+    blocks = _kernels._ColumnBlocks(E)
+    members = np.arange(1 << n - 1)[:, None] >> np.arange(n - 1) & 1 == 1
+    for j in range(n):
+        values = np.delete(E[:, j], j)
+        expected = (np.where(members, values, -np.inf).max(axis=1),
+                    np.where(members, values, np.inf).min(axis=1))
+        walked = []
+        for h, *_ in blocks.walk(j, range(blocks.nblocks)):
+            block = slice(h * blocks.size, (h + 1) * blocks.size)
+            assert np.array_equal(blocks.tmax, expected[0][block]), (j, h)
+            assert np.array_equal(blocks.tmin, expected[1][block]), (j, h)
+            walked.append(h)
+        assert walked == list(range(blocks.nblocks))
+
+
 def game_shares(E, convention):
     """``shapley_triples`` on E, under ``convention``; for a matrix with
     entries above 1, which it refuses, the kernel pass it would run, raising
@@ -490,9 +518,9 @@ def test_parent_fault_kills_the_helper(name, error, forks, monkeypatch):
 
 
 def expected_part_bits(nblocks):
-    """k of the 2^k parts: at most 3, two blocks of each low column to a
-    part where the count allows, and two parts from two blocks per column."""
-    return {1: 0, 2: 1, 4: 1, 8: 2}.get(nblocks, 3)
+    """k of the 2^k parts: two blocks of each low column to a part, and two
+    parts from two blocks per column."""
+    return {1: 0, 2: 1}.get(nblocks, nblocks.bit_length() - 2)
 
 
 def recorded_schedule(monkeypatch, add_columns, player_sums):
@@ -567,8 +595,8 @@ def test_sides_split_every_player_block_once(n, block_bits, monkeypatch):
 @pytest.mark.parametrize("n, block_bits", [
     # 2-bit blocks: 2 to 64 blocks per column
     *[pytest.param(n, 2, id=f"n{n}-2bit") for n in range(4, 10)],
-    # 1, 2, 4 and 16 blocks per column
-    *[pytest.param(n, None, id=f"n{n}") for n in (15, 16, 17, 19)],
+    # 1, 2, 4, 16, 32 and 64 blocks per column
+    *[pytest.param(n, None, id=f"n{n}") for n in (15, 16, 17, 19, 20, 21)],
 ])
 def test_every_mask_gets_its_columns_in_ascending_order(n, block_bits, monkeypatch):
     # recorded, not run: the S | {j} masks of every block added, in call
@@ -608,6 +636,7 @@ def test_every_mask_gets_its_columns_in_ascending_order(n, block_bits, monkeypat
     # 1, 2, 4, 8 and 16 blocks per column
     *[pytest.param(n, None, id=f"n{n}") for n in (15, 16, 17, 18)],
     pytest.param(19, None, id="n19"),
+    pytest.param(21, None, id="n21"),
 ])
 def test_release_schedule_maps_a_quarter_per_side(n, block_bits, forks, monkeypatch):
     # walked, not run: the sums hold their own indices, each table walk
@@ -678,8 +707,8 @@ def test_a_platform_without_madvise_releases_nothing(forks, monkeypatch):
         assert a.tobytes() == b.tobytes()
     assert shares[3:] == expected[3:] == (-1, -1)
 
-# An n = 21 game in a fresh process, with a helper even on one CPU
-# (argument "helper") or with none: the growth of peak RSS over the set-up,
+# A game of n players (second argument) in a fresh process, with a helper
+# even on one CPU (first argument "helper") or with none: the growth of peak RSS over the set-up,
 # for the caller or the helper, whichever is larger.  The caller's peak is
 # VmHWM, the peak of its own address space: its ru_maxrss also counts the
 # process it was spawned from, which Linux carries across exec.  The reaped
@@ -695,7 +724,7 @@ def peak_kib():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
-n = 21
+n = int(sys.argv[2])
 rng = np.random.default_rng(98)
 E = rng.uniform(0.05, 1.0, (n, n))
 np.fill_diagonal(E, 1.0)
@@ -708,11 +737,11 @@ print(bad_player, (after - before) * 1024)
 """
 
 
-def footprint(processes):
-    """Peak RSS growth of FOOTPRINT_CHILD's game, in bytes."""
+def footprint(processes, n):
+    """Peak RSS growth of FOOTPRINT_CHILD's game of n players, in bytes."""
     src = Path(__file__).parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, processes],
+    child = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, processes, str(n)],
                            capture_output=True, text=True, timeout=120,
                            env=dict(os.environ, PYTHONPATH=path))
     assert child.returncode == 0, child.stderr
@@ -721,19 +750,22 @@ def footprint(processes):
     return growth
 
 
-# The slack of both gates covers the block buffers, the share pass's
-# tables, the block a side maps back (about 3.8 MiB at n = 21) and
-# allocator noise.
+# The slack of the gate covers the block buffers, the share pass's tables
+# (one row per count of high members, so they grow with n), the block a
+# side maps back and allocator noise: about 4.1 MiB at n = 21 and 4.7 MiB
+# at n = 22.
 FOOTPRINT_SLACK = 5 << 20
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("n", [21, 22])
 @pytest.mark.parametrize("processes", ["helper", "none"])
-def test_each_process_holds_an_eighth_of_the_sums_at_a_time(processes):
-    # each side tables, sums and releases one eighth of both sums at a
-    # time, and maps the parts it reads back block by block, with a helper
-    # or with none: at most 2^(n - 2) float64 entries of the two 2^n sums
-    # at a time (4 MiB at n = 21), where a quarter would take 8 MiB
-    n = 21
-    growth = footprint(processes)
-    assert growth <= (1 << n - 2) * 8 + FOOTPRINT_SLACK, f"peak RSS grew {growth / 2**20:.1f} MiB"
+def test_each_process_holds_one_part_of_the_sums_at_a_time(processes, n):
+    # each side tables, sums and releases one part of both sums at a time,
+    # two blocks of every low column, and maps the parts it reads back block
+    # by block, with a helper or with none: 2^(_BLOCK_BITS + 2) entries of
+    # each sum (1 MiB of both) at any n, where an eighth of the sums would
+    # take 4 MiB at n = 21 and 8 MiB at n = 22
+    growth = footprint(processes, n)
+    part = (1 << _kernels._BLOCK_BITS + 2) * 16
+    assert growth <= part + FOOTPRINT_SLACK, f"peak RSS grew {growth / 2**20:.1f} MiB"
