@@ -61,10 +61,13 @@ def allocate(triple: ShapleyTriple, revenue: float,
 
     The triple's rows are already float vectors of one length
     (``ShapleyTriple`` reads them so); AllocationError unless ``revenue`` is
-    a positive finite number and the rows are finite, positive and ordered
-    lower <= central <= upper.
+    a positive finite number, the rows are finite, positive and ordered
+    lower <= central <= upper, and ``names``, if given, is a list of one
+    name per DMU.
     """
     _check_shares(triple, revenue)
+    if isinstance(names, str):
+        raise AllocationError(f"names must be a list of strings, got {names!r}")
     if names is not None and len(names) != triple.n:
         raise AllocationError(f"{len(names)} names for {triple.n} DMUs")
     up, lo = triple.phi_upper, triple.phi_lower

@@ -20,10 +20,17 @@ decodes itself, ahead of the row being read, so one that fails to decode
 is a ParseError that names no line.  Numbers are plain ASCII decimals,
 without ``_`` digit separators.  Each input and output column must sum to
 a positive float: a zero sum, or one past the float range, is a
-ValidationError naming the column.  Blank lines are skipped everywhere,
-also before the header, and so is a UTF-8 byte-order mark at the start of
-a file or text stream.  The groups and reference files name every DMU
-exactly once and no other DMU.
+ValidationError naming the column by side and position (``output column 0
+has zero sum``).  Blank lines are skipped everywhere, also before the
+header, and so is a UTF-8 byte-order mark at the start of a file or text
+stream.  The groups and reference files name every DMU exactly once and no
+other DMU.
+
+``normalize`` makes every check of raw value arrays, for ``Dataset`` too: it
+refuses an array that is not 2-D or has no column, and a value that is not a
+number, not finite or negative, before it checks the column sums.  Names of
+DMUs, inputs and outputs are lists (or numpy arrays) of strings; a bare
+string is refused, not split into characters.
 """
 
 from __future__ import annotations
@@ -67,8 +74,18 @@ class Dataset:
     def __post_init__(self):
         self.raw_inputs = _floats(self.raw_inputs, "input values")
         self.raw_outputs = _floats(self.raw_outputs, "output values")
-        _validate_dataset(self)
+        if len(self.names) < 1:
+            raise ValidationError("dataset needs at least one DMU")
+        _check_unique_names(self.names)
         self.norm_inputs, self.norm_outputs = normalize(self.raw_inputs, self.raw_outputs)
+        if self.raw_inputs.shape[0] != self.n or self.raw_outputs.shape[0] != self.n:
+            raise ValidationError("row count does not match number of DMU names")
+        if len(self.input_names) != self.m:
+            raise ValidationError("input name count does not match input columns")
+        if len(self.output_names) != self.s:
+            raise ValidationError("output name count does not match output columns")
+        _check_unique_names(self.input_names, "input")
+        _check_unique_names(self.output_names, "output")
         if not (self.norm_inputs.max(axis=1) > 0).all():
             bad = self.names[int(np.argmin(self.norm_inputs.max(axis=1)))]
             raise ValidationError(f"DMU {bad!r} has no strictly positive input")
@@ -175,13 +192,24 @@ def check_scores(values) -> np.ndarray:
 def normalize(raw_inputs, raw_outputs):
     """Divide every feature column by its sum across DMUs.
 
-    Each normalized column sums to 1.  A column sum past the float range is
-    refused, as a zero one is, since dividing by it would give zeros.
+    Each argument is read as floats and must be a 2-D array (one row per
+    DMU) with at least one column, every value finite and nonnegative: a
+    value that is not a number, or a non-finite or negative one, is a
+    ParseError, and a wrong shape a ValidationError.  Each normalized
+    column sums to 1.  A zero column sum is a ValidationError, and so is a
+    sum past the float range, since dividing by it would give zeros.
     """
-    raw_inputs = _floats(raw_inputs, "input values")
-    raw_outputs = _floats(raw_outputs, "output values")
     normed = []
     for label, mat in (("input", raw_inputs), ("output", raw_outputs)):
+        mat = _floats(mat, f"{label} values")
+        if mat.ndim != 2:
+            raise ValidationError("input/output data must be 2-dimensional")
+        if mat.shape[1] < 1:
+            raise ValidationError("need at least one input and one output column")
+        if not np.isfinite(mat).all():
+            raise ParseError(f"non-finite {label} value")
+        if (mat < 0).any():
+            raise ParseError(f"negative {label} value")
         with np.errstate(over="ignore"):   # an overflow is refused just below
             sums = mat.sum(axis=0)
         if (sums <= 0).any():
@@ -194,7 +222,10 @@ def normalize(raw_inputs, raw_outputs):
 
 
 def _check_unique_names(names: list[str], what: str = "DMU") -> None:
-    """ValidationError unless ``names`` are strings, none blank and none repeated."""
+    """ValidationError unless ``names`` is a list of strings (a bare string is
+    not one), none blank and none repeated."""
+    if isinstance(names, str):
+        raise ValidationError(f"{what} names must be a list of strings, got {names!r}")
     odd = [name for name in names if not isinstance(name, str)]
     if odd:
         raise ValidationError(f"{what} names must be strings, got {odd[0]!r}")
@@ -204,30 +235,6 @@ def _check_unique_names(names: list[str], what: str = "DMU") -> None:
     dupes = sorted(str(name) for name, count in Counter(names).items() if count > 1)
     if dupes:
         raise ValidationError(f"duplicate {what} names: {dupes}")
-
-
-def _validate_dataset(ds: Dataset) -> None:
-    n = len(ds.names)
-    if n < 1:
-        raise ValidationError("dataset needs at least one DMU")
-    _check_unique_names(ds.names)
-    if ds.raw_inputs.ndim != 2 or ds.raw_outputs.ndim != 2:
-        raise ValidationError("input/output data must be 2-dimensional")
-    if ds.raw_inputs.shape[0] != n or ds.raw_outputs.shape[0] != n:
-        raise ValidationError("row count does not match number of DMU names")
-    if ds.raw_inputs.shape[1] < 1 or ds.raw_outputs.shape[1] < 1:
-        raise ValidationError("need at least one input and one output column")
-    if len(ds.input_names) != ds.raw_inputs.shape[1]:
-        raise ValidationError("input name count does not match input columns")
-    if len(ds.output_names) != ds.raw_outputs.shape[1]:
-        raise ValidationError("output name count does not match output columns")
-    _check_unique_names(ds.input_names, "input")
-    _check_unique_names(ds.output_names, "output")
-    for label, mat in (("input", ds.raw_inputs), ("output", ds.raw_outputs)):
-        if not np.isfinite(mat).all():
-            raise ParseError(f"non-finite {label} value")
-        if (mat < 0).any():
-            raise ParseError(f"negative {label} value")
 
 
 def _plain(convert, text: str):

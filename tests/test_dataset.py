@@ -466,8 +466,45 @@ def dataset(**changes):
     pytest.param(lambda: load_matrix(make_csv("dmu,A\nA,\u0660.\u0665")),
                  ParseError, "malformed number '\u0660.\u0665' at matrix cell (A, A)",
                  id="matrix-cell-digits"),
+    pytest.param(lambda: dataset(names="AB"),
+                 ValidationError, "DMU names must be a list of strings, got 'AB'",
+                 id="name-string"),
+    pytest.param(lambda: dataset(input_names="xy", raw_inputs=[[1.0, 1.0], [2.0, 3.0]]),
+                 ValidationError, "input names must be a list of strings, got 'xy'",
+                 id="input-name-string"),
+    pytest.param(lambda: revalloc.CrossEfficiencyMatrix(names="ab", values=np.eye(2)),
+                 ValidationError, "DMU names must be a list of strings, got 'ab'",
+                 id="matrix-name-string"),
+    pytest.param(lambda: revalloc.allocate(revalloc.ShapleyTriple([0.1, 0.1], [0.2, 0.2],
+                                                                  [0.3, 0.3]),
+                                           10.0, names="ab"),
+                 revalloc.AllocationError, "names must be a list of strings, got 'ab'",
+                 id="allocate-name-string"),
 ])
 def test_each_check_names_its_fault(build, error, message):
     with pytest.raises(error) as err:
         build()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("side", ["input", "output"])
+@pytest.mark.parametrize("values, error, message", [
+    pytest.param([[1.0], [np.nan]], ParseError, "non-finite {side} value", id="nan"),
+    pytest.param([[1.0], [np.inf]], ParseError, "non-finite {side} value", id="inf"),
+    pytest.param([[1.0], [-2.0]], ParseError, "negative {side} value", id="negative"),
+    pytest.param([1.0, 2.0], ValidationError, "input/output data must be 2-dimensional",
+                 id="1d"),
+    pytest.param([[[1.0]], [[2.0]]], ValidationError,
+                 "input/output data must be 2-dimensional", id="3d"),
+    pytest.param(np.empty((2, 0)), ValidationError,
+                 "need at least one input and one output column", id="no-column"),
+])
+def test_normalize_refuses_what_dataset_refuses(values, error, message, side):
+    # normalize is the one check of raw values, so both calls give one error
+    arrays = {"raw_inputs": [[1.0], [2.0]], "raw_outputs": [[3.0], [4.0]],
+              f"raw_{side}s": values}
+    for build in (lambda: normalize(arrays["raw_inputs"], arrays["raw_outputs"]),
+                  lambda: dataset(**arrays)):
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message.format(side=side)
